@@ -1,14 +1,12 @@
 """The acceptance suite: one callable per criterion, shared by pytest and the CLI.
 
 Each check returns a CheckResult; ``run_all`` executes a selection and prints
-one pass/fail line per criterion.  Random instances are parallelizable over
-worker threads with a deterministic by-index reduction.
+one pass/fail line per criterion.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +25,11 @@ class CheckResult:
     elapsed: float
 
 
-def _run_indexed(fn, count: int, threads: int | None):
-    """Map fn over range(count) with a deterministic by-index reduction."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, range(count)))
-    return [fn(k) for k in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: the worked 3x3 mixing example
 
 
-def check_01_worked_example(threads=None) -> CheckResult:
+def check_01_worked_example() -> CheckResult:
     t0 = time.perf_counter()
     rep = gaussian.par411_report()
     errs = {
@@ -88,7 +78,7 @@ def _membership_twostep_pair(n: int, p: int) -> FinitePair:
     return FinitePair.from_joint(P / n)
 
 
-def check_02_closed_forms(threads=None) -> CheckResult:
+def check_02_closed_forms() -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     details = []
@@ -128,52 +118,54 @@ def _measured_eps_matrix(sys: FiniteSystem, xs, ys) -> np.ndarray:
     return eps
 
 
-def _sweep_one(seed: int) -> dict:
+def _sweep_system(seed: int) -> tuple:
+    """The seed-th random system of criteria 3 and 7, as (sys, xs, ys)."""
     rng = np.random.default_rng(1000 + seed)
     nx = int(rng.integers(1, 4))
     ny = int(rng.integers(1, 4))
-    sys, xs, ys = discrete.random_system(rng, nx, ny, max_alpha=3)
+    return discrete.random_system(rng, nx, ny, max_alpha=3)
+
+
+def _bound_slacks(seed: int) -> tuple:
+    """(nm, simple, zz) bound minus the exact block maxcorr; simple needs ny == 1, else inf."""
+    sys, xs, ys = _sweep_system(seed)
     rho = discrete.maxcorr_blocks(sys, xs, ys)
     eps = _measured_eps_matrix(sys, xs, ys)
-    out = {
-        "rho": rho,
-        "nm_slack": tensor_bounds.nm_bound(eps) - rho,
-        "simple_slack": (tensor_bounds.simple_bound(eps[:, 0]) - rho) if ny == 1 else np.inf,
-    }
+    simple = tensor_bounds.simple_bound(eps[:, 0]) - rho if len(ys) == 1 else np.inf
     # symmetrized Z-against-Z profile dominating every measured pair
     zvals = {}
-    for i in range(nx):
-        for j in range(ny):
-            z = j - i
-            zvals[z] = max(zvals.get(z, 0.0), eps[i, j])
-            zvals[-z] = max(zvals.get(-z, 0.0), eps[i, j])
-    out["zz_slack"] = tensor_bounds.zz_bound(list(zvals.values())) - rho
-    # event-criterion chain on every scanned pair
-    worst_event = -np.inf
+    for (i, j), e in np.ndenumerate(eps):
+        for z in (j - i, i - j):
+            zvals[z] = max(zvals.get(z, 0.0), e)
+    return tensor_bounds.nm_bound(eps) - rho, simple, tensor_bounds.zz_bound(list(zvals.values())) - rho
+
+
+def _event_violation(seed: int) -> float:
+    """Worst breach of ratio <= rho <= lambda(ratio) over every scanned pair:
+    each single X against single Y, and the full blocks when both sides have <= 10 states."""
+    sys, xs, ys = _sweep_system(seed)
     pairs = [sys.pair([x], [y]) for x in xs for y in ys]
-    if np.prod([2] * nx) and max(len(sys.pair(xs, ys).labels_x), len(sys.pair(xs, ys).labels_y)) <= 10:
-        pairs.append(sys.pair(xs, ys))
+    blocks = sys.pair(xs, ys)
+    if max(len(blocks.labels_x), len(blocks.labels_y)) <= 10:
+        pairs.append(blocks)
+    worst = -np.inf
     for pr in pairs:
         ratio = discrete.event_extremes(pr).max_ratio
         r = discrete.maxcorr_pair(pr).rho
-        worst_event = max(worst_event, ratio - r, r - events.lambda_fn(min(ratio, 1.0)))
-    out["event_violation"] = worst_event
-    return out
+        worst = max(worst, ratio - r, r - events.lambda_fn(min(ratio, 1.0)))
+    return worst
 
 
-def check_03_tensor_sweep(threads=None) -> CheckResult:
+def check_03_tensor_sweep() -> CheckResult:
     t0 = time.perf_counter()
-    rows = _run_indexed(_sweep_one, 500, threads)
-    worst = min(min(r["nm_slack"] for r in rows),
-                min(r["simple_slack"] for r in rows),
-                min(r["zz_slack"] for r in rows))
+    worst = min(min(_bound_slacks(k)) for k in range(500))
     elapsed = time.perf_counter() - t0
     ok = worst >= -TOL and elapsed < 300.0
     return CheckResult("03 tensorization sweep", ok,
                        f"500 systems, worst slack {worst:.2e}, {elapsed:.1f}s", elapsed)
 
 
-def check_04_independent_tensorization(threads=None) -> CheckResult:
+def check_04_independent_tensorization() -> CheckResult:
     t0 = time.perf_counter()
 
     def one(seed: int) -> float:
@@ -183,16 +175,15 @@ def check_04_independent_tensorization(threads=None) -> CheckResult:
         ys = [n for n, _ in sys.variables if n.startswith("Y")]
         return abs(discrete.maxcorr_blocks(sys, xs, ys) - max(per_pair))
 
-    worst = max(_run_indexed(one, 100, threads))
+    worst = max(one(k) for k in range(100))
     ok = worst <= TOL
     return CheckResult("04 independent tensorization", ok, f"worst |equality gap| {worst:.2e}",
                        time.perf_counter() - t0)
 
 
-def check_07_event_criteria(threads=None) -> CheckResult:
+def check_07_event_criteria() -> CheckResult:
     t0 = time.perf_counter()
-    rows = _run_indexed(_sweep_one, 500, threads)
-    worst = max(r["event_violation"] for r in rows)
+    worst = max(_event_violation(k) for k in range(500))
     m = 512
     nu = events.nu_event_ratio(events.NuModel(0.5, 0.02, m))
     nu_ok = nu.worst_ratio <= nu.factor + 2.0 / m
@@ -209,7 +200,7 @@ def check_07_event_criteria(threads=None) -> CheckResult:
 # criterion 5: Gaussian optimality
 
 
-def check_05_gaussian_optimality(threads=None) -> CheckResult:
+def check_05_gaussian_optimality() -> CheckResult:
     t0 = time.perf_counter()
 
     def one(seed: int) -> float:
@@ -220,7 +211,7 @@ def check_05_gaussian_optimality(threads=None) -> CheckResult:
         got = gaussian.maxcorr_gaussian(sys, xs, ["Y"])
         return abs(got - tensor_bounds.simple_bound(eps))
 
-    worst = max(_run_indexed(one, 50, threads))
+    worst = max(one(k) for k in range(50))
     k = 64
     rep = gaussian.build_banded_zz(1.0, k)
     banded_err = abs(rep.maxcorr - 2.0 / 3.0)
@@ -236,7 +227,7 @@ def check_05_gaussian_optimality(threads=None) -> CheckResult:
 # criterion 6: the Chogosov suite
 
 
-def check_06_chogosov(threads=None) -> CheckResult:
+def check_06_chogosov() -> CheckResult:
     t0 = time.perf_counter()
     n = 100_000
     model = events.ChogosovModel(0.5)
@@ -285,9 +276,9 @@ def _gap_sweep_one(seed: int) -> tuple:
     return gap - rep.bound_M, rep.bound_M - rep.bound_simple, gap / rep.bound_M
 
 
-def check_08_glauber(threads=None) -> CheckResult:
+def check_08_glauber() -> CheckResult:
     t0 = time.perf_counter()
-    rows = _run_indexed(_gap_sweep_one, 200, threads)
+    rows = [_gap_sweep_one(k) for k in range(200)]
     worst_gap = min(r[0] for r in rows)
     worst_nest = min(r[1] for r in rows)
     tightest = min(r[2] for r in rows)  # recorded, never asserted: bound_M is not known to be tight
@@ -328,7 +319,7 @@ def check_08_glauber(threads=None) -> CheckResult:
 # criterion 9 and 10: quadratic model and convolution inverses
 
 
-def check_09_quadratic(threads=None) -> CheckResult:
+def check_09_quadratic() -> CheckResult:
     t0 = time.perf_counter()
     from .convdecay import ToeplitzKernel, decay_fit
 
@@ -371,7 +362,7 @@ def _zeroed(kernel):
     return ToeplitzKernel(kernel.n, kernel.R, v)
 
 
-def check_10_conv_exact(threads=None) -> CheckResult:
+def check_10_conv_exact() -> CheckResult:
     t0 = time.perf_counter()
     from .convdecay import ToeplitzKernel, banded_inverse_constants, conv_inverse
 
@@ -414,7 +405,7 @@ def check_10_conv_exact(threads=None) -> CheckResult:
 # criterion 11: the Ising CLT
 
 
-def check_11_clt(threads=None) -> CheckResult:
+def check_11_clt() -> CheckResult:
     t0 = time.perf_counter()
     model = lattice.IsingTorus(1, 8, 3.0)
     rep = lattice.clt_experiment(model, (8, 16, 32), replicas=10_000, seed=3)
@@ -433,7 +424,7 @@ def check_11_clt(threads=None) -> CheckResult:
 # criterion 12: hypocoercive chain
 
 
-def check_12_hypocoercive(threads=None) -> CheckResult:
+def check_12_hypocoercive() -> CheckResult:
     """Criterion 12: the damped harmonic chain contracts strictly,
     {eta_0 : eta_t} < 1 at every horizon t.
 
@@ -486,7 +477,7 @@ def check_12_hypocoercive(threads=None) -> CheckResult:
 # criterion 13: three lines
 
 
-def check_13_three_lines(threads=None) -> CheckResult:
+def check_13_three_lines() -> CheckResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(13)
     worst_spread = 0.0
@@ -535,13 +526,13 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(only=None, threads: int | None = None, out=print):
+def run_all(only=None, out=print):
     results = []
     for fn in ALL_CHECKS:
         name = fn.__name__.replace("check_", "")
         if only and not any(sel in name for sel in only):
             continue
-        res = fn(threads=threads)
+        res = fn()
         results.append(res)
         out(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
     return results

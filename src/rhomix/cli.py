@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 
 import numpy as np
@@ -25,8 +24,13 @@ COMMANDS = (
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"{path}: input file must be readable ({exc.strerror or exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: input file must be valid JSON ({exc})") from exc
 
 
 def _pair_from_file(path: str) -> discrete.FinitePair:
@@ -40,11 +44,6 @@ def _system_from_file(path: str) -> discrete.FiniteSystem:
     sizes = [s for _, s in variables]
     flat = np.array([rio.parse_number(v) for v in d["joint_flat"]])
     return discrete.FiniteSystem(variables, flat.reshape(sizes))  # row-major, last variable fastest
-
-
-def _gaussian_from_file(path: str) -> gaussian.GaussianSystem:
-    d = _load_json(path)
-    return gaussian.GaussianSystem(tuple(d["labels"]), rio.parse_matrix(d["cov"]))
 
 
 def _kernel_from_file(path: str) -> tensor_bounds.LatticeKernel:
@@ -94,8 +93,6 @@ def _floats(spec: str) -> list:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rhomix", description=__doc__)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("RHOMIX_THREADS", "0")) or None)
     sub = p.add_subparsers(dest="command")
 
     def common(sp):
@@ -491,7 +488,7 @@ def main(argv=None) -> int:
             _emit(args, _cmd_three_lines(args))
         elif args.command == "verify-all":
             only = args.only.split(",") if args.only else None
-            results = acceptance.run_all(only=only, threads=args.threads)
+            results = acceptance.run_all(only=only)
             return 0 if all(r.passed for r in results) else 1
         return 0
     except ValidationError as exc:

@@ -319,18 +319,8 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
         raise ValidationError("glauber_simulate_ising: horizon must be > 0")
     rng = np.random.default_rng(seed)
     state = ising_mcmc_samples(torus, sweeps=1, thin=1, seed=seed, burn=burn_sweeps)[-1]
-    sites = torus.sites
-    nsite = len(sites)
-    site_pos = {s: k for k, s in enumerate(sites)}
-    neigh = np.zeros((nsite, 2 * torus.n), dtype=int)
-    for k, s in enumerate(sites):
-        t = 0
-        for ax in range(torus.n):
-            for d in (-1, 1):
-                u = list(s)
-                u[ax] = (u[ax] + d) % torus.L
-                neigh[k, t] = site_pos[tuple(u)]
-                t += 1
+    neigh = torus.neighbour_table()
+    nsite = len(neigh)
     if observable is None:
         observable = lambda spins: float(spins.sum()) / math.sqrt(nsite)
     if sample_dt is None:
@@ -363,21 +353,14 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
 
 
 def glauber_replicas(sys: FiniteSystem, horizon: float, seed: int, replicas: int,
-                     observable=None, threads: int | None = None) -> list:
+                     observable=None) -> list:
     """Independent simulator replicas; per-replica seeds come from spawning
     numpy's SeedSequence(seed), so results are reproducible and order-free."""
-    child_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(replicas)]
-
-    def one(k):
-        return glauber_simulate(sys, horizon, seed=child_seeds[k], observable=observable,
-                                keep_events=False)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(one, range(replicas)))
-    return [one(k) for k in range(replicas)]
+    return [
+        glauber_simulate(sys, horizon, seed=int(child.generate_state(1)[0]), observable=observable,
+                         keep_events=False)
+        for child in np.random.SeedSequence(seed).spawn(replicas)
+    ]
 
 
 # ---------------------------------------------------------------------------

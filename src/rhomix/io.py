@@ -66,8 +66,6 @@ def dumps(obj, indent: int = 2) -> str:
 
 def parse_number(v) -> float:
     """Accept probabilities given either as doubles or as decimal strings."""
-    if isinstance(v, str):
-        return float(v)
     return float(v)
 
 

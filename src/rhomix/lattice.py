@@ -154,6 +154,19 @@ class IsingTorus:
                 out.append((s, tuple(t)))
         return out
 
+    def neighbour_table(self) -> np.ndarray:
+        """Row k holds the flat indices of site k's 2n neighbours, ordered by
+        axis and then by step -1, +1; flat indices follow ``sites``."""
+        coords = np.array(self.sites).reshape(-1, self.n)
+        shape = (self.L,) * self.n
+        cols = []
+        for ax in range(self.n):
+            for d in (-1, 1):
+                u = coords.copy()
+                u[:, ax] = (u[:, ax] + d) % self.L
+                cols.append(np.ravel_multi_index(u.T, shape))
+        return np.stack(cols, axis=1)
+
     def min_image(self, z) -> tuple:
         return tuple((c + self.L // 2) % self.L - self.L // 2 for c in z)
 
@@ -283,15 +296,7 @@ def ising_mcmc_samples(torus: IsingTorus, sweeps: int, thin: int, seed: int,
     sites = torus.sites
     nsite = len(sites)
     site_pos = {s: k for k, s in enumerate(sites)}
-    neigh = np.zeros((nsite, 2 * torus.n), dtype=int)
-    for k, s in enumerate(sites):
-        t = 0
-        for ax in range(torus.n):
-            for d in (-1, 1):
-                u = list(s)
-                u[ax] = (u[ax] + d) % torus.L
-                neigh[k, t] = site_pos[tuple(u)]
-                t += 1
+    neigh = torus.neighbour_table()
     clamp_pos = {site_pos[tuple(s)]: v for s, v in zip(torus.clamp_sites, torus.clamp_values)}
     state = rng.choice((-1, 1), size=nsite).astype(float)
     for k, v in clamp_pos.items():

@@ -26,6 +26,8 @@ SUBLATTICE_SEARCH_CAP = 64
 
 def _check_unit_interval(arr, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what}: entries must be finite numbers in [0, 1]")
     if arr.size and (arr.min() < -1e-15 or arr.max() > 1 + 1e-12):
         raise ValidationError(f"{what}: entries must lie in [0, 1]")
     return np.clip(arr, 0.0, 1.0)
@@ -83,10 +85,6 @@ def zz_bound(values) -> float:
     e = _check_unit_interval(np.atleast_1d(np.asarray(list(values), dtype=float)), "zz_bound")
     s = math.fsum(math.asin(v) for v in e)
     return float(math.sin(min(s, math.pi / 2)))
-
-
-def arcsin_add(a: float, b: float) -> float:
-    return math.sin(min(math.asin(a) + math.asin(b), math.pi / 2))
 
 
 # ---------------------------------------------------------------------------

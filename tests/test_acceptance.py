@@ -14,7 +14,7 @@ CHECKS = {fn.__name__: fn for fn in acceptance.ALL_CHECKS}
 
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_criterion(name):
-    result = CHECKS[name](threads=4)
+    result = CHECKS[name]()
     print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
 

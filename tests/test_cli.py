@@ -55,6 +55,28 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "invariant violated" in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["simple", "zz"])
+    def test_nan_eps_is_exit_2(self, kind):
+        proc = run_cli(["tensor-bound", kind, "--eps", "nan,0.5"])
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_missing_file_is_exit_2(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        proc = run_cli(["mixing", "--pair", missing])
+        assert proc.returncode == 2
+        assert "invariant violated" in proc.stderr and missing in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_truncated_json_is_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"labels_x": ["a", "b"], "labels_y": ["0", "1"], "joint": [[0.25, ')
+        proc = run_cli(["maxcorr", "--pair", str(bad)])
+        assert proc.returncode == 2
+        assert "valid JSON" in proc.stderr and str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCompute:
     def test_maxcorr_pair(self, pair_file):

@@ -159,7 +159,7 @@ class TestSimulator:
     def test_replica_seed_splitter(self):
         sys = two_spin_ferromagnet(0.3)
         runs = glauber.glauber_replicas(sys, horizon=200.0, seed=5, replicas=3)
-        reruns = glauber.glauber_replicas(sys, horizon=200.0, seed=5, replicas=3, threads=3)
+        reruns = glauber.glauber_replicas(sys, horizon=200.0, seed=5, replicas=3)
         rates = [r.rate_estimate for r in runs]
         assert rates == [r.rate_estimate for r in reruns]
         assert len(set(rates)) == 3  # distinct replica streams

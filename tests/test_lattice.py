@@ -122,6 +122,23 @@ class TestIsingExact:
         assert marg[1] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestNeighbourTable:
+    @pytest.mark.parametrize("n, L", [(1, 2), (1, 5), (2, 3), (3, 4)])
+    def test_matches_site_arithmetic(self, n, L):
+        torus = IsingTorus(n, L, 1.0)
+        sites = torus.sites
+        neigh = torus.neighbour_table()
+        assert neigh.shape == (len(sites), 2 * n)
+        for k, s in enumerate(sites):
+            expect = []
+            for ax in range(n):
+                for d in (-1, 1):
+                    u = list(s)
+                    u[ax] = (u[ax] + d) % L
+                    expect.append(sites.index(tuple(u)))
+            assert list(neigh[k]) == expect
+
+
 class TestIsingMcmc:
     def test_pairwise_estimate_matches_exact(self):
         T, L = 3.0, 16

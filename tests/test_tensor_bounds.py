@@ -105,6 +105,18 @@ def kernel_1d(entries, R=None, tail=None, norm="l1"):
     return LatticeKernel.from_dict(1, R, entries, norm=norm, tail=tail)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_bound_rejects_non_finite_entries(self, bad):
+        # nan < x is False for every x, so NaN must not slip past the range test
+        eps = [bad, 0.5]
+        for bound in (tb.simple_bound, tb.zz_bound, tb.l2_sum_bound, tb.nm_bound):
+            with pytest.raises(ValidationError, match="finite"):
+                bound(eps)
+        with pytest.raises(ValidationError, match="finite"):
+            EpsilonMatrix.from_array([[0.1, bad], [0.2, 0.3]])
+
+
 class TestLatticeKernel:
     def test_symmetry_enforced(self):
         values = np.zeros(5)
