@@ -23,4 +23,4 @@ rep = events.chogosov_opnorm(model, 1024)
 print(f"wrote {n} points to {out}")
 print(f"grid operator norm {rep.rho_hat:.6f} vs Lambda({eps}) = {events.lambda_fn(eps):.6f}")
 print(f"lower-curve fraction {float((cloud[:, 2] == -1).mean()):.4f} "
-      f"(quadrature {events.curve_atom_fraction(model):.4f})")
+      f"(closed form {events.curve_atom_fraction(model):.4f})")

@@ -23,23 +23,39 @@ COMMANDS = (
 )
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, *keys: str) -> dict:
+    """The JSON object in ``path``, which must have every one of ``keys``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"{path}: input file must be readable ({exc.strerror or exc})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: input file must be valid JSON ({exc})") from exc
+    if not isinstance(d, dict):
+        raise ValidationError(f"{path}: input file must hold a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValidationError(f"{path}: input file must have key {key!r}")
+    return d
+
+
+def _required(args, flag: str):
+    """The value of ``--flag``, which the chosen command and kind cannot run without."""
+    value = getattr(args, flag)
+    if value is None:
+        kind = args.kind if hasattr(args, "kind") else f"--model {args.model}"
+        raise ValidationError(f"{args.command} {kind}: --{flag} is required")
+    return value
 
 
 def _pair_from_file(path: str) -> discrete.FinitePair:
-    d = _load_json(path)
+    d = _load_json(path, "labels_x", "labels_y", "joint")
     return discrete.FinitePair(tuple(d["labels_x"]), tuple(d["labels_y"]), rio.parse_matrix(d["joint"]))
 
 
 def _system_from_file(path: str) -> discrete.FiniteSystem:
-    d = _load_json(path)
+    d = _load_json(path, "variables", "joint_flat")
     variables = tuple((v["name"], int(v["size"])) for v in d["variables"])
     sizes = [s for _, s in variables]
     flat = np.array([rio.parse_number(v) for v in d["joint_flat"]])
@@ -47,7 +63,7 @@ def _system_from_file(path: str) -> discrete.FiniteSystem:
 
 
 def _kernel_from_file(path: str) -> tensor_bounds.LatticeKernel:
-    d = _load_json(path)
+    d = _load_json(path, "n", "R", "values")
     tail_d = d.get("tail") or {"type": "none"}
     tail = tensor_bounds.TailModel(
         kind=tail_d.get("type", "none"),
@@ -67,7 +83,7 @@ def _kernel_from_file(path: str) -> tensor_bounds.LatticeKernel:
 def _toeplitz_from_file(path: str):
     from .convdecay import ToeplitzKernel
 
-    d = _load_json(path)
+    d = _load_json(path, "n", "R", "values")
     entries = {}
     for key, v in d["values"].items():
         z = tuple(int(c) for c in key.strip("()").split(",") if c.strip() != "")
@@ -214,13 +230,14 @@ def _cmd_tensor_bound(args) -> dict:
     if args.dry_run:
         return {"valid": True}
     if args.kind == "simple":
-        return {"value": tensor_bounds.simple_bound(_floats(args.eps))}
+        return {"value": tensor_bounds.simple_bound(_floats(_required(args, "eps")))}
     if args.kind == "zz":
-        return {"value": tensor_bounds.zz_bound(_floats(args.eps))}
+        return {"value": tensor_bounds.zz_bound(_floats(_required(args, "eps")))}
     if args.kind == "nm":
-        mat = tensor_bounds.EpsilonMatrix.from_array(rio.parse_matrix(_load_json(args.matrix)["entries"]))
+        entries = _load_json(_required(args, "matrix"), "entries")["entries"]
+        mat = tensor_bounds.EpsilonMatrix.from_array(rio.parse_matrix(entries))
         return {"value": tensor_bounds.nm_bound(mat), "raw_operator_norm": mat.operator_norm()}
-    kern = _kernel_from_file(args.kernel)
+    kern = _kernel_from_file(_required(args, "kernel"))
     if args.kind == "zn":
         zb = tensor_bounds.zn_bound(kern)
         return {"value": zb.value, "window_arcsin": zb.window_arcsin, "tail_arcsin": zb.tail_arcsin}
@@ -234,7 +251,7 @@ def _cmd_event_bound(args) -> dict:
     if args.kind == "lambda":
         if args.dry_run:
             return {"valid": True}
-        return {"value": events.lambda_fn(args.eps)}
+        return {"value": events.lambda_fn(_required(args, "eps"))}
     if args.kind == "nu":
         model = events.NuModel(args.eps, args.x, args.m)
         if args.dry_run:
@@ -242,7 +259,7 @@ def _cmd_event_bound(args) -> dict:
         rep = events.nu_event_ratio(model, seed=args.seed)
         return {"worst_ratio": rep.worst_ratio, "factor": rep.factor,
                 "witness_correlation": rep.witness_correlation}
-    pair = _pair_from_file(args.pair)
+    pair = _pair_from_file(_required(args, "pair"))
     if args.dry_run:
         return {"valid": True}
     if args.kind == "extremes":
@@ -280,12 +297,12 @@ def _cmd_chogosov(args):
 
 def _cmd_glauber_gap(args) -> dict:
     if args.kind == "exact":
-        sys_ = _system_from_file(args.system)
+        sys_ = _system_from_file(_required(args, "system"))
         if args.dry_run:
             return {"valid": True}
         return {"gap": glauber.exact_gap(sys_)}
     if args.kind == "bounds":
-        eps = rio.parse_matrix(_load_json(args.matrix)["entries"])
+        eps = rio.parse_matrix(_load_json(_required(args, "matrix"), "entries")["entries"])
         if args.dry_run:
             return {"valid": True}
         rep = glauber.gap_lower_bounds(eps)
@@ -295,7 +312,7 @@ def _cmd_glauber_gap(args) -> dict:
             "bound_simple": rep.bound_simple,
             "mprime_defined": rep.mprime_defined,
         }
-    kern = _kernel_from_file(args.kernel)
+    kern = _kernel_from_file(_required(args, "kernel"))
     if args.dry_run:
         return {"valid": True}
     rep = glauber.sublattice_gap(kern)
@@ -380,7 +397,7 @@ def _cmd_clt(args):
     if args.model == "ising":
         model = lattice.IsingTorus(1, args.L, args.T)
     elif args.model == "quadratic":
-        gam = _toeplitz_from_file(args.gamma)
+        gam = _toeplitz_from_file(_required(args, "gamma"))
         model = lattice.QuadraticModel(gam.n, gam)
     else:
         model = "independent"

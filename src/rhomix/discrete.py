@@ -27,6 +27,8 @@ def _check_prob_table(arr: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.size == 0:
         raise ValidationError(f"{what}: empty probability table")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what}: entries must be finite numbers")
     if arr.min() < -1e-15:
         raise ValidationError(f"{what}: negative entry {arr.min()!r} (entries must be >= 0)")
     arr = np.where(arr < 0, 0.0, arr)
@@ -379,21 +381,6 @@ class MarkovChainReport:
     transposed_input: bool
 
 
-def _stationary_power_iteration(P: np.ndarray) -> np.ndarray:
-    # iterate the lazy chain (P+I)/2: same stationary law, geometric
-    # convergence whenever that law is unique (periodic chains included)
-    n = P.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(500_000):
-        nxt = 0.5 * (x @ P + x)
-        if np.abs(nxt - x).max() < 1e-16:
-            x = nxt
-            break
-        x = nxt
-    x = np.maximum(x, 0)
-    return x / x.sum()
-
-
 def markov_chain_checks(P, steps: int = 10) -> MarkovChainReport:
     """Stationary-chain correlations {X_0:X_t} and the contraction bound.
 
@@ -414,13 +401,17 @@ def markov_chain_checks(P, steps: int = 10) -> MarkovChainReport:
         transposed = True
     elif not rows_ok:
         raise ValidationError("markov_chain_checks: P is not stochastic")
-    # uniqueness of the stationary law: eigenvalue 1 must be simple
-    ev = np.linalg.eigvals(P)
-    if int(np.sum(np.abs(ev - 1.0) < 1e-9)) != 1:
+    # uniqueness of the stationary law: eigenvalue 1 must be simple; its left
+    # eigenvector, normalized to sum 1, is the stationary law
+    ev, vecs = np.linalg.eig(P.T)
+    unit = np.abs(ev - 1.0) < 1e-9
+    if int(np.sum(unit)) != 1:
         raise NonErgodicChainError("markov_chain_checks: stationary law is not unique")
-    pi = _stationary_power_iteration(P)
+    pi = np.real(vecs[:, np.argmax(unit)])
+    pi = np.maximum(pi / pi.sum(), 0.0)
+    pi /= pi.sum()
     if np.abs(pi @ P - pi).max() > 1e-10:
-        raise NonErgodicChainError("markov_chain_checks: power iteration did not converge")
+        raise NonErgodicChainError("markov_chain_checks: stationary vector has residual |pi P - pi| > 1e-10")
     flux = pi[:, None] * P
     reversible = bool(np.abs(flux - flux.T).max() < 1e-12)
     rhos = []

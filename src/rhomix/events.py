@@ -23,8 +23,8 @@ OPNORM_MIN_GRID = 256
 
 def lambda_fn(eps: float) -> float:
     """Lambda(eps) = eps (1 + |ln eps|), the strong event-criterion constant."""
-    if eps < 0 or eps > 1:
-        raise ValidationError("lambda_fn: eps must lie in [0, 1]")
+    if not 0 <= eps <= 1:
+        raise ValidationError("lambda_fn: eps must be a finite number in [0, 1]")
     if eps == 0:
         return 0.0
     return float(eps * (1.0 + abs(math.log(eps))))
@@ -132,42 +132,48 @@ def chogosov_interior_density(model: ChogosovModel, p, q):
     return 1.0 + model.eps * (p - 0.5) * (q - 0.5) / np.sqrt(p * (1 - p) * q * (1 - q))
 
 
-def _quantile_scalar(model: ChogosovModel, p: float, w: float) -> tuple:
-    eps = model.eps
-    pb, pt = 1.0 - p, p - 0.5
-    qD = float(model.q_lower(p))
-    qU = float(model.q_upper(p))
+def _interior_root(model: ChogosovModel, p, w):
+    """Root q of q - c sqrt(q(1-q)) = w, c = eps (p-1/2)/sqrt(p(1-p)), for 0 < w < 1.
+
+    The equation squares to (1+c^2) q^2 - (2w+c^2) q + w^2 = 0.  For c >= 0
+    the root is the large one; for c < 0 it is the small one, computed as the
+    product of the roots w^2/(1+c^2) over the large one, so that it loses no
+    digits to cancellation.
+    """
+    c = model.eps * (p - 0.5) / np.sqrt(p * (1.0 - p))
+    c2 = c * c
+    big = 2.0 * w + c2 + np.abs(c) * np.sqrt(c2 + 4.0 * w * (1.0 - w))
+    return np.where(c >= 0, big / (2.0 * (1.0 + c2)), 2.0 * w * w / big)
+
+
+def _quantile(model: ChogosovModel, p, w) -> tuple:
+    """Q(p, w) elementwise and its branch: -1 lower curve, 0 interior, +1 upper curve."""
+    p, w = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(w, dtype=float))
+    qD = model.q_lower(p)
+    qU = model.q_upper(p)
     w_lo = qD / (2.0 * p)
-    w_hi = 1.0 - (1.0 - qU) / (2.0 * pb)
-    if w <= w_lo:
-        return qD, "D"
-    if w >= w_hi:
-        return qU, "U"
-    lo, hi = qD, qU
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        g = mid - eps * pt * math.sqrt(mid * (1 - mid) / (p * pb))
-        if g < w:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi), "I"
+    w_hi = 1.0 - (1.0 - qU) / (2.0 * (1.0 - p))
+    branch = np.where(w <= w_lo, -1.0, np.where(w >= w_hi, 1.0, 0.0))
+    q = np.where(branch < 0, qD, qU)
+    inner = branch == 0
+    q[inner] = _interior_root(model, p[inner], w[inner])
+    return q, branch
 
 
 def chogosov_quantile(model: ChogosovModel, p: float, w: float) -> float:
     """Conditional quantile Q(p, w) of the second coordinate given the first.
 
     Piecewise: the lower-curve atom for w below q_D/(2p), the upper-curve atom
-    for w above 1 - (1-q_U)/(2(1-p)), and otherwise the unique root of
-    q - eps (p-1/2) sqrt(q(1-q)/(p(1-p))) = w, found by bisection to 1e-15.
+    for w above 1 - (1-q_U)/(2(1-p)), and otherwise the root of
+    q - c sqrt(q(1-q)) = w with c = eps (p-1/2)/sqrt(p(1-p)): with
+    r = sqrt(c^2 + 4w(1-w)), q = (2w + c^2 + c r)/(2(1+c^2)) for c >= 0 and
+    q = 2w^2/(2w + c^2 + |c| r) for c < 0.
     """
     if not (0 < p < 1):
         raise ValidationError("chogosov_quantile: p must lie in (0, 1)")
     if not (0 <= w <= 1):
         raise ValidationError("chogosov_quantile: omega must lie in [0, 1]")
-    return _quantile_scalar(model, p, w)[0]
+    return float(_quantile(model, p, w)[0])
 
 
 def chogosov_sample(model: ChogosovModel, n: int, seed: int = 0) -> np.ndarray:
@@ -181,18 +187,14 @@ def chogosov_sample(model: ChogosovModel, n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     ps = rng.uniform(size=n)
     ws = rng.uniform(size=n)
-    out = np.empty((n, 3))
-    branch_code = {"D": -1.0, "I": 0.0, "U": 1.0}
-    for t in range(n):
-        q, br = _quantile_scalar(model, float(ps[t]), float(ws[t]))
-        out[t] = (ps[t], q, branch_code[br])
-    return out
+    q, branch = _quantile(model, ps, ws)
+    return np.column_stack((ps, q, branch))
 
 
 def curve_atom_fraction(model: ChogosovModel) -> float:
-    """P(sample lies on the lower curve) = int_0^1 q_D(p)/(2p) dp by quadrature."""
-    v, _ = quad(lambda p: float(model.q_lower(p)) / (2 * p), 0.0, 1.0, limit=200)
-    return float(v)
+    """P(sample lies on the lower curve) = int_0^1 q_D(p)/(2p) dp = eps^2 |ln eps| / (1 - eps^2)."""
+    e2 = model.eps**2
+    return float(e2 * abs(math.log(model.eps)) / (1.0 - e2))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def lambda_integral_identity(model: ChogosovModel, p: float) -> LambdaIntegral:
     """lambda(p) = int_0^1 (p p̄ / (Q Q̄))^{3/2} Q'(p, w) dw, in three pieces.
 
     The two curve atoms are closed-form; the interior piece is adaptive
-    quadrature in w with Q evaluated by bisection.  The result is Lambda(eps)
+    quadrature in w of the closed-form quantile Q.  The result is Lambda(eps)
     independently of p (asserted by the caller to 1e-8).
     """
     if not (0 < p < 1):
@@ -319,8 +321,8 @@ def lambda_integral_identity(model: ChogosovModel, p: float) -> LambdaIntegral:
     atom_lower = w_lo * weight(qD) * (qD * (1 - qD)) / (p * pb)
     atom_upper = (1.0 - w_hi) * weight(qU) * (qU * (1 - qU)) / (p * pb)
 
-    def integrand(w):
-        q, _ = _quantile_scalar(model, p, w)
+    def integrand(w):  # quad samples only the interior, w_lo < w < w_hi
+        q = float(_interior_root(model, p, w))
         qb, qt = 1.0 - q, q - 0.5
         dens = 1.0 + eps * pt * qt / math.sqrt(p * pb * q * qb)
         qprime = eps * math.sqrt(q * qb) / (4.0 * math.sqrt(p * pb) ** 3 * dens)

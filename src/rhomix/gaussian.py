@@ -32,6 +32,8 @@ class GaussianSystem:
             raise ValidationError("GaussianSystem: covariance must be square")
         if cov.shape[0] != len(self.labels):
             raise ValidationError("GaussianSystem: label count does not match covariance")
+        if not np.isfinite(cov).all():
+            raise ValidationError("GaussianSystem: covariance entries must be finite numbers")
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise ValidationError("GaussianSystem: covariance must be symmetric within 1e-12")
@@ -128,49 +130,26 @@ def build_optimal_simple(epsilons) -> GaussianSystem:
     """Gaussian system X_i = sqrt(1-a_i) z_i + sqrt(a_i) xi, Y = xi whose
     conditional correlations e_i equal the requested epsilons.
 
-    Each a_i is found by monotone bisection (e_i is continuous and increasing
-    in a_i once a_1..a_{i-1} are fixed); the resulting system attains the
-    N-against-1 bound with equality.
+    Given X_1..X_{i-1}, Y has variance v_i = 1/(1 + sum_{t<i} a_t/(1-a_t))
+    = prod_{t<i} (1 - e_t^2), and corr(X_i; Y | X_{<i})^2 = e_i^2 solves to
+    a_i = e_i^2 / (e_i^2 + v_i (1 - e_i^2)).  The resulting system attains
+    the N-against-1 bound with equality.
     """
     eps = np.atleast_1d(np.asarray(epsilons, dtype=float))
     if eps.size and (eps.min() < 0 or eps.max() >= 1):
         raise ValidationError("build_optimal_simple: requires 0 <= eps_i < 1")
-    n = eps.size
-
-    def system_for(alphas):
-        k = len(alphas)
-        cov = np.empty((k + 1, k + 1))
-        r = np.sqrt(np.asarray(alphas))
-        cov[:k, :k] = np.outer(r, r)
-        np.fill_diagonal(cov[:k, :k], 1.0)
-        cov[:k, k] = r
-        cov[k, :k] = r
-        cov[k, k] = 1.0
-        labels = tuple(f"X{t + 1}" for t in range(k)) + ("Y",)
-        return GaussianSystem(labels, cov)
-
-    alphas: list = []
-    for i in range(n):
-        target = float(eps[i])
-        lo, hi = 0.0, 1.0 - 1e-14
-
-        def e_i(a):
-            s = system_for(alphas + [a])
-            cur = s
-            for t in range(i):
-                cur = condition(cur, [f"X{t + 1}"])
-            return maxcorr_gaussian(cur, [f"X{i + 1}"], ["Y"])
-
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if e_i(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        alphas.append(0.5 * (lo + hi) if target > 0 else 0.0)
-    return system_for(alphas)
+    e2 = eps * eps
+    v = np.cumprod(np.r_[1.0, 1.0 - e2[:-1]])
+    r = np.sqrt(e2 / (e2 + v * (1.0 - e2)))
+    k = r.size
+    cov = np.empty((k + 1, k + 1))
+    cov[:k, :k] = np.outer(r, r)
+    np.fill_diagonal(cov[:k, :k], 1.0)
+    cov[:k, k] = r
+    cov[k, :k] = r
+    cov[k, k] = 1.0
+    labels = tuple(f"X{t + 1}" for t in range(k)) + ("Y",)
+    return GaussianSystem(labels, cov)
 
 
 @dataclass(frozen=True)

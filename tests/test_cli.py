@@ -69,6 +69,46 @@ class TestExitCodes:
         assert "invariant violated" in proc.stderr and missing in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["tensor-bound", "simple"], "--eps"),
+        (["tensor-bound", "zz"], "--eps"),
+        (["tensor-bound", "nm"], "--matrix"),
+        (["tensor-bound", "zn"], "--kernel"),
+        (["tensor-bound", "distance"], "--kernel"),
+        (["tensor-bound", "sublattice"], "--kernel"),
+        (["event-bound", "lambda"], "--eps"),
+        (["event-bound", "extremes"], "--pair"),
+        (["event-bound", "density"], "--pair"),
+        (["glauber-gap", "exact"], "--system"),
+        (["glauber-gap", "bounds"], "--matrix"),
+        (["glauber-gap", "sublattice"], "--kernel"),
+        (["clt", "--model", "quadratic"], "--gamma"),
+    ])
+    def test_missing_input_flag_is_exit_2(self, argv, flag, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} is required" in captured.err and argv[-1] in captured.err
+        assert captured.out == ""
+
+    def test_nan_cell_is_exit_2(self, tmp_path):
+        bad = write_json(tmp_path, "nan.json",
+                         {"labels_x": [0, 1], "labels_y": [0, 1], "joint": [[math.nan, 0.5], [0.25, 0.25]]})
+        proc = run_cli(["maxcorr", "--pair", bad])
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr and proc.stdout == ""
+
+    def test_nan_lambda_eps_is_exit_2(self):
+        proc = run_cli(["event-bound", "lambda", "--eps", "nan"])
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr and proc.stdout == ""
+
+    def test_missing_key_is_exit_2(self, tmp_path):
+        bad = write_json(tmp_path, "nojoint.json", {"labels_x": [0, 1], "labels_y": [0, 1]})
+        proc = run_cli(["maxcorr", "--pair", bad])
+        assert proc.returncode == 2
+        assert f"{bad}: input file must have key 'joint'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_truncated_json_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"labels_x": ["a", "b"], "labels_y": ["0", "1"], "joint": [[0.25, ')

@@ -77,6 +77,8 @@ class TestMaxcorrPair:
             FinitePair((0, 1), (0, 1), np.array([[0.9, 0.2], [0.0, 0.0]]))
         with pytest.raises(ValidationError):
             FinitePair((0,), (0, 1), np.array([[0.5, 0.5], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            FinitePair((0, 1), (0, 1), np.array([[np.nan, 0.5], [0.25, 0.25]]))
 
     @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -287,6 +289,34 @@ class TestMarkovChain:
             assert rep.reversible
             assert rep.rho_step == pytest.approx(abs(1 - a - b), abs=1e-12)
             assert np.abs(rep.rho_k - rep.product_bound).max() < 1e-9
+
+    @pytest.mark.parametrize("P, stationary", [
+        (np.roll(np.eye(5), 1, axis=1), [0.2] * 5),  # 5-cycle, period 5
+        (np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), [0.5, 0.25, 0.25]),  # period 2
+    ])
+    def test_periodic_chain(self, P, stationary):
+        rep = discrete.markov_chain_checks(P, steps=6)
+        assert rep.stationary == pytest.approx(stationary, abs=1e-15)
+        assert rep.rho_step == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(rep.rho_k - 1.0).max() < 1e-12
+
+    def test_transient_state_gets_no_mass(self):
+        # state 2 is left for good; the stationary chain lives on {0, 1}
+        P = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]])
+        rep = discrete.markov_chain_checks(P, steps=4)
+        assert rep.stationary[2] == 0.0
+        assert rep.stationary == pytest.approx([0.375, 0.625, 0.0], abs=1e-15)
+        assert rep.rho_step == pytest.approx(0.2, abs=1e-12)
+
+    def test_slowly_mixing_birth_death_chain(self):
+        # reflecting walk with up/down rates 0.011/0.01: pi_i is proportional to 1.1^i
+        n = 60
+        P = np.diag(np.full(n - 1, 0.011), 1) + np.diag(np.full(n - 1, 0.01), -1)
+        P += np.diag(1.0 - P.sum(axis=1))
+        exact = 1.1 ** np.arange(n)
+        rep = discrete.markov_chain_checks(P, steps=1)
+        # an eigenvector is good to about machine epsilon over the spectral gap (~5e-5)
+        assert np.abs(rep.stationary - exact / exact.sum()).max() < 1e-10
 
     def test_non_ergodic_error(self):
         with pytest.raises(NonErgodicChainError):

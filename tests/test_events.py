@@ -22,11 +22,34 @@ class TestLambda:
     def test_strictly_above_identity(self):
         assert events.lambda_fn(0.3) > 0.3
 
+    def test_non_finite_is_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            events.lambda_fn(float("nan"))
+
     @given(st.floats(0.001, 1.0), st.floats(0.0, 0.5))
     @settings(max_examples=50, deadline=None)
     def test_monotone(self, eps, bump):
         hi = min(1.0, eps + bump)
         assert events.lambda_fn(hi) >= events.lambda_fn(eps) - 1e-12
+
+
+def bisection_quantile(model, p, w):
+    """Reference Q(p, w): the curve atoms, else bisection between the curves."""
+    qd, qu = float(model.q_lower(p)), float(model.q_upper(p))
+    if w <= qd / (2 * p):
+        return qd, -1.0
+    if w >= 1 - (1 - qu) / (2 * (1 - p)):
+        return qu, 1.0
+    c = model.eps * (p - 0.5) / math.sqrt(p * (1 - p))
+    lo, hi = qd, qu
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid, 0.0
+        if mid - c * math.sqrt(mid * (1 - mid)) < w:
+            lo = mid
+        else:
+            hi = mid
 
 
 class TestWeakBound:
@@ -119,6 +142,40 @@ class TestChogosovLaw:
         assert events.chogosov_quantile(m, p, 1 - 0.5 * (1 - w_hi)) == pytest.approx(qu, abs=1e-14)
         assert events.chogosov_quantile(m, 0.5, 0.5) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 0.99])
+    def test_closed_form_quantile_matches_bisection(self, eps):
+        m = ChogosovModel(eps)
+        ps = [1e-9, 1e-4, 0.1, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.9, 1 - 1e-4, 1 - 1e-9]
+        ws = [0.0, 1e-9, 1e-3, 0.01, 0.2, 0.4999, 0.5, 0.8, 0.99, 1 - 1e-3, 1 - 1e-9, 1.0]
+        P, W = np.meshgrid(ps, ws, indexing="ij")
+        q, branch = events._quantile(m, P, W)
+        seen = set()
+        for i, p in enumerate(ps):
+            for j, w in enumerate(ws):
+                ref_q, ref_branch = bisection_quantile(m, p, w)
+                assert branch[i, j] == ref_branch
+                assert q[i, j] == pytest.approx(ref_q, rel=1e-14, abs=0)  # relative: q can be ~1e-9
+                assert events.chogosov_quantile(m, p, w) == q[i, j]
+                seen.add(ref_branch)
+        assert seen == {-1.0, 0.0, 1.0}
+
+    def test_sampler_uses_the_quantile(self):
+        m = ChogosovModel(0.7)
+        cloud = events.chogosov_sample(m, 500, seed=11)
+        rng = np.random.default_rng(11)
+        ps = rng.uniform(size=500)
+        ws = rng.uniform(size=500)
+        assert np.array_equal(cloud[:, 0], ps)
+        for (p, q, br), w in zip(cloud, ws):
+            ref_q, ref_branch = bisection_quantile(m, p, w)
+            assert br == ref_branch and q == pytest.approx(ref_q, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.5, 0.9, 0.99])
+    def test_curve_atom_fraction_matches_quadrature(self, eps):
+        m = ChogosovModel(eps)
+        ref, _ = integrate.quad(lambda p: float(m.q_lower(p)) / (2 * p), 0.0, 1.0, limit=200)
+        assert events.curve_atom_fraction(m) == pytest.approx(ref, abs=1e-13)
+
     def test_quantile_inverts_cdf_slope(self):
         # on the interior branch the quantile solves dZ/dp = omega
         m = ChogosovModel(0.5)
@@ -154,7 +211,7 @@ class TestChogosovLaw:
                 emp = np.mean((cloud[:, 0] <= p) & (cloud[:, 1] <= q))
                 worst = max(worst, abs(emp - float(events.chogosov_cdf(m, p, q))))
         assert worst < 2 * crit
-        # curve-atom fraction against quadrature
+        # curve-atom fraction against its closed form
         frac = np.mean(cloud[:, 2] == -1.0)
         assert frac == pytest.approx(events.curve_atom_fraction(m), abs=4 / math.sqrt(n))
 

@@ -67,6 +67,8 @@ class TestMaxcorr:
             GaussianSystem(("a", "b"), np.array([[1.0, 0.5], [0.3, 1.0]]))
         with pytest.raises(ValidationError):
             GaussianSystem(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            GaussianSystem(("a", "b"), np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 class TestConditioning:
@@ -127,6 +129,16 @@ class TestOptimalConstructions:
         sys = gaussian.build_optimal_simple([0.5, 0.5])
         got = gaussian.maxcorr_gaussian(sys, ["X1", "X2"], ["Y"])
         assert got == pytest.approx(math.sqrt(7) / 4, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conditional_correlations_equal_targets(self, seed):
+        rng = np.random.default_rng(seed)
+        eps = rng.uniform(0.0, 0.95, size=int(rng.integers(1, 7)))
+        eps[rng.uniform(size=eps.size) < 0.3] = 0.0
+        sys = gaussian.build_optimal_simple(eps)
+        xs = [l for l in sys.labels if l != "Y"]
+        _, es = gaussian.chained_maxcorr(sys, xs, "Y")
+        assert np.abs(np.array(es) - eps).max() <= 1e-12
 
     def test_random_gaussians_never_beat_their_chain_bound(self):
         rng = np.random.default_rng(4)
