@@ -1,8 +1,8 @@
 """Command-line surface: compute, verify, simulate, and emit plot-ready data.
 
 Exit codes: 0 success, 2 validation error (the message names the violated
-invariant), 64 unknown command.  Identical inputs and seed produce
-byte-identical outputs.
+invariant) or non-finite numerical integration, 64 unknown command.
+Identical inputs and seed produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import acceptance, discrete, events, gaussian, glauber, lattice, tensor_bounds
 from . import io as rio
-from .errors import ValidationError
+from .errors import IntegratorError, ValidationError
 
 COMMANDS = (
     "maxcorr", "subjective", "mixing", "tensor-bound", "event-bound", "chogosov",
@@ -104,7 +104,10 @@ def _emit(args, payload, csv_text=None):
 
 
 def _floats(spec: str) -> list:
-    return [float(v) for v in spec.split(",") if v.strip() != ""]
+    try:
+        return [float(v) for v in spec.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"{spec!r}: values must be comma-separated numbers") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,17 +230,19 @@ def _cmd_maxcorr(args) -> dict:
 
 
 def _cmd_tensor_bound(args) -> dict:
-    if args.dry_run:
-        return {"valid": True}
-    if args.kind == "simple":
-        return {"value": tensor_bounds.simple_bound(_floats(_required(args, "eps")))}
-    if args.kind == "zz":
-        return {"value": tensor_bounds.zz_bound(_floats(_required(args, "eps")))}
+    if args.kind in ("simple", "zz"):
+        bound = tensor_bounds.simple_bound if args.kind == "simple" else tensor_bounds.zz_bound
+        value = bound(_floats(_required(args, "eps")))  # a closed form: evaluating it checks the input
+        return {"valid": True} if args.dry_run else {"value": value}
     if args.kind == "nm":
         entries = _load_json(_required(args, "matrix"), "entries")["entries"]
         mat = tensor_bounds.EpsilonMatrix.from_array(rio.parse_matrix(entries))
+        if args.dry_run:
+            return {"valid": True}
         return {"value": tensor_bounds.nm_bound(mat), "raw_operator_norm": mat.operator_norm()}
     kern = _kernel_from_file(_required(args, "kernel"))
+    if args.dry_run:
+        return {"valid": True}
     if args.kind == "zn":
         zb = tensor_bounds.zn_bound(kern)
         return {"value": zb.value, "window_arcsin": zb.window_arcsin, "tail_arcsin": zb.tail_arcsin}
@@ -249,9 +254,8 @@ def _cmd_tensor_bound(args) -> dict:
 
 def _cmd_event_bound(args) -> dict:
     if args.kind == "lambda":
-        if args.dry_run:
-            return {"valid": True}
-        return {"value": events.lambda_fn(_required(args, "eps"))}
+        value = events.lambda_fn(_required(args, "eps"))  # a closed form: evaluating it checks the input
+        return {"valid": True} if args.dry_run else {"value": value}
     if args.kind == "nu":
         model = events.NuModel(args.eps, args.x, args.m)
         if args.dry_run:
@@ -510,6 +514,9 @@ def main(argv=None) -> int:
         return 0
     except ValidationError as exc:
         _sys.stderr.write(f"invariant violated: {exc}\n")
+        return 2
+    except IntegratorError as exc:
+        _sys.stderr.write(f"numerical integration failed: {exc}\n")
         return 2
 
 

@@ -45,6 +45,8 @@ class WeakBoundResult:
 def _h10_norm_sq(f, m: int) -> float:
     x = np.linspace(0.0, 1.0, m + 1)
     v = np.asarray([f(t) for t in x], dtype=float)
+    if not np.isfinite(v).all():
+        raise ValidationError("weak_bound: envelope values must be finite")
     if abs(v[0]) > 1e-6 or abs(v[-1]) > 1e-6:
         raise ValidationError("weak_bound: envelope functions must vanish at 0 and 1")
     d = np.diff(v)

@@ -210,8 +210,9 @@ class OUChainParams:
 
     def __post_init__(self):
         for name in ("m", "omega", "c", "T", "lam", "t"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"OUChainParams: {name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"OUChainParams: {name} must be finite and strictly positive")
         if self.K < 3:
             raise ValidationError("OUChainParams: K must be >= 3")
 

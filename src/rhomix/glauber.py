@@ -10,6 +10,7 @@ and the weaker forms ||(I - eps)^-1||^-2 and (1 - ||eps||)_+^2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,57 +252,74 @@ def glauber_simulate(
     """Exact-in-law continuous-time heat-bath trajectory of a finite system.
 
     Site clocks ring at total rate N; the ringing site is resampled from its
-    conditional law given the rest (possibly landing on the same state).  The
-    trajectory is deterministic per seed.  ``observable`` maps a state tuple
-    to a float (default: value of the first coordinate, centered).
+    conditional law given the rest (possibly landing on the same state).
+    Because N does not depend on the state, the trajectory is simulated by
+    uniformization (Jensen 1953; Gillespie 1977): after a stationary initial
+    state, the ring count K ~ Poisson(N * horizon), the K sorted ring times
+    in (0, horizon], the K ringing sites and K uniforms are all drawn up
+    front, and one integer loop maps each uniform through the conditional
+    CDF of its site given the current flat state.  Every ring is recorded
+    in ``times``/``sites``/``new_states``, same-state resamples included.
+    ``observable`` maps a state tuple to a float (default: value of the
+    first coordinate); it is evaluated once per visited state and sampled
+    every ``sample_dt`` (default 0.25 / N) on [0, horizon].  The trajectory
+    is deterministic per seed.
     """
-    if horizon <= 0:
-        raise ValidationError("glauber_simulate: horizon must be > 0")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValidationError("glauber_simulate: horizon must be finite and > 0")
     sizes = [s for _, s in sys.variables]
     nsites = len(sizes)
-    rng = np.random.default_rng(seed)
-    joint = sys.joint
-    # initial state from the stationary law
-    flat = joint.ravel()
-    state = list(np.unravel_index(rng.choice(flat.size, p=flat / flat.sum()), sizes))
+    strides = [math.prod(sizes[i + 1:]) for i in range(nsites)]
     if observable is None:
         observable = lambda s: float(s[0])
     if sample_dt is None:
         sample_dt = 0.25 / nsites
-    n_samples = int(horizon / sample_dt) + 1
-    samples = np.empty(n_samples)
-    times, sites, news = [], [], []
-    t = 0.0
-    next_sample = 0
-    rate_total = float(nsites)
-    while next_sample < n_samples:
-        obs = observable(tuple(state))
-        t_next = t + rng.exponential(1.0 / rate_total)
-        while next_sample < n_samples and next_sample * sample_dt < t_next:
-            samples[next_sample] = obs
-            next_sample += 1
-        if next_sample >= n_samples:
-            break
-        t = t_next
-        i = int(rng.integers(nsites))
-        sl = tuple(state[:i]) + (slice(None),) + tuple(state[i + 1 :])
-        cond = joint[sl]
-        mass = cond.sum()
-        if mass <= 0:
-            continue  # zero-probability context: no move
-        state[i] = int(rng.choice(sizes[i], p=cond / mass))
-        if keep_events:
-            times.append(t)
-            sites.append(i)
-            news.append(state[i])
+    rng = np.random.default_rng(seed)
+    flat = sys.joint.ravel()
+    total = flat.size
+    x = int(rng.choice(total, p=flat / flat.sum()))
+    n_events = int(rng.poisson(nsites * horizon))
+    times = np.sort(horizon * (1.0 - rng.random(n_events)))
+    sites = rng.integers(nsites, size=n_events)
+    uniforms = rng.random(n_events)
+    # row i * total + y -> (conditional CDF of site i given the rest of y
+    # without its last entry, flat states of y with site i set to 0, 1, ...),
+    # filled from an axis slice of the joint when the chain first needs it.
+    # The chain only visits states of positive mass, so every context it
+    # meets has positive mass and a zero-mass value is never drawn.
+    table = {}
+
+    def fill(row):
+        i, y = divmod(row, total)
+        digits = np.unravel_index(y, sizes)
+        cum = np.cumsum(sys.joint[digits[:i] + (slice(None),) + digits[i + 1:]])
+        first = y - int(digits[i]) * strides[i]
+        nxt = range(first, first + sizes[i] * strides[i], strides[i])
+        table[row] = tuple((cum[:-1] / cum[-1]).tolist()), tuple(nxt)
+        return table[row]
+
+    path = [x]
+    step = path.append
+    for row, u in zip((sites * total).tolist(), uniforms.tolist()):
+        cdf, nxt = table.get(row + x) or fill(row + x)
+        x = nxt[bisect_right(cdf, u)]
+        step(x)
+    path = np.array(path)
+    visited = np.unique(path)
+    obs_table = np.zeros(total)
+    states = zip(*(d.tolist() for d in np.unravel_index(visited, sizes)))
+    obs_table[visited] = [observable(s) for s in states]
+    grid = np.arange(int(horizon / sample_dt) + 1) * sample_dt
+    samples = obs_table[path[np.searchsorted(times, grid, side="right")]]
     rate, tau = _fit_rate(samples, sample_dt)
     nlag = max(min(len(samples) // 4, 400), 1)
     lags = np.arange(nlag) * sample_dt
     auto = _autocorrelation(samples, nlag)
-    return SimResult(
-        np.array(times), np.array(sites, dtype=int), np.array(news, dtype=int),
-        float(rate), float(tau), lags, auto,
-    )
+    if keep_events:
+        new_states = path[1:] // np.array(strides)[sites] % np.array(sizes)[sites]
+    else:
+        times, sites, new_states = np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)
+    return SimResult(times, sites, new_states, float(rate), float(tau), lags, auto)
 
 
 def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None,

@@ -90,6 +90,20 @@ class TestExitCodes:
         assert f"{flag} is required" in captured.err and argv[-1] in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["tensor-bound", "simple", "--eps", "nan", "--dry-run"], "finite"),
+        (["tensor-bound", "simple", "--dry-run"], "--eps is required"),
+        (["tensor-bound", "zz", "--eps", "0.5,abc"], "comma-separated numbers"),
+        (["event-bound", "lambda", "--eps", "nan", "--dry-run"], "finite"),
+        (["event-bound", "lambda", "--dry-run"], "--eps is required"),
+        (["ou-chain", "--t", "nan", "--K", "4"], "t must be finite"),
+        (["ou-chain", "--t", "1e300", "--K", "4"], "non-finite values"),
+    ])
+    def test_bad_input_is_exit_2(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_nan_cell_is_exit_2(self, tmp_path):
         bad = write_json(tmp_path, "nan.json",
                          {"labels_x": [0, 1], "labels_y": [0, 1], "joint": [[math.nan, 0.5], [0.25, 0.25]]})

@@ -71,6 +71,14 @@ class TestWeakBound:
         with pytest.raises(ValidationError):
             events.weak_bound(lambda p: 1.0, lambda p: p * (1 - p))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_envelope_is_rejected(self, bad):
+        # a NaN everywhere passes the boundary test, since NaN > 1e-6 is false
+        with pytest.raises(ValidationError, match="finite"):
+            events.weak_bound(lambda p: bad, lambda p: 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            events.weak_bound(lambda p: p * (1 - p), lambda p: bad if 0 < p < 0.5 else 0.0)
+
     def test_soundness_on_gaussian_copula_pairs(self):
         # discretized correlated-normal pairs: measure the weak envelope
         # constant c with zeta = theta = sqrt(c) p(1-p), then maxcorr <= c/3

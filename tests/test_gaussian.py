@@ -202,6 +202,10 @@ class TestOUChain:
             OUChainParams(K=2)
         with pytest.raises(ValidationError):
             OUChainParams(t=-1.0)
+        for name in ("m", "omega", "c", "T", "lam", "t"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                    OUChainParams(**{name: bad})
 
 
 class TestThreeLines:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from rhomix import discrete, glauber
 from rhomix.discrete import FiniteSystem
@@ -13,6 +14,14 @@ def spin_system(joint):
     joint = np.asarray(joint, dtype=float)
     names = tuple((f"s{k}", joint.shape[k]) for k in range(joint.ndim))
     return FiniteSystem(names, joint)
+
+
+def three_state_system():
+    """Three sites with three values each; one zero cell leaves a zero-mass
+    value in three (site, context) cells."""
+    joint = np.random.default_rng(21).dirichlet(np.full(27, 4.0)).reshape(3, 3, 3)
+    joint[2, 0, 1] = 0.0
+    return spin_system(joint / joint.sum())
 
 
 def two_spin_ferromagnet(gamma):
@@ -135,16 +144,20 @@ class TestSimulator:
     def test_single_spin_rate_one(self):
         joint = np.full((2, 2), 0.25)
         sys = spin_system(joint)
+        # seed-to-seed sd of the estimate is 3.2-3.8% at horizon 4e4; 10x the
+        # horizon makes the 5% bound about 4 sd
         sim = glauber.glauber_simulate(
-            sys, horizon=40_000.0, seed=4, observable=lambda s: float(s[0]), keep_events=False
+            sys, horizon=400_000.0, seed=4, observable=lambda s: float(s[0]), keep_events=False
         )
         assert sim.rate_estimate == pytest.approx(1.0, rel=0.05)
 
     def test_two_spin_rate_matches_exact_gap(self):
         sys = two_spin_ferromagnet(0.5)
         gap, mode = glauber.exact_gap(sys, return_vector=True)
+        # seed-to-seed sd is ~2.8-3.5% at horizon 1e5; 2x the horizon makes
+        # the 10% bound at least 4 sd
         sim = glauber.glauber_simulate(
-            sys, horizon=100_000.0, seed=5, observable=lambda s: mode[s], keep_events=False
+            sys, horizon=200_000.0, seed=5, observable=lambda s: mode[s], keep_events=False
         )
         assert sim.rate_estimate == pytest.approx(gap, rel=0.10)
 
@@ -165,10 +178,55 @@ class TestSimulator:
         assert len(set(rates)) == 3  # distinct replica streams
 
     def test_trajectory_states_follow_conditionals(self):
-        sys = two_spin_ferromagnet(0.8)
-        sim = glauber.glauber_simulate(sys, horizon=2000.0, seed=1)
-        assert len(sim.times) > 1000
-        assert set(np.unique(sim.sites)) <= {0, 1}
+        sys = three_state_system()
+        sizes = sys.joint.shape
+        horizon = 20_000.0
+        sim = glauber.glauber_simulate(sys, horizon=horizon, seed=1)
+        mu = len(sizes) * horizon  # every ring is recorded: Poisson(N * horizon)
+        assert abs(len(sim.times) - mu) <= 6.0 * math.sqrt(mu)
+        assert np.all(np.diff(sim.times) > 0)
+        assert 0.0 < sim.times[0] and sim.times[-1] <= horizon
+        assert set(np.unique(sim.sites)) == {0, 1, 2}
+        # once every site has rung the state is known; from then on each new
+        # value is a draw from the conditional law of its site given the rest
+        state = [-1] * len(sizes)
+        counts = {}
+        for site, new in zip(sim.sites.tolist(), sim.new_states.tolist()):
+            if -1 not in state:
+                key = (site, tuple(state[:site] + state[site + 1:]))
+                counts.setdefault(key, np.zeros(sizes[site]))[new] += 1
+            state[site] = new
+        assert len(counts) == 3 * 9
+        stat, df = 0.0, 0
+        for (site, ctx), obs in counts.items():
+            cond = sys.joint[ctx[:site] + (slice(None),) + ctx[site:]]
+            cond = cond / cond.sum()
+            assert obs[cond == 0].sum() == 0  # a zero-mass value is never drawn
+            exp = obs.sum() * cond[cond > 0]
+            assert exp.min() >= 5.0
+            stat += float(((obs[cond > 0] - exp) ** 2 / exp).sum())
+            df += exp.size - 1
+        assert stat <= chi2.isf(1e-6, df)
+
+    def test_replay_of_recorded_events_gives_the_samples(self):
+        sys = three_state_system()
+        sizes = sys.joint.shape
+        weights = np.array([1.0, -2.0, 0.5])
+        observable = lambda s: float(weights @ s)
+        dt = 0.05
+        sim = glauber.glauber_simulate(sys, horizon=400.0, seed=3, observable=observable, sample_dt=dt)
+        # the initial state is the first draw of the seeded stream
+        flat = sys.joint.ravel()
+        start = np.random.default_rng(3).choice(flat.size, p=flat / flat.sum())
+        state = list(np.unravel_index(start, sizes))
+        samples, k = [], 0
+        for j in range(int(400.0 / dt) + 1):
+            while k < len(sim.times) and sim.times[k] <= j * dt:
+                state[sim.sites[k]] = sim.new_states[k]
+                k += 1
+            samples.append(observable(tuple(state)))
+        replayed = glauber._autocorrelation(np.array(samples), len(sim.autocorr))
+        assert np.abs(replayed - sim.autocorr).max() <= 1e-12
 
 
 class TestSublatticeGap:
