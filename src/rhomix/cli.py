@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -56,7 +57,10 @@ def _pair_from_file(path: str) -> discrete.FinitePair:
 
 def _system_from_file(path: str) -> discrete.FiniteSystem:
     d = _load_json(path, "variables", "joint_flat")
-    variables = tuple((v["name"], int(v["size"])) for v in d["variables"])
+    items = d["variables"]
+    if not isinstance(items, list) or not all(isinstance(v, dict) and {"name", "size"} <= v.keys() for v in items):
+        raise ValidationError(f"{path}: every item of 'variables' must be an object with 'name' and 'size'")
+    variables = tuple((v["name"], int(v["size"])) for v in items)
     sizes = [s for _, s in variables]
     flat = np.array([rio.parse_number(v) for v in d["joint_flat"]])
     return discrete.FiniteSystem(variables, flat.reshape(sizes))  # row-major, last variable fastest
@@ -325,9 +329,13 @@ def _cmd_glauber_gap(args) -> dict:
 
 def _cmd_glauber_sim(args):
     sys_ = _system_from_file(args.system)
+    if not (args.horizon > 0 and math.isfinite(args.horizon)):
+        raise ValidationError("glauber-sim: --horizon must be finite and > 0")
+    site = args.observable_site
+    if not 0 <= site < len(sys_.variables):
+        raise ValidationError(f"glauber-sim: --observable-site must lie in [0, {len(sys_.variables)})")
     if args.dry_run:
         return {"valid": True}, None
-    site = args.observable_site
     sim = glauber.glauber_simulate(sys_, args.horizon, seed=args.seed,
                                    observable=lambda s: float(s[site]))
     csv = rio.csv_lines("heat-bath trajectory", ["time", "site", "new_state"],

@@ -87,99 +87,71 @@ def gap_lower_bounds(eps, symmetric: bool = True) -> GapBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# exact gap by eigendecomposition
+# exact gap by matrix-free Lanczos
 
 
-def _site_projections(sys: FiniteSystem):
-    """Yield (site, context grouping) for the heat-bath projections."""
-    sizes = [s for _, s in sys.variables]
-    total = int(np.prod(sizes))
-    idx = np.arange(total)
-    digits = np.array(np.unravel_index(idx, sizes))
-    for i in range(len(sizes)):
-        other = [d for t, d in enumerate(digits) if t != i]
-        if other:
-            other_sizes = [s for t, s in enumerate(sizes) if t != i]
-            ctx = np.ravel_multi_index(other, other_sizes)
-        else:
-            ctx = np.zeros(total, dtype=int)
-        yield i, ctx
+def _heat_bath(joint: np.ndarray):
+    """g -> B g for the heat-bath Dirichlet operator in weighted coordinates g = sqrt(p) f:
+    B g = N g - sum_i sqrt(p) S_i(sqrt(p) g) / S_i(p), with S_i the sum over site i
+    (keepdims).  A zero-mass context contributes 0."""
+    sqrtp = np.sqrt(joint)
+    masses = [joint.sum(axis=i, keepdims=True) for i in range(joint.ndim)]
+    inverses = [np.divide(1.0, m, out=np.zeros_like(m), where=m > 0) for m in masses]
+
+    def apply(g):
+        g = np.reshape(g, joint.shape)
+        out = joint.ndim * g
+        for i, inv in enumerate(inverses):
+            out -= sqrtp * ((sqrtp * g).sum(axis=i, keepdims=True) * inv)
+        return out.ravel()
+
+    return apply
 
 
 def exact_gap(sys: FiniteSystem, return_vector: bool = False):
-    """Smallest nonzero eigenvalue of the heat-bath Dirichlet operator.
+    """Smallest nonzero eigenvalue of the heat-bath Dirichlet operator, matrix-free.
 
-    Assembled on the support of the law; conditional laws of zero-probability
-    contexts carry no stationary mass and are skipped.
+    With sqrt(p) 1_C projected out for every communicating class C of the
+    support, implicitly restarted Lanczos (``eigsh`` from a fixed start) finds
+    the top eigenvalue N + 1 - gap of (N + 1) I - B; the shift by N + 1, not N,
+    keeps that operator nonzero for one site.  Zero-mass contexts contribute 0.
     """
-    sizes = [s for _, s in sys.variables]
-    total = int(np.prod(sizes))
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    joint = sys.joint
+    total = joint.size
     if total > EXACT_GAP_STATE_CAP:
         raise CapExceededError(f"exact_gap: state count above cap {EXACT_GAP_STATE_CAP}")
-    p = sys.joint.ravel()
-    support = np.flatnonzero(p > 0)
-    ns = support.size
-    pos = -np.ones(total, dtype=int)
-    pos[support] = np.arange(ns)
-    sqrtp = np.sqrt(p[support])
-    nsites = len(sizes)
-    B = nsites * np.eye(ns)
-    for _, ctx in _site_projections(sys):
-        order = np.argsort(ctx[support], kind="stable")
-        grouped = support[order]
-        keys = ctx[grouped]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        ends = np.r_[starts[1:], keys.size]
-        for a, b in zip(starts, ends):
-            members = grouped[a:b]
-            mpos = pos[members]
-            w = sqrtp[mpos]
-            mass = float((w**2).sum())
-            B[np.ix_(mpos, mpos)] -= np.outer(w, w) / mass
-    B = 0.5 * (B + B.T)
-    evals, evecs = np.linalg.eigh(B)
-    tol = 1e-10 * max(1.0, float(evals.max()))
-    nz = np.flatnonzero(evals > tol)
-    if nz.size == 0:
+    on = joint > 0
+    # communicating classes: the least flat index reachable by one-site moves
+    labels, prev = np.where(on, np.arange(total).reshape(joint.shape), total), None
+    while not np.array_equal(labels, prev):
+        prev = labels
+        for i in range(joint.ndim):
+            labels = np.where(on, np.minimum(labels, labels.min(axis=i, keepdims=True)), total)
+    if np.unique(labels[on]).size == np.count_nonzero(on):
         raise ValidationError("exact_gap: dynamics has no nonzero mode")
-    gap = float(evals[nz[0]])
+    cls = labels.ravel()  # off the support: one massless class
+    mass = np.bincount(cls, weights=joint.ravel())
+    inv = np.divide(1.0, mass, out=np.zeros_like(mass), where=mass > 0)
+    w = np.sqrt(joint).ravel()
+    shift = joint.ndim + 1
+    heat_bath = _heat_bath(joint)
+
+    def deflate(g):
+        """Zero off the support and orthogonal to every sqrt(p) 1_C."""
+        return on.ravel() * g - w * (np.bincount(cls, weights=w * g) * inv)[cls]
+
+    # B leaves the deflated space invariant, so deflating its output is enough
+    op = LinearOperator((total, total), dtype=float,
+                        matvec=lambda g: deflate(shift * np.ravel(g) - heat_bath(g)))
+    v0 = deflate(np.random.default_rng(0).standard_normal(total))
+    evals, evecs = eigsh(op, k=1, which="LA", tol=0, v0=v0)
+    gap = float(shift - evals[0])
     if not return_vector:
         return gap
-    f_support = evecs[:, nz[0]] / sqrtp  # back to unweighted coordinates
-    f = np.zeros(total)
-    f[support] = f_support
-    return gap, f.reshape(sizes)
-
-
-def generator_matrix(sys: FiniteSystem) -> tuple:
-    """(L, p): dense generator on the support states and their stationary law.
-
-    Row x has rate P(X_i = s | rest) toward each single-site update of x;
-    rows sum to zero and p^T L = 0 (reversibility of the heat bath).
-    """
-    sizes = [s for _, s in sys.variables]
-    total = int(np.prod(sizes))
-    if total > EXACT_GAP_STATE_CAP:
-        raise CapExceededError(f"generator_matrix: state count above cap {EXACT_GAP_STATE_CAP}")
-    p = sys.joint.ravel()
-    support = np.flatnonzero(p > 0)
-    ns = support.size
-    pos = -np.ones(total, dtype=int)
-    pos[support] = np.arange(ns)
-    L = np.zeros((ns, ns))
-    for _, ctx in _site_projections(sys):
-        order = np.argsort(ctx[support], kind="stable")
-        grouped = support[order]
-        keys = ctx[grouped]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        ends = np.r_[starts[1:], keys.size]
-        for a, b in zip(starts, ends):
-            members = grouped[a:b]
-            mpos = pos[members]
-            cond = p[members] / p[members].sum()
-            L[np.ix_(mpos, mpos)] += np.tile(cond, (len(members), 1))
-            L[mpos, mpos] -= 1.0
-    return L, p[support]
+    f = np.divide(evecs[:, 0], w, out=np.zeros(total), where=w > 0)  # back to unweighted coordinates
+    return gap, f.reshape(joint.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +183,15 @@ def _autocorrelation(samples: np.ndarray, max_lag: int) -> np.ndarray:
     return acf / (counts * var)
 
 
-def _fit_rate(samples: np.ndarray, dt: float) -> tuple:
-    """Exponential-decay rate of the sample autocorrelation.
+def _fit_rate(c: np.ndarray, dt: float) -> tuple:
+    """Exponential-decay rate of the sample autocorrelation ``c``.
 
     Least squares on log c(tau) over the window [0.1, 3] estimated relaxation
     times, which avoids both the transient and the noise floor.
     """
-    n = samples.size
-    max_lag = min(n // 4, 8000)
+    max_lag = c.size
     if max_lag < 4:
         return 0.0, math.inf
-    c = _autocorrelation(samples, max_lag)
     below = np.flatnonzero(c < math.exp(-1.0))
     tau_rel = (below[0] if below.size else max_lag) * dt
     if tau_rel <= 0:
@@ -311,15 +281,15 @@ def glauber_simulate(
     obs_table[visited] = [observable(s) for s in states]
     grid = np.arange(int(horizon / sample_dt) + 1) * sample_dt
     samples = obs_table[path[np.searchsorted(times, grid, side="right")]]
-    rate, tau = _fit_rate(samples, sample_dt)
-    nlag = max(min(len(samples) // 4, 400), 1)
-    lags = np.arange(nlag) * sample_dt
-    auto = _autocorrelation(samples, nlag)
+    c = _autocorrelation(samples, max(min(samples.size // 4, 8000), 1))
+    rate, tau = _fit_rate(c, sample_dt)
+    nlag = min(c.size, 400)
     if keep_events:
         new_states = path[1:] // np.array(strides)[sites] % np.array(sizes)[sites]
     else:
         times, sites, new_states = np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)
-    return SimResult(times, sites, new_states, float(rate), float(tau), lags, auto)
+    return SimResult(times, sites, new_states, float(rate), float(tau),
+                     np.arange(nlag) * sample_dt, c[:nlag])
 
 
 def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None,
@@ -361,12 +331,12 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
         h = state[neigh[k]].sum()
         p_up = 1.0 / (1.0 + math.exp(-2.0 * beta * h))
         state[k] = 1.0 if rng.uniform() < p_up else -1.0
-    rate, tau = _fit_rate(samples, sample_dt)
-    nlag = max(min(len(samples) // 4, 400), 1)
+    c = _autocorrelation(samples, max(min(samples.size // 4, 8000), 1))
+    rate, tau = _fit_rate(c, sample_dt)
+    nlag = min(c.size, 400)
     return SimResult(
         np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int),
-        float(rate), float(tau), np.arange(nlag) * sample_dt,
-        _autocorrelation(samples, nlag),
+        float(rate), float(tau), np.arange(nlag) * sample_dt, c[:nlag],
     )
 
 

@@ -98,8 +98,15 @@ class TestExitCodes:
         (["event-bound", "lambda", "--dry-run"], "--eps is required"),
         (["ou-chain", "--t", "nan", "--K", "4"], "t must be finite"),
         (["ou-chain", "--t", "1e300", "--K", "4"], "non-finite values"),
+        (["glauber-sim", "--system", "{two_site}", "--horizon", "nan", "--dry-run"], "horizon must be finite"),
+        (["glauber-sim", "--system", "{two_site}", "--horizon", "5", "--observable-site", "7"],
+         "--observable-site must lie in [0, 2)"),
     ])
-    def test_bad_input_is_exit_2(self, argv, message, capsys):
+    def test_bad_input_is_exit_2(self, argv, message, tmp_path, capsys):
+        two_site = write_json(tmp_path, "two_site.json",
+                              {"variables": [{"name": "a", "size": 2}, {"name": "b", "size": 2}],
+                               "joint_flat": [0.4, 0.1, 0.1, 0.4]})
+        argv = [a.format(two_site=two_site) for a in argv]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
@@ -122,6 +129,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"{bad}: input file must have key 'joint'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_variable_without_size_is_exit_2(self, tmp_path, capsys):
+        bad = write_json(tmp_path, "nosize.json",
+                         {"variables": [{"name": "a"}, {"name": "b", "size": 2}],
+                          "joint_flat": [0.4, 0.1, 0.1, 0.4]})
+        assert cli.main(["glauber-gap", "exact", "--system", bad]) == 2
+        captured = capsys.readouterr()
+        assert "every item of 'variables' must be an object with 'name' and 'size'" in captured.err
+        assert bad in captured.err and captured.out == ""
 
     def test_truncated_json_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -30,6 +30,49 @@ def two_spin_ferromagnet(gamma):
     return spin_system([[p_eq, p_ne], [p_ne, p_eq]])
 
 
+def heat_bath_matrix(joint):
+    """Dense B on the full state grid: the operator applied to the identity."""
+    apply = glauber._heat_bath(np.asarray(joint, dtype=float))
+    return np.column_stack([apply(e) for e in np.eye(np.size(joint))])
+
+
+def brute_force_gap(joint):
+    """Smallest nonzero eigenvalue of the heat bath, built from its definition.
+
+    Between support states x != y that differ in exactly one site i the rate
+    is p(y) / p(context of x at site i); the generator L is symmetrized with
+    sqrt(p) and diagonalized densely.  Returns None if no mode is nonzero.
+    """
+    digits = np.argwhere(joint > 0)
+    p = joint[tuple(digits.T)]
+    diff = digits[:, None, :] != digits[None, :, :]
+    ctx = np.stack([np.broadcast_to(joint.sum(axis=i, keepdims=True), joint.shape)[tuple(digits.T)]
+                    for i in range(joint.ndim)], axis=1)
+    rates = p[None, :] / np.take_along_axis(ctx, diff.argmax(axis=2), axis=1)
+    L = np.where(diff.sum(axis=2) == 1, rates, 0.0)
+    L -= np.diag(L.sum(axis=1))
+    sq = np.sqrt(p)
+    evals = np.linalg.eigvalsh(-(sq[:, None] * L / sq[None, :]))
+    nonzero = evals[evals > 1e-9]
+    return float(nonzero[0]) if nonzero.size else None
+
+
+def random_joints():
+    """Systems of at most 2^10 states: one site, zero cells, one disconnected support."""
+    rng = np.random.default_rng(60)
+    shapes = [(4,), (3, 2), (2, 2), (2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 4), (2,) * 6,
+              (3,) * 5, (2, 3, 2, 3, 2), (2,) * 8, (4, 4, 4, 4), (2,) * 10]
+    for k, shape in enumerate(shapes):
+        joint = rng.dirichlet(np.full(int(np.prod(shape)), 2.0)).reshape(shape)
+        if k % 2:
+            joint[rng.random(shape) < 0.3] = 0.0
+        yield joint / joint.sum()
+    disconnected = np.zeros((4, 4, 2))  # two classes of 8 states, no one-site move between them
+    disconnected[:2, :2] = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+    disconnected[2:, 2:] = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+    yield disconnected / disconnected.sum()
+
+
 class TestGapLowerBounds:
     def test_zero_matrix(self):
         rep = glauber.gap_lower_bounds(np.zeros((3, 3)))
@@ -80,11 +123,9 @@ class TestExactGap:
             assert gap == pytest.approx(1.0, abs=1e-10)
 
     def test_product_spectrum_is_integer(self):
-        joint = np.full((2, 2, 2), 1 / 8)
-        sys = spin_system(joint)
-        L, p = glauber.generator_matrix(sys)
-        evals = np.sort(np.linalg.eigvals(-L).real)
+        evals = np.linalg.eigvalsh(heat_bath_matrix(np.full((2, 2, 2), 1 / 8)))
         assert np.abs(evals - np.round(evals)).max() < 1e-9
+        assert np.array_equal(np.round(evals), [0, 1, 1, 1, 2, 2, 2, 3])
 
     def test_two_spin_ferromagnet_oracle(self):
         for gamma in (0.2, 0.5, 0.8):
@@ -127,13 +168,41 @@ class TestExactGap:
         flipped = joint[::-1, :, :]
         assert glauber.exact_gap(spin_system(flipped)) == pytest.approx(gap, abs=1e-10)
 
-    def test_generator_rows_and_stationarity(self):
+    def test_operator_kernel_symmetry_and_sign(self):
+        """B sqrt(p) = 0 (generator rows sum to zero), B = B^T (reversibility),
+        B >= 0, also with a zero-mass cell."""
         rng = np.random.default_rng(3)
-        joint = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
-        sys = spin_system(joint)
-        L, p = glauber.generator_matrix(sys)
-        assert np.abs(L.sum(axis=1)).max() < 1e-12
-        assert np.abs(p @ L).max() < 1e-12
+        for joint in (rng.dirichlet(np.ones(8)).reshape(2, 2, 2), three_state_system().joint):
+            B = heat_bath_matrix(joint)
+            assert np.abs(B @ np.sqrt(joint).ravel()).max() < 1e-12
+            assert np.abs(B - B.T).max() < 1e-12
+            assert np.linalg.eigvalsh(B).min() > -1e-12
+
+    def test_matches_brute_force(self):
+        for joint in random_joints():
+            gap = glauber.exact_gap(spin_system(joint))
+            assert gap == pytest.approx(brute_force_gap(joint), abs=1e-10)
+
+    def test_no_nonzero_mode(self):
+        joint = np.diag([0.2, 0.3, 0.5])  # every support state is its own class
+        assert brute_force_gap(joint) is None
+        with pytest.raises(ValidationError, match="dynamics has no nonzero mode"):
+            glauber.exact_gap(spin_system(joint))
+
+    def test_order_of_calls_does_not_matter(self):
+        systems = [spin_system(j) for j in random_joints()][:6]
+        forward = [glauber.exact_gap(s) for s in systems]
+        backward = [glauber.exact_gap(s) for s in reversed(systems)][::-1]
+        assert forward == backward
+
+    @pytest.mark.parametrize("sys", [three_state_system(), spin_system([0.1, 0.2, 0.3, 0.4])])
+    def test_return_vector_is_an_eigenvector(self, sys):
+        gap, f = glauber.exact_gap(sys, return_vector=True)
+        assert np.all(f[sys.joint == 0] == 0)
+        g = np.sqrt(sys.joint).ravel() * f.ravel()
+        assert np.linalg.norm(g) > 0.5
+        residual = glauber._heat_bath(sys.joint)(g) - gap * g
+        assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(g)
 
     def test_state_cap(self):
         with pytest.raises(CapExceededError):
