@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 validation error (the message names the violated
 invariant) or non-finite numerical integration, 64 unknown command.
 Identical inputs and seed produce byte-identical outputs.
+
+Each command has one handler in ``HANDLERS``: it makes every check of the
+command and returns a ``run`` that computes ``(payload, csv)``.  ``main``
+alone decides between ``--dry-run`` and ``run``.
 """
 from __future__ import annotations
 
@@ -17,15 +21,9 @@ from . import acceptance, discrete, events, gaussian, glauber, lattice, tensor_b
 from . import io as rio
 from .errors import IntegratorError, ValidationError
 
-COMMANDS = (
-    "maxcorr", "subjective", "mixing", "tensor-bound", "event-bound", "chogosov",
-    "glauber-gap", "glauber-sim", "ising", "quadratic", "conv-inverse", "clt",
-    "ou-chain", "three-lines", "verify-all",
-)
 
-
-def _load_json(path: str, *keys: str) -> dict:
-    """The JSON object in ``path``, which must have every one of ``keys``."""
+def _load_json(path: str, **keys: type) -> dict:
+    """The JSON object in ``path``; each of ``keys`` must hold a value of its type."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -35,9 +33,11 @@ def _load_json(path: str, *keys: str) -> dict:
         raise ValidationError(f"{path}: input file must be valid JSON ({exc})") from exc
     if not isinstance(d, dict):
         raise ValidationError(f"{path}: input file must hold a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in d:
             raise ValidationError(f"{path}: input file must have key {key!r}")
+        if not isinstance(d[key], kind):
+            raise ValidationError(f"{path}: {key!r} must hold a JSON {'array' if kind is list else 'object'}")
     return d
 
 
@@ -50,56 +50,78 @@ def _required(args, flag: str):
     return value
 
 
+def _integer(path: str, what: str, v) -> int:
+    """``v`` as an int; a float or a string passes only if it holds an integer."""
+    try:
+        if int(v) == float(v):
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{path}: {what} must be an integer, got {v!r}")
+
+
 def _pair_from_file(path: str) -> discrete.FinitePair:
-    d = _load_json(path, "labels_x", "labels_y", "joint")
+    d = _load_json(path, labels_x=list, labels_y=list, joint=list)
     return discrete.FinitePair(tuple(d["labels_x"]), tuple(d["labels_y"]), rio.parse_matrix(d["joint"]))
 
 
 def _system_from_file(path: str) -> discrete.FiniteSystem:
-    d = _load_json(path, "variables", "joint_flat")
-    items = d["variables"]
-    if not isinstance(items, list) or not all(isinstance(v, dict) and {"name", "size"} <= v.keys() for v in items):
+    d = _load_json(path, variables=list, joint_flat=list)
+    items, flat = d["variables"], d["joint_flat"]
+    if not all(isinstance(v, dict) and {"name", "size"} <= v.keys() for v in items):
         raise ValidationError(f"{path}: every item of 'variables' must be an object with 'name' and 'size'")
-    variables = tuple((v["name"], int(v["size"])) for v in items)
-    sizes = [s for _, s in variables]
-    flat = np.array([rio.parse_number(v) for v in d["joint_flat"]])
-    return discrete.FiniteSystem(variables, flat.reshape(sizes))  # row-major, last variable fastest
+    sizes = [_integer(path, "'size'", v["size"]) for v in items]
+    if min(sizes, default=0) < 1 or len(flat) != math.prod(sizes):
+        raise ValidationError(f"{path}: each 'size' must be >= 1 and 'joint_flat' must list "
+                              "as many numbers as their product")
+    joint = np.array([rio.parse_number(v) for v in flat]).reshape(sizes)  # row-major, last variable fastest
+    return discrete.FiniteSystem(tuple((v["name"], s) for v, s in zip(items, sizes)), joint)
+
+
+def _window_file(path: str):
+    """(object, n, R, {offset: value}) of a kernel file whose 'values' are keyed
+    by offsets such as "(1,-2)": n integer coordinates, each within [-R, R]."""
+    d = _load_json(path, n=object, R=object, values=dict)
+    n, R = _integer(path, "'n'", d["n"]), _integer(path, "'R'", d["R"])
+    if n < 1 or R < 0:
+        raise ValidationError(f"{path}: need 'n' >= 1 and 'R' >= 0")
+    entries = {}
+    for key, v in d["values"].items():
+        z = tuple(_integer(path, f"offset key {key!r}", c) for c in key.strip("()").split(",") if c.strip())
+        if len(z) != n or max(abs(c) for c in z) > R:
+            raise ValidationError(f"{path}: offset key {key!r} must have {n} coordinates within [-{R}, {R}]")
+        entries[z] = rio.parse_number(v)
+    return d, n, R, entries
 
 
 def _kernel_from_file(path: str) -> tensor_bounds.LatticeKernel:
-    d = _load_json(path, "n", "R", "values")
+    d, n, R, entries = _window_file(path)
     tail_d = d.get("tail") or {"type": "none"}
-    tail = tensor_bounds.TailModel(
-        kind=tail_d.get("type", "none"),
-        C=rio.parse_number(tail_d.get("C", 0.0)),
-        psi=rio.parse_number(tail_d.get("psi", 0.0)),
-        alpha=rio.parse_number(tail_d.get("alpha", 0.0)),
-        total=rio.parse_number(tail_d.get("total", 0.0)),
-    )
-    entries = {}
-    for key, v in d["values"].items():
-        z = tuple(int(c) for c in key.strip("()").split(",") if c.strip() != "")
-        entries[z] = rio.parse_number(v)
-    return tensor_bounds.LatticeKernel.from_dict(int(d["n"]), int(d["R"]), entries,
-                                                 d.get("norm", "l1"), tail)
+    if not isinstance(tail_d, dict):
+        raise ValidationError(f"{path}: 'tail' must hold a JSON object")
+    params = {k: rio.parse_number(tail_d.get(k, 0.0)) for k in ("C", "psi", "alpha", "total")}
+    tail = tensor_bounds.TailModel(tail_d.get("type", "none"), **params)
+    return tensor_bounds.LatticeKernel.from_dict(n, R, entries, d.get("norm", "l1"), tail)
 
 
 def _toeplitz_from_file(path: str):
     from .convdecay import ToeplitzKernel
 
-    d = _load_json(path, "n", "R", "values")
-    entries = {}
-    for key, v in d["values"].items():
-        z = tuple(int(c) for c in key.strip("()").split(",") if c.strip() != "")
-        entries[z] = rio.parse_number(v)
-    return ToeplitzKernel.from_dict(int(d["n"]), int(d["R"]), entries, d.get("decay_class", "none"))
+    d, n, R, entries = _window_file(path)
+    return ToeplitzKernel.from_dict(n, R, entries, d.get("decay_class", "none"))
+
+
+def _matrix_from_file(path: str) -> np.ndarray:
+    return rio.parse_matrix(_load_json(path, entries=list)["entries"])
+
+
+def _fields(rep, *names: str) -> dict:
+    """A payload of the named attributes of ``rep``, in the order given."""
+    return {name: getattr(rep, name) for name in names}
 
 
 def _emit(args, payload, csv_text=None):
-    if getattr(args, "format", "json") == "csv" and csv_text is not None:
-        text = csv_text
-    else:
-        text = rio.dumps(payload)
+    text = csv_text if args.format == "csv" and csv_text is not None else rio.dumps(payload)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -107,11 +129,13 @@ def _emit(args, payload, csv_text=None):
         _sys.stdout.write(text)
 
 
-def _floats(spec: str) -> list:
+def _numbers(spec: str, kind=float) -> list:
+    """The comma-separated values in ``spec``, each converted by ``kind`` (float or int)."""
     try:
-        return [float(v) for v in spec.split(",") if v.strip() != ""]
+        return [kind(v) for v in spec.split(",") if v.strip() != ""]
     except ValueError:
-        raise ValidationError(f"{spec!r}: values must be comma-separated numbers") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError(f"{spec!r}: values must be comma-separated {noun}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,199 +237,181 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_maxcorr(args) -> dict:
+def _maxcorr(args):
     if args.pair:
         pair = _pair_from_file(args.pair)
-        if args.dry_run:
-            return {"valid": True}
-        rep = discrete.maxcorr_pair(pair)
-        out = {"rho": rep.rho}
-        if args.witness:
-            out["optimal_f"] = list(rep.optimal_f)
-            out["optimal_g"] = list(rep.optimal_g)
-        return out
-    if not (args.system and args.x and args.y):
+    elif args.system and args.x and args.y:
+        pair = _system_from_file(args.system).pair(args.x.split(","), args.y.split(","))
+    else:
         raise ValidationError("maxcorr: need --pair, or --system with --x and --y")
+    names = ("rho", "optimal_f", "optimal_g") if args.witness and args.pair else ("rho",)
+    return lambda: (_fields(discrete.maxcorr_pair(pair), *names), None)
+
+
+def _subjective(args):
     sys_ = _system_from_file(args.system)
-    if args.dry_run:
-        return {"valid": True}
-    rho = discrete.maxcorr_blocks(sys_, args.x.split(","), args.y.split(","))
-    return {"rho": rho}
+    i, j, pool = discrete.subjective_pool(sys_, args.i, args.j, args.pool.split(",") if args.pool else None)
+    return lambda: ({"value": discrete.subjective_maxcorr(sys_, i, j, pool)}, None)
 
 
-def _cmd_tensor_bound(args) -> dict:
+def _mixing(args):
+    pair = _pair_from_file(args.pair)
+    return lambda: (_fields(discrete.mixing_coefficients(pair), "alpha", "beta", "mutual_information"), None)
+
+
+def _tensor_bound(args):
+    # every kind is a closed form over a small input: evaluating it is its check
     if args.kind in ("simple", "zz"):
         bound = tensor_bounds.simple_bound if args.kind == "simple" else tensor_bounds.zz_bound
-        value = bound(_floats(_required(args, "eps")))  # a closed form: evaluating it checks the input
-        return {"valid": True} if args.dry_run else {"value": value}
-    if args.kind == "nm":
-        entries = _load_json(_required(args, "matrix"), "entries")["entries"]
-        mat = tensor_bounds.EpsilonMatrix.from_array(rio.parse_matrix(entries))
-        if args.dry_run:
-            return {"valid": True}
-        return {"value": tensor_bounds.nm_bound(mat), "raw_operator_norm": mat.operator_norm()}
-    kern = _kernel_from_file(_required(args, "kernel"))
-    if args.dry_run:
-        return {"valid": True}
-    if args.kind == "zn":
-        zb = tensor_bounds.zn_bound(kern)
-        return {"value": zb.value, "window_arcsin": zb.window_arcsin, "tail_arcsin": zb.tail_arcsin}
-    if args.kind == "distance":
-        return {"value": tensor_bounds.distance_bound(kern, args.d)}
-    rep = tensor_bounds.sublattice_k(kern)
-    return {"k": rep.k, "ell": rep.ell}
+        payload = {"value": bound(_numbers(_required(args, "eps")))}
+    elif args.kind == "nm":
+        mat = tensor_bounds.EpsilonMatrix.from_array(_matrix_from_file(_required(args, "matrix")))
+        payload = {"value": tensor_bounds.nm_bound(mat), "raw_operator_norm": mat.operator_norm()}
+    else:
+        kern = _kernel_from_file(_required(args, "kernel"))
+        if args.kind == "zn":
+            payload = _fields(tensor_bounds.zn_bound(kern), "value", "window_arcsin", "tail_arcsin")
+        elif args.kind == "distance":
+            payload = {"value": tensor_bounds.distance_bound(kern, args.d)}
+        else:
+            payload = _fields(tensor_bounds.sublattice_k(kern), "k", "ell")
+    return lambda: (payload, None)
 
 
-def _cmd_event_bound(args) -> dict:
+def _event_bound(args):
     if args.kind == "lambda":
         value = events.lambda_fn(_required(args, "eps"))  # a closed form: evaluating it checks the input
-        return {"valid": True} if args.dry_run else {"value": value}
+        return lambda: ({"value": value}, None)
     if args.kind == "nu":
-        model = events.NuModel(args.eps, args.x, args.m)
-        if args.dry_run:
-            return {"valid": True}
-        rep = events.nu_event_ratio(model, seed=args.seed)
-        return {"worst_ratio": rep.worst_ratio, "factor": rep.factor,
-                "witness_correlation": rep.witness_correlation}
+        model = events.NuModel(_required(args, "eps"), args.x, args.m)
+        return lambda: (_fields(events.nu_event_ratio(model, seed=args.seed),
+                                "worst_ratio", "factor", "witness_correlation"), None)
     pair = _pair_from_file(_required(args, "pair"))
-    if args.dry_run:
-        return {"valid": True}
-    if args.kind == "extremes":
-        rep = discrete.event_extremes(pair)
-        return {"max_ratio": rep.max_ratio, "witness_a": list(rep.witness_a),
-                "witness_b": list(rep.witness_b)}
-    return {"value": discrete.density_bound(pair)}
+    if args.kind == "density":
+        value = discrete.density_bound(pair)  # a closed form: evaluating it checks the marginals
+        return lambda: ({"value": value}, None)
+    return lambda: (_fields(discrete.event_extremes(pair), "max_ratio", "witness_a", "witness_b"), None)
 
 
-def _cmd_chogosov(args):
-    model = events.ChogosovModel(args.eps, max(args.m, 2))
-    if args.dry_run:
-        return {"valid": True}, None
+def _chogosov(args):
+    model = events.ChogosovModel(args.eps)
     if args.kind == "sample":
-        cloud = events.chogosov_sample(model, args.n, args.seed)
-        csv = rio.csv_lines("chogosov sample cloud: p, q, branch (-1 lower curve, 0 interior, +1 upper curve)",
-                            ["p", "q", "branch"],
-                            [(row[0], row[1], int(row[2])) for row in cloud])
-        return {"n": args.n, "eps": args.eps, "seed": args.seed}, csv
-    if args.kind == "cdf":
-        return {"value": float(events.chogosov_cdf(model, args.p, args.q)),
-                "zone": events.chogosov_zone(model, args.p, args.q)}, None
-    if args.kind == "quantile":
-        return {"value": events.chogosov_quantile(model, args.p, args.omega)}, None
+        if args.n < 1:
+            raise ValidationError("chogosov sample: --n must be >= 1")
+
+        def run():
+            cloud = events.chogosov_sample(model, args.n, args.seed)
+            csv = rio.csv_lines("chogosov sample cloud: p, q, branch (-1 lower curve, 0 interior, +1 upper curve)",
+                                ["p", "q", "branch"],
+                                [(row[0], row[1], int(row[2])) for row in cloud])
+            return {"n": args.n, "eps": args.eps, "seed": args.seed}, csv
+        return run
     if args.kind == "opnorm":
-        rep = events.chogosov_opnorm(model, args.m)
-        return {"rho_hat": rep.rho_hat, "rayleigh_quotient": rep.rayleigh_quotient,
-                "m": rep.m, "lambda": events.lambda_fn(args.eps)}, None
+        if args.m < events.OPNORM_MIN_GRID:
+            raise ValidationError(f"chogosov opnorm: --m must be >= {events.OPNORM_MIN_GRID}")
+        return lambda: ({**_fields(events.chogosov_opnorm(model, args.m), "rho_hat", "rayleigh_quotient", "m"),
+                         "lambda": events.lambda_fn(args.eps)}, None)
     if args.kind == "lambda-check":
-        rep = events.lambda_integral_identity(model, args.p)
-        return {"value": rep.value, "atom_lower": rep.atom_lower, "atom_upper": rep.atom_upper,
-                "interior": rep.interior, "lambda": events.lambda_fn(args.eps)}, None
-    return {"max_residual": events.lstar_identity(model, [args.p])}, None
+        if not 0 < args.p < 1:
+            raise ValidationError("chogosov lambda-check: --p must lie in (0, 1)")
+        return lambda: ({**_fields(events.lambda_integral_identity(model, args.p),
+                                   "value", "atom_lower", "atom_upper", "interior"),
+                         "lambda": events.lambda_fn(args.eps)}, None)
+    # cdf, quantile and lstar are closed forms: evaluating them checks --p, --q and --omega
+    if args.kind == "cdf":
+        payload = {"value": float(events.chogosov_cdf(model, args.p, args.q)),
+                   "zone": events.chogosov_zone(model, args.p, args.q)}
+    elif args.kind == "quantile":
+        payload = {"value": events.chogosov_quantile(model, args.p, args.omega)}
+    else:
+        payload = {"max_residual": events.lstar_identity(model, [args.p])}
+    return lambda: (payload, None)
 
 
-def _cmd_glauber_gap(args) -> dict:
+def _glauber_gap(args):
     if args.kind == "exact":
         sys_ = _system_from_file(_required(args, "system"))
-        if args.dry_run:
-            return {"valid": True}
-        return {"gap": glauber.exact_gap(sys_)}
-    if args.kind == "bounds":
-        eps = rio.parse_matrix(_load_json(_required(args, "matrix"), "entries")["entries"])
-        if args.dry_run:
-            return {"valid": True}
-        rep = glauber.gap_lower_bounds(eps)
-        return {
-            "bound_M": rep.bound_M,
-            "bound_Mprime": rep.bound_Mprime,
-            "bound_simple": rep.bound_simple,
-            "mprime_defined": rep.mprime_defined,
-        }
+        return lambda: ({"gap": glauber.exact_gap(sys_)}, None)
+    if args.kind == "bounds":  # a closed form: evaluating it checks the matrix
+        payload = _fields(glauber.gap_lower_bounds(_matrix_from_file(_required(args, "matrix"))),
+                          "bound_M", "bound_Mprime", "bound_simple", "mprime_defined")
+        return lambda: (payload, None)
     kern = _kernel_from_file(_required(args, "kernel"))
-    if args.dry_run:
-        return {"valid": True}
-    rep = glauber.sublattice_gap(kern)
-    return {"value": rep.value, "ell": rep.ell, "zeta": rep.zeta}
+    return lambda: (_fields(glauber.sublattice_gap(kern), "value", "ell", "zeta"), None)
 
 
-def _cmd_glauber_sim(args):
+def _glauber_sim(args):
     sys_ = _system_from_file(args.system)
     if not (args.horizon > 0 and math.isfinite(args.horizon)):
         raise ValidationError("glauber-sim: --horizon must be finite and > 0")
     site = args.observable_site
     if not 0 <= site < len(sys_.variables):
         raise ValidationError(f"glauber-sim: --observable-site must lie in [0, {len(sys_.variables)})")
-    if args.dry_run:
-        return {"valid": True}, None
-    sim = glauber.glauber_simulate(sys_, args.horizon, seed=args.seed,
-                                   observable=lambda s: float(s[site]))
-    csv = rio.csv_lines("heat-bath trajectory", ["time", "site", "new_state"],
-                        zip(sim.times, sim.sites, sim.new_states))
-    return {"rate_estimate": sim.rate_estimate, "relaxation_time": sim.relaxation_time,
-            "events": int(len(sim.times))}, csv
+
+    def run():
+        sim = glauber.glauber_simulate(sys_, args.horizon, seed=args.seed,
+                                       observable=lambda s: float(s[site]))
+        csv = rio.csv_lines("heat-bath trajectory", ["time", "site", "new_state"],
+                            zip(sim.times, sim.sites, sim.new_states))
+        return {**_fields(sim, "rate_estimate", "relaxation_time"), "events": len(sim.times)}, csv
+    return run
 
 
-def _cmd_ising(args):
+def _ising(args):
     torus = lattice.IsingTorus(args.n, args.L, args.T)
-    if args.dry_run:
-        return {"valid": True}, None
-    rep = lattice.ising_epsilon(torus, method=args.method, seed=args.seed)
-    values = {}
-    offs = rep.kernel.offsets()
-    for z, v in zip(offs, rep.kernel.flat_values()):
-        if v > 0:
-            values["(" + ",".join(str(int(c)) for c in z) + ")"] = float(v)
-    out = {"c0": rep.c0, "k0": rep.k0, "method": rep.method,
-           "subjective": rep.subjective, "values": values}
-    if args.snapshot:
-        conf = lattice.ising_mcmc_samples(torus, sweeps=1, thin=1, seed=args.seed, burn=50)[-1]
-        grid = conf.reshape((args.L,) * args.n) if args.n > 1 else conf
-        with open(args.snapshot, "w") as fh:
-            fh.write(rio.spin_grid_text(grid))
-    return out, None
+
+    def run():
+        rep = lattice.ising_epsilon(torus, method=args.method, seed=args.seed)
+        values = {}
+        for z, v in zip(rep.kernel.offsets(), rep.kernel.flat_values()):
+            if v > 0:
+                values["(" + ",".join(str(int(c)) for c in z) + ")"] = float(v)
+        out = {**_fields(rep, "c0", "k0", "method", "subjective"), "values": values}
+        if args.snapshot:
+            conf = lattice.ising_mcmc_samples(torus, sweeps=1, thin=1, seed=args.seed, burn=50)[-1]
+            grid = conf.reshape((args.L,) * args.n) if args.n > 1 else conf
+            with open(args.snapshot, "w") as fh:
+                fh.write(rio.spin_grid_text(grid))
+        return out, None
+    return run
 
 
-def _cmd_quadratic(args) -> dict:
+def _quadratic(args):
     gam = _toeplitz_from_file(args.gamma)
     model = lattice.QuadraticModel(gam.n, gam, beta=args.beta)
-    if args.dry_run:
-        return {"valid": True}
-    cov = lattice.quadratic_covariance(model)
-    rep = lattice.quadratic_rho_report(model)
-    return {
-        "Gamma": model.Gamma,
-        "a_inv_center": cov.a_inv_center,
-        "window_sum": cov.window_sum,
-        "truncation_mass": cov.truncation_mass,
-        "eps_sum_offcenter": rep.eps_sum_offcenter,
-        "gamma_bound_applies": rep.gamma_bound_applies,
-        "distance_profile": {str(k): v for k, v in rep.distance_profile.items()},
-        "sublattice_k": rep.sublattice.k if rep.sublattice else None,
-    }
+
+    def run():
+        cov = lattice.quadratic_covariance(model)
+        rep = lattice.quadratic_rho_report(model)
+        return {"Gamma": model.Gamma, **_fields(cov, "a_inv_center", "window_sum", "truncation_mass"),
+                **_fields(rep, "eps_sum_offcenter", "gamma_bound_applies"),
+                "distance_profile": {str(k): v for k, v in rep.distance_profile.items()},
+                "sublattice_k": rep.sublattice.k if rep.sublattice else None}, None
+    return run
 
 
-def _cmd_conv_inverse(args) -> dict:
+def _conv_inverse(args):
     kern = _toeplitz_from_file(args.kernel)
-    if args.dry_run:
-        return {"valid": True}
-    from .convdecay import conv_inverse, decay_fit
 
-    b = conv_inverse(kern)
-    out_vals = {}
-    rng = np.arange(-b.R, b.R + 1)
-    if b.n == 1:
-        for z in rng:
-            v = b.value_at((int(z),))
-            if v != 0.0:
-                out_vals[f"({int(z)})"] = v
-    result = {"n": b.n, "R": b.R, "l1_norm": b.l1_norm(), "values": out_vals}
-    if b.R >= 14:
-        fit = decay_fit(b)
-        result["decay"] = {"classification": fit.classification, "rate": fit.rate,
-                           "exponent": fit.exponent}
-    return result
+    def run():
+        from .convdecay import conv_inverse, decay_fit
+
+        b = conv_inverse(kern)
+        out_vals = {}
+        if b.n == 1:
+            for z in range(-b.R, b.R + 1):
+                v = b.value_at((z,))
+                if v != 0.0:
+                    out_vals[f"({z})"] = v
+        result = {"n": b.n, "R": b.R, "l1_norm": b.l1_norm(), "values": out_vals}
+        if b.R >= 14:
+            fit = decay_fit(b)
+            result["decay"] = _fields(fit, "classification", "rate", "exponent")
+        return result, None
+    return run
 
 
-def _cmd_clt(args):
+def _clt(args):
     if args.model == "ising":
         model = lattice.IsingTorus(1, args.L, args.T)
     elif args.model == "quadratic":
@@ -413,112 +419,83 @@ def _cmd_clt(args):
         model = lattice.QuadraticModel(gam.n, gam)
     else:
         model = "independent"
-    if args.dry_run:
-        return {"valid": True}, None
-    rep = lattice.clt_experiment(model, [int(v) for v in args.ells.split(",")],
-                                 replicas=args.replicas, seed=args.seed, shape=args.shape)
-    rows = list(zip(rep.block_sizes, rep.sigma_hat2_by_block, rep.cf_distances))
-    csv = rio.csv_lines("block-sum clt: ell, sigma_hat2, cf_distance",
-                        ["ell", "sigma_hat2", "cf_distance"], rows)
-    return {
-        "block_sizes": list(rep.block_sizes),
-        "sigma_hat2": rep.sigma_hat2,
-        "sigma2_limit": rep.sigma2_limit,
-        "cf_distances": list(rep.cf_distances),
-    }, csv
+    ells = _numbers(args.ells, int)
+    if min(ells, default=0) < 1 or args.replicas < 2:
+        raise ValidationError("clt: --ells must be integers >= 1 and --replicas must be >= 2")
+
+    def run():
+        rep = lattice.clt_experiment(model, ells, replicas=args.replicas, seed=args.seed, shape=args.shape)
+        rows = list(zip(rep.block_sizes, rep.sigma_hat2_by_block, rep.cf_distances))
+        csv = rio.csv_lines("block-sum clt: ell, sigma_hat2, cf_distance",
+                            ["ell", "sigma_hat2", "cf_distance"], rows)
+        return _fields(rep, "block_sizes", "sigma_hat2", "sigma2_limit", "cf_distances"), csv
+    return run
 
 
-def _cmd_ou_chain(args) -> dict:
+def _ou_chain(args):
     if args.params:
         d = _load_json(args.params)
-        params = gaussian.OUChainParams(
-            m=rio.parse_number(d.get("m", 1.0)), omega=rio.parse_number(d.get("omega", 1.0)),
-            c=rio.parse_number(d.get("c", 1.0)), T=rio.parse_number(d.get("T", 1.0)),
-            lam=rio.parse_number(d.get("lam", 1.0)), t=rio.parse_number(d.get("t", 1.0)),
-            K=int(d.get("K", 16)),
-        )
+        rates = {k: rio.parse_number(d.get(k, 1.0)) for k in ("m", "omega", "c", "T", "lam", "t")}
+        params = gaussian.OUChainParams(K=_integer(args.params, "'K'", d.get("K", 16)), **rates)
     else:
         params = gaussian.OUChainParams(t=args.t, K=args.K)
-    if args.dry_run:
-        return {"valid": True}
-    rep = gaussian.ou_chain_joint(params)
-    return {
-        "maxcorr": rep.maxcorr,
-        "qbar_range": list(rep.qbar_range),
-        "stationarity_residual": rep.stationarity_residual,
-        "corr_pp_diag": list(np.diag(rep.corr_pp)),
-        "corr_qq_diag": list(np.diag(rep.corr_qq)),
-    }
+
+    def run():
+        rep = gaussian.ou_chain_joint(params)
+        return {**_fields(rep, "maxcorr", "qbar_range", "stationarity_residual"),
+                "corr_pp_diag": np.diag(rep.corr_pp), "corr_qq_diag": np.diag(rep.corr_qq)}, None
+    return run
 
 
-def _cmd_three_lines(args) -> dict:
-    if args.dry_run:
-        return {"valid": True}
-    rep = gaussian.three_lines(_floats(args.u1), _floats(args.u2), _floats(args.u3))
-    return {
-        "geometric": list(rep.geometric),
-        "apparent": list(rep.apparent),
-        "sine_ratios": list(rep.sine_ratios),
-        "order": rep.order,
-    }
+def _three_lines(args):
+    # a closed form: evaluating it checks the three directions
+    payload = _fields(gaussian.three_lines(_numbers(args.u1), _numbers(args.u2), _numbers(args.u3)),
+                      "geometric", "apparent", "sine_ratios", "order")
+    return lambda: (payload, None)
+
+
+def _verify_all(args):
+    only = args.only.split(",") if args.only else None
+    # the suite prints one line per check as it goes; its run returns the exit code
+    return lambda: 0 if all(r.passed for r in acceptance.run_all(only=only)) else 1
+
+
+HANDLERS = {
+    "maxcorr": _maxcorr,
+    "subjective": _subjective,
+    "mixing": _mixing,
+    "tensor-bound": _tensor_bound,
+    "event-bound": _event_bound,
+    "chogosov": _chogosov,
+    "glauber-gap": _glauber_gap,
+    "glauber-sim": _glauber_sim,
+    "ising": _ising,
+    "quadratic": _quadratic,
+    "conv-inverse": _conv_inverse,
+    "clt": _clt,
+    "ou-chain": _ou_chain,
+    "three-lines": _three_lines,
+    "verify-all": _verify_all,
+}
 
 
 def main(argv=None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     cmd = next((a for a in argv if not a.startswith("-")), None)
-    if cmd is None or cmd not in COMMANDS:
-        _sys.stderr.write(f"unknown command {cmd!r}; expected one of: {', '.join(COMMANDS)}\n")
+    if cmd not in HANDLERS:
+        _sys.stderr.write(f"unknown command {cmd!r}; expected one of: {', '.join(HANDLERS)}\n")
         build_parser().print_usage(_sys.stderr)
         return 64
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "maxcorr":
-            _emit(args, _cmd_maxcorr(args))
-        elif args.command == "subjective":
-            sys_ = _system_from_file(args.system)
-            if args.dry_run:
-                _emit(args, {"valid": True})
-            else:
-                pool = args.pool.split(",") if args.pool else None
-                _emit(args, {"value": discrete.subjective_maxcorr(sys_, args.i, args.j, pool)})
-        elif args.command == "mixing":
-            pair = _pair_from_file(args.pair)
-            if args.dry_run:
-                _emit(args, {"valid": True})
-            else:
-                rep = discrete.mixing_coefficients(pair)
-                _emit(args, {"alpha": rep.alpha, "beta": rep.beta,
-                             "mutual_information": rep.mutual_information})
-        elif args.command == "tensor-bound":
-            _emit(args, _cmd_tensor_bound(args))
-        elif args.command == "event-bound":
-            _emit(args, _cmd_event_bound(args))
-        elif args.command == "chogosov":
-            payload, csv = _cmd_chogosov(args)
-            _emit(args, payload, csv)
-        elif args.command == "glauber-gap":
-            _emit(args, _cmd_glauber_gap(args))
-        elif args.command == "glauber-sim":
-            payload, csv = _cmd_glauber_sim(args)
-            _emit(args, payload, csv)
-        elif args.command == "ising":
-            payload, _ = _cmd_ising(args)
-            _emit(args, payload)
-        elif args.command == "quadratic":
-            _emit(args, _cmd_quadratic(args))
-        elif args.command == "conv-inverse":
-            _emit(args, _cmd_conv_inverse(args))
-        elif args.command == "clt":
-            payload, csv = _cmd_clt(args)
-            _emit(args, payload, csv)
-        elif args.command == "ou-chain":
-            _emit(args, _cmd_ou_chain(args))
-        elif args.command == "three-lines":
-            _emit(args, _cmd_three_lines(args))
-        elif args.command == "verify-all":
-            only = args.only.split(",") if args.only else None
-            results = acceptance.run_all(only=only)
-            return 0 if all(r.passed for r in results) else 1
+        run = HANDLERS[args.command](args)
+        if args.dry_run:
+            _emit(args, {"valid": True})
+            return 0
+        result = run()
+        if isinstance(result, int):  # verify-all has printed its own output
+            return result
+        _emit(args, *result)
         return 0
     except ValidationError as exc:
         _sys.stderr.write(f"invariant violated: {exc}\n")

@@ -212,13 +212,8 @@ def _conditioning_tables(sys: FiniteSystem, i: int, j: int, subset: list) -> np.
     return marg.reshape(-1, ni, nj)
 
 
-def subjective_maxcorr(sys: FiniteSystem, i, j, conditioning_pool=None) -> float:
-    """Supremum of conditional maximal correlations over the pool's metalgebra.
-
-    The supremum runs over every subset K of the pool (the empty subset, i.e.
-    the unconditioned correlation, included) and every assignment of values to
-    K with positive probability.  Zero-probability conditionings are skipped.
-    """
+def subjective_pool(sys: FiniteSystem, i, j, conditioning_pool=None) -> tuple:
+    """Checked indices (i, j, pool) for subjective_maxcorr; the pool defaults to every other variable."""
     i = sys.index(i)
     j = sys.index(j)
     if i == j:
@@ -229,6 +224,17 @@ def subjective_maxcorr(sys: FiniteSystem, i, j, conditioning_pool=None) -> float
         raise ValidationError("subjective_maxcorr: i, j must not be in the conditioning pool")
     if len(pool) > POOL_CAP:
         raise CapExceededError(f"subjective_maxcorr: pool larger than cap {POOL_CAP}")
+    return i, j, pool
+
+
+def subjective_maxcorr(sys: FiniteSystem, i, j, conditioning_pool=None) -> float:
+    """Supremum of conditional maximal correlations over the pool's metalgebra.
+
+    The supremum runs over every subset K of the pool (the empty subset, i.e.
+    the unconditioned correlation, included) and every assignment of values to
+    K with positive probability.  Zero-probability conditionings are skipped.
+    """
+    i, j, pool = subjective_pool(sys, i, j, conditioning_pool)
     best = 0.0
     for r in range(len(pool) + 1):
         for subset in itertools.combinations(pool, r):

@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from .errors import ValidationError
 
 OPNORM_MIN_GRID = 256
+NU_UNION_SAMPLES = 2000  # seeded random unions scanned by nu_event_ratio
 
 
 def lambda_fn(eps: float) -> float:
@@ -281,8 +282,8 @@ def lstar_identity(model: ChogosovModel, ps) -> float:
     lam = lambda_fn(eps)
     worst = 0.0
     for p in np.atleast_1d(np.asarray(ps, dtype=float)):
-        if p <= 0:
-            raise ValidationError("lstar_identity: p must be > 0")
+        if not 0 < p < math.inf:
+            raise ValidationError("lstar_identity: p must be finite and > 0")
         integral = eps * abs(math.log(eps)) / math.sqrt(p)
         atom_lower = (eps**2 / 2.0) * (eps**2 * p) ** -0.5
         atom_upper = 0.5 * (p / eps**2) ** -0.5
@@ -349,6 +350,8 @@ class NuModel:
             raise ValidationError("NuModel: eps and x must lie in (0, 1)")
         if self.m < 8:
             raise ValidationError("NuModel: grid resolution must be >= 8")
+        if self.factor >= 1.0:
+            raise ValidationError("NuModel: factor >= 1, choose a smaller x")
 
     @property
     def factor(self) -> float:
@@ -411,16 +414,14 @@ class NuEventReport:
     marginal_error: float
 
 
-def nu_event_ratio(model: NuModel, seed: int = 0, union_samples: int = 2000) -> NuEventReport:
+def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     """Worst normalized event deviation of nu over a scanned event family.
 
     The scan covers every anchored-interval pair (the extremizers), every
-    single-interval pair on a stride-8 subgrid, and a seeded random sample of
-    up-to-4-interval unions per side.  The worst ratio is asserted by the
-    caller to stay below the model factor plus grid slack.
+    single-interval pair on a stride-8 subgrid, and NU_UNION_SAMPLES seeded
+    random unions of up to 4 intervals per side.  The worst ratio is asserted
+    by the caller to stay below the model factor plus grid slack.
     """
-    if model.factor >= 1.0:
-        raise ValidationError("nu_event_ratio: factor >= 1, choose a smaller x")
     m = model.m
     cells = nu_cell_masses(model)
     marg_err = float(
@@ -462,7 +463,7 @@ def nu_event_ratio(model: NuModel, seed: int = 0, union_samples: int = 2000) -> 
         pts = np.sort(rng.integers(0, m + 1, size=2 * k))
         return [(int(pts[2 * t]), int(pts[2 * t + 1])) for t in range(k) if pts[2 * t] < pts[2 * t + 1]]
 
-    unions = [u for u in (random_union() for _ in range(union_samples)) if u]
+    unions = [u for u in (random_union() for _ in range(NU_UNION_SAMPLES)) if u]
     kept = []
     profiles = []
     lens_u = []

@@ -362,6 +362,8 @@ class ThreeLinesReport:
 
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValidationError("three_lines: each direction must be a finite 3-vector")
     n = np.linalg.norm(v)
     if n == 0:
         raise ValidationError("three_lines: zero vector does not define a line")

@@ -51,10 +51,8 @@ def _check_eps_matrix(eps) -> np.ndarray:
     return eps
 
 
-def gap_lower_bounds(eps, symmetric: bool = True) -> GapBoundReport:
+def gap_lower_bounds(eps) -> GapBoundReport:
     """Three nested spectral-gap lower bounds from pairwise correlation bounds."""
-    if not symmetric:
-        raise ValidationError("gap_lower_bounds: only the symmetric form is defined")
     e = _check_eps_matrix(eps)
     n = e.shape[0]
     off = e[~np.eye(n, dtype=bool)]

@@ -10,6 +10,10 @@ import json
 
 import numpy as np
 
+from .errors import ValidationError
+
+INDENT = 2  # spaces per nesting level of dumps
+
 
 def fmt17(x) -> str:
     x = float(x)
@@ -22,9 +26,9 @@ def fmt17(x) -> str:
     return f"{x:.17g}"
 
 
-def _dump(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad2 = " " * (indent * (level + 1))
+def _dump(obj, parts, level):
+    pad = " " * (INDENT * level)
+    pad2 = " " * (INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -33,7 +37,7 @@ def _dump(obj, parts, indent, level):
         keys = list(obj)
         for n, k in enumerate(keys):
             parts.append(pad2 + json.dumps(str(k)) + ": ")
-            _dump(obj[k], parts, indent, level + 1)
+            _dump(obj[k], parts, level + 1)
             parts.append(",\n" if n < len(keys) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -44,7 +48,7 @@ def _dump(obj, parts, indent, level):
         parts.append("[\n")
         for n, v in enumerate(seq):
             parts.append(pad2)
-            _dump(v, parts, indent, level + 1)
+            _dump(v, parts, level + 1)
             parts.append(",\n" if n < len(seq) - 1 else "\n")
         parts.append(pad + "]")
     elif isinstance(obj, bool) or obj is None:
@@ -57,19 +61,26 @@ def _dump(obj, parts, indent, level):
         parts.append(json.dumps(str(obj)))
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     parts: list[str] = []
-    _dump(obj, parts, indent, 0)
+    _dump(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 
 
 def parse_number(v) -> float:
     """Accept probabilities given either as doubles or as decimal strings."""
-    return float(v)
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{v!r} is not a number") from None
 
 
 def parse_matrix(rows):
+    """A list of equal-length rows of numbers as a 2-d float array."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows) \
+            or len({len(row) for row in rows}) > 1:
+        raise ValidationError("a matrix must be a list of equal-length rows of numbers")
     return np.array([[parse_number(v) for v in row] for row in rows], dtype=float)
 
 

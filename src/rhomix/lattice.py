@@ -24,6 +24,7 @@ from .tensor_bounds import LatticeKernel, TailModel, distance_bound, sublattice_
 
 ISING_EXACT_SITE_CAP = 16
 ISING_SUBJECTIVE_SITE_CAP = 10
+QUADRATIC_PROFILE_DISTANCES = (0, 1, 2, 4, 8)  # the distances of quadratic_rho_report's profile
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +50,8 @@ class QuadraticModel:
         flipped = g.values[(slice(None, None, -1),) * self.n]
         if np.abs(g.values - flipped).max() > 1e-12:
             raise ValidationError("QuadraticModel: gamma must be symmetric")
-        if self.beta <= 0:
-            raise ValidationError("QuadraticModel: beta must be > 0")
+        if not 0 < self.beta < math.inf:
+            raise ValidationError("QuadraticModel: beta must be finite and > 0")
 
     @property
     def Gamma(self) -> float:
@@ -101,7 +102,7 @@ class QuadraticRhoReport:
     sublattice: object
 
 
-def quadratic_rho_report(model: QuadraticModel, distances=(0, 1, 2, 4, 8)) -> QuadraticRhoReport:
+def quadratic_rho_report(model: QuadraticModel) -> QuadraticRhoReport:
     """Mixing report: off-center eps mass vs Gamma, distance and sublattice bounds."""
     cov = quadratic_covariance(model)
     k = cov.eps_kernel
@@ -111,7 +112,7 @@ def quadratic_rho_report(model: QuadraticModel, distances=(0, 1, 2, 4, 8)) -> Qu
     eps_sum = float(vals.sum()) + cov.truncation_mass / cov.a_inv_center
     if eps_sum > model.Gamma + 1e-9:
         raise ValidationError("quadratic_rho_report: eps mass exceeds Gamma")
-    profile = {d: distance_bound(k, d) for d in distances}
+    profile = {d: distance_bound(k, d) for d in QUADRATIC_PROFILE_DISTANCES}
     sub = sublattice_k(k) if vals.max() < 1 else None
     return QuadraticRhoReport(model.Gamma, eps_sum, model.Gamma < 1.0, profile, sub)
 
@@ -134,8 +135,8 @@ class IsingTorus:
     def __post_init__(self):
         if self.n < 1 or self.L < 2:
             raise ValidationError("IsingTorus: need n >= 1 and L >= 2")
-        if self.T <= 0:
-            raise ValidationError("IsingTorus: temperature must be > 0")
+        if not 0 < self.T < math.inf:
+            raise ValidationError("IsingTorus: temperature must be finite and > 0")
         if len(self.clamp_sites) != len(self.clamp_values):
             raise ValidationError("IsingTorus: clamp sites/values mismatch")
         if any(v not in (-1, 1) for v in self.clamp_values):
@@ -387,9 +388,11 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
     """
     if shape not in ("cube", "disk"):
         raise ValidationError("clt_experiment: shape must be 'cube' or 'disk'")
+    ells = tuple(int(l) for l in ells)
+    if min(ells, default=0) < 1 or replicas < 2:
+        raise ValidationError("clt_experiment: need block sizes ell >= 1 and replicas >= 2")
     rng = np.random.default_rng(seed)
     lam_grid = np.linspace(-3.0, 3.0, 61)
-    ells = tuple(int(l) for l in ells)
     dists = []
     sig2s = []
     if f is None:

@@ -22,6 +22,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ValidationError
 
 SUBLATTICE_SEARCH_CAP = 64
+SHELL_SUM_REL_TOL = 1e-15  # the geometric remainder that ends a tail sum, relative to the total
 
 
 def _check_unit_interval(arr, what: str) -> np.ndarray:
@@ -186,7 +187,7 @@ def _shell_count(n: int, d: int) -> int:
     return (2 * d + 1) ** n - (2 * d - 1) ** n
 
 
-def _sum_decreasing_shells(term, d0: int, ratio_bound, rel_tol: float = 1e-15) -> float:
+def _sum_decreasing_shells(term, d0: int, ratio_bound) -> float:
     """Upper bound on sum_{d >= d0} term(d) for terms with eventually geometric decay.
 
     ``ratio_bound(d)`` must bound term(d+1)/term(d) from above; once it drops
@@ -197,7 +198,7 @@ def _sum_decreasing_shells(term, d0: int, ratio_bound, rel_tol: float = 1e-15) -
     for _ in range(10_000_000):
         t = term(d)
         r = ratio_bound(d)
-        if r < 1.0 and t / (1.0 - r) <= rel_tol * max(total, 1e-300):
+        if r < 1.0 and t / (1.0 - r) <= SHELL_SUM_REL_TOL * max(total, 1e-300):
             total += t / (1.0 - r)
             return total
         total += t
@@ -280,8 +281,8 @@ def zn_bound(kernel: LatticeKernel) -> ZnBound:
 
 def distance_bound(kernel: LatticeKernel, d: float) -> float:
     """min(sum_{|z| >= d} eps(z), 1) with certified tail handling."""
-    if d < 0:
-        raise ValidationError("distance_bound: d must be >= 0")
+    if not 0 <= d < math.inf:
+        raise ValidationError("distance_bound: d must be finite and >= 0")
     offs = kernel.offsets()
     far = kernel.norm_of(offs) >= d
     window_sum = float(kernel.flat_values()[far].sum())

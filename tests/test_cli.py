@@ -285,3 +285,101 @@ class TestInProcessMain:
         assert cli.main(["tensor-bound", "simple", "--eps", "0.3"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["value"] == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    """Valid and malformed input files, keyed by the placeholder names used in argvs."""
+    system = {"variables": [{"name": f"X{k}", "size": 2} for k in range(3)], "joint_flat": [0.125] * 8}
+    files = {
+        "system": system,
+        "pair": {"labels_x": [0, 1], "labels_y": [0, 1], "joint": [[0.4, 0.1], [0.1, 0.4]]},
+        "matrix": {"entries": [[0.0, 0.2], [0.2, 0.0]]},
+        "kernel": {"n": 1, "R": 1, "values": {"(1)": 0.1, "(-1)": 0.1}},
+        "size_two": {"variables": [{"name": "a", "size": "two"}], "joint_flat": [0.5, 0.5]},
+        "short_flat": {"variables": [{"name": "a", "size": 3}, {"name": "b", "size": 2}],
+                       "joint_flat": [0.25] * 4},
+        "bad_key": {"n": 1, "R": 1, "values": {"(a)": 0.1}},
+        "far_key": {"n": 1, "R": 1, "values": {"(-3)": 0.1}},
+        "n_word": {"n": "one", "R": 1, "values": {"(1)": 0.1}},
+        "R_half": {"n": 1, "R": 1.5, "values": {"(1)": 0.1, "(-1)": 0.1}},
+        "tail_word": {"n": 1, "R": 1, "values": {"(1)": 0.1, "(-1)": 0.1}, "tail": "none"},
+        "labels_int": {"labels_x": 5, "labels_y": [0, 1], "joint": [[0.5, 0.5]]},
+    }
+    return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
+
+
+def _main(argv, input_files, capsys):
+    code = cli.main([a.format(**input_files) for a in argv])
+    return code, capsys.readouterr()
+
+
+class TestHandlerTable:
+    @pytest.mark.parametrize("argv, message", [
+        (["three-lines", "--u1", "1,0,0", "--u2", "0,1,0", "--u3", "0,2,0"], "pairwise non-collinear"),
+        (["three-lines", "--u1", "1,0,0", "--u2", "0,1,0", "--u3", "x"], "comma-separated numbers"),
+        (["three-lines", "--u1", "1,0", "--u2", "0,1,0", "--u3", "0,0,1"], "finite 3-vector"),
+        (["chogosov", "quantile", "--eps", "0.5", "--p", "2"], "p must lie in (0, 1)"),
+        (["chogosov", "cdf", "--eps", "0.5", "--p", "nan"], "p, q must lie in (0, 1)"),
+        (["chogosov", "lambda-check", "--eps", "0.5", "--p", "0"], "--p must lie in (0, 1)"),
+        (["chogosov", "lstar", "--eps", "0.5", "--p", "-1"], "p must be finite and > 0"),
+        (["chogosov", "sample", "--eps", "0.5", "--n", "0"], "--n must be >= 1"),
+        (["chogosov", "opnorm", "--eps", "0.5", "--m", "3"], "--m must be >= 256"),
+        (["maxcorr", "--system", "{system}", "--x", "X0", "--y", "Q"], "unknown variable 'Q'"),
+        (["maxcorr", "--system", "{system}", "--x", "X0", "--y", "X0"], "blocks overlap"),
+        (["subjective", "--system", "{system}", "--i", "X0", "--j", "X0"], "i and j must differ"),
+        (["subjective", "--system", "{system}", "--i", "X0", "--j", "Z"], "unknown variable 'Z'"),
+        (["event-bound", "nu", "--eps", "0.9", "--x", "0.5", "--m", "64"], "factor >= 1"),
+        (["event-bound", "nu"], "--eps is required"),
+        (["ising", "--L", "4", "--T", "nan"], "temperature must be finite and > 0"),
+        (["glauber-gap", "exact", "--system", "{size_two}"], "'size' must be an integer, got 'two'"),
+        (["glauber-gap", "exact", "--system", "{short_flat}"], "'joint_flat' must list as many numbers"),
+        (["tensor-bound", "zn", "--kernel", "{bad_key}"], "offset key '(a)' must be an integer"),
+        (["conv-inverse", "--kernel", "{bad_key}"], "offset key '(a)' must be an integer"),
+        (["conv-inverse", "--kernel", "{far_key}"], "offset key '(-3)' must have 1 coordinates within [-1, 1]"),
+        (["tensor-bound", "zn", "--kernel", "{n_word}"], "'n' must be an integer, got 'one'"),
+        (["quadratic", "--gamma", "{R_half}"], "'R' must be an integer, got 1.5"),
+        (["tensor-bound", "zn", "--kernel", "{tail_word}"], "'tail' must hold a JSON object"),
+        (["maxcorr", "--pair", "{labels_int}"], "'labels_x' must hold a JSON array"),
+        (["tensor-bound", "distance", "--kernel", "{kernel}", "--d", "nan"], "d must be finite and >= 0"),
+        (["clt", "--ells", "0"], "--ells must be integers >= 1"),
+        (["clt", "--replicas", "0"], "--replicas must be >= 2"),
+        (["clt", "--model", "ising", "--T", "nan"], "temperature must be finite and > 0"),
+        (["clt", "--ells", "a"], "comma-separated integers"),
+        (["quadratic", "--gamma", "{kernel}", "--beta", "nan"], "beta must be finite and > 0"),
+    ])
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):
+        code, captured = _main(argv + ["--dry-run"] * dry_run, input_files, capsys)
+        assert code == 2
+        assert captured.err.startswith("invariant violated: ") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["maxcorr", "--pair", "{pair}"],
+        ["subjective", "--system", "{system}", "--i", "X0", "--j", "X1"],
+        ["mixing", "--pair", "{pair}"],
+        ["tensor-bound", "nm", "--matrix", "{matrix}"],
+        ["event-bound", "extremes", "--pair", "{pair}"],
+        ["chogosov", "opnorm", "--eps", "0.5", "--m", "4096"],
+        ["glauber-gap", "exact", "--system", "{system}"],
+        ["glauber-sim", "--system", "{system}", "--horizon", "1e6"],
+        ["ising", "--L", "4", "--T", "2.0"],
+        ["quadratic", "--gamma", "{kernel}"],
+        ["conv-inverse", "--kernel", "{kernel}"],
+        ["clt", "--ells", "8,16", "--replicas", "100000"],
+        ["ou-chain", "--t", "1.0", "--K", "16"],
+        ["three-lines", "--u1", "1,0,0", "--u2", "0,1,0", "--u3", "0,0,1"],
+        ["verify-all"],
+    ])
+    def test_dry_run_prints_only_valid(self, argv, input_files, capsys):
+        code, captured = _main(argv + ["--dry-run"], input_files, capsys)
+        assert code == 0
+        assert captured.out == '{\n  "valid": true\n}\n'
+        assert captured.err == ""
+
+    def test_unknown_command_lists_the_table_in_order(self, capsys):
+        assert cli.main(["frobnicate"]) == 64
+        assert ("expected one of: maxcorr, subjective, mixing, tensor-bound, event-bound, chogosov, "
+                "glauber-gap, glauber-sim, ising, quadratic, conv-inverse, clt, ou-chain, three-lines, "
+                "verify-all\n") in capsys.readouterr().err
