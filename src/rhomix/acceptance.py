@@ -245,15 +245,15 @@ def check_06_chogosov() -> CheckResult:
         for p in (0.1, 0.5, 0.9):
             lam_dev = max(lam_dev, abs(events.lambda_integral_identity(md, p).value - lam))
     lstar = max(events.lstar_identity(events.ChogosovModel(e), [0.05, 0.3, 1.0]) for e in (0.2, 0.5, 0.8))
-    rep = events.chogosov_opnorm(events.ChogosovModel(0.5), m=4096)
+    rep = events.chogosov_opnorm(events.ChogosovModel(0.5), m=1 << 16)
     lam05 = events.lambda_fn(0.5)
-    opnorm_ok = 0.9 * lam05 <= rep.rho_hat <= lam05 * (1 + 1e-6)
+    opnorm_ok = 0.985 * lam05 <= rep.rho_hat <= lam05 * (1 + 1e-6)
     elapsed = time.perf_counter() - t0
     ok = ks < crit and lam_dev <= 1e-8 and lstar < 1e-12 and opnorm_ok and elapsed < 120.0
     return CheckResult(
         "06 chogosov suite", ok,
         f"KS {ks:.4f} < {crit:.4f}; lambda dev {lam_dev:.1e}; L* residual {lstar:.1e}; "
-        f"rho_hat {rep.rho_hat:.4f} in [{0.9 * lam05:.4f}, {lam05:.4f}]; {elapsed:.1f}s",
+        f"rho_hat {rep.rho_hat:.4f} in [{0.985 * lam05:.4f}, {lam05:.4f}]; {elapsed:.1f}s",
         elapsed,
     )
 

@@ -256,6 +256,7 @@ def _subjective(args):
 
 def _mixing(args):
     pair = _pair_from_file(args.pair)
+    discrete._check_event_scan(pair.joint.shape[0])
     return lambda: (_fields(discrete.mixing_coefficients(pair), "alpha", "beta", "mutual_information"), None)
 
 
@@ -290,14 +291,15 @@ def _event_bound(args):
     if args.kind == "density":
         value = discrete.density_bound(pair)  # a closed form: evaluating it checks the marginals
         return lambda: ({"value": value}, None)
+    discrete._check_event_scan(*pair.joint.shape)
     return lambda: (_fields(discrete.event_extremes(pair), "max_ratio", "witness_a", "witness_b"), None)
 
 
 def _chogosov(args):
     model = events.ChogosovModel(args.eps)
     if args.kind == "sample":
-        if args.n < 1:
-            raise ValidationError("chogosov sample: --n must be >= 1")
+        if not 1 <= args.n <= events.SAMPLE_CAP:
+            raise ValidationError(f"chogosov sample: --n must be >= 1 and <= cap {events.SAMPLE_CAP}")
 
         def run():
             cloud = events.chogosov_sample(model, args.n, args.seed)
@@ -307,8 +309,9 @@ def _chogosov(args):
             return {"n": args.n, "eps": args.eps, "seed": args.seed}, csv
         return run
     if args.kind == "opnorm":
-        if args.m < events.OPNORM_MIN_GRID:
-            raise ValidationError(f"chogosov opnorm: --m must be >= {events.OPNORM_MIN_GRID}")
+        if not events.OPNORM_MIN_GRID <= args.m <= events.OPNORM_MAX_GRID:
+            raise ValidationError(f"chogosov opnorm: --m must be >= {events.OPNORM_MIN_GRID} "
+                                  f"and <= cap {events.OPNORM_MAX_GRID}")
         return lambda: ({**_fields(events.chogosov_opnorm(model, args.m), "rho_hat", "rayleigh_quotient", "m"),
                          "lambda": events.lambda_fn(args.eps)}, None)
     if args.kind == "lambda-check":
@@ -331,6 +334,7 @@ def _chogosov(args):
 def _glauber_gap(args):
     if args.kind == "exact":
         sys_ = _system_from_file(_required(args, "system"))
+        glauber._check_gap_states(sys_)
         return lambda: ({"gap": glauber.exact_gap(sys_)}, None)
     if args.kind == "bounds":  # a closed form: evaluating it checks the matrix
         payload = _fields(glauber.gap_lower_bounds(_matrix_from_file(_required(args, "matrix"))),
@@ -359,6 +363,8 @@ def _glauber_sim(args):
 
 def _ising(args):
     torus = lattice.IsingTorus(args.n, args.L, args.T)
+    if args.method == "exact":
+        lattice._check_exact_sites(torus)
 
     def run():
         rep = lattice.ising_epsilon(torus, method=args.method, seed=args.seed)
@@ -391,11 +397,12 @@ def _quadratic(args):
 
 
 def _conv_inverse(args):
+    from .convdecay import _check_neumann, conv_inverse, decay_fit
+
     kern = _toeplitz_from_file(args.kernel)
+    _check_neumann(kern)
 
     def run():
-        from .convdecay import conv_inverse, decay_fit
-
         b = conv_inverse(kern)
         out_vals = {}
         if b.n == 1:

@@ -72,6 +72,14 @@ def _embed(values: np.ndarray, R_from: int, R_to: int, n: int) -> np.ndarray:
     return out
 
 
+def _check_neumann(a: ToeplitzKernel) -> float:
+    """||a||_1, which the Neumann series of conv_inverse needs below 1."""
+    s = a.l1_norm()
+    if s >= 1.0:
+        raise ValidationError(f"conv_inverse: ||a||_1 = {s!r} must be < 1")
+    return s
+
+
 def conv_inverse(a: ToeplitzKernel) -> ToeplitzKernel:
     """Neumann series B[a] on an auto-enlarged window.
 
@@ -79,9 +87,7 @@ def conv_inverse(a: ToeplitzKernel) -> ToeplitzKernel:
     the geometric tail ||a||_1^{K+1} / (1 - ||a||_1) of the truncated series
     is below 1e-12; the defining identity is then verified on the window.
     """
-    s = a.l1_norm()
-    if s >= 1.0:
-        raise ValidationError(f"conv_inverse: ||a||_1 = {s!r} must be < 1")
+    s = _check_neumann(a)
     if s == 0.0:
         return ToeplitzKernel(a.n, a.R, np.zeros_like(a.values))
     n_terms = max(1, int(math.ceil(math.log(SERIES_TOL * (1.0 - s)) / math.log(s))))

@@ -275,6 +275,12 @@ class EventExtremes:
     witness_b: tuple
 
 
+def _check_event_scan(*alphabets: int) -> None:
+    """Raise CapExceededError if an event scan would enumerate more than EVENT_SCAN_CAP states on a side."""
+    if max(alphabets) > EVENT_SCAN_CAP:
+        raise CapExceededError(f"event scan: alphabet of {max(alphabets)} states above cap {EVENT_SCAN_CAP}")
+
+
 def event_extremes(pair: FinitePair) -> EventExtremes:
     """Exhaustive scan of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]).
 
@@ -283,8 +289,7 @@ def event_extremes(pair: FinitePair) -> EventExtremes:
     EVENT_SCAN_CAP states per side.
     """
     n, m = pair.joint.shape
-    if n > EVENT_SCAN_CAP or m > EVENT_SCAN_CAP:
-        raise CapExceededError(f"event_extremes: alphabet above scan cap {EVENT_SCAN_CAP}")
+    _check_event_scan(n, m)
     joint = pair.joint / pair.joint.sum()
     px, py = joint.sum(axis=1), joint.sum(axis=0)
     vb = _masks(m)
@@ -345,8 +350,7 @@ def mixing_coefficients(pair: FinitePair) -> MixingReport:
     # alpha: for a fixed event A the optimal B collects the atoms where the
     # signed deviation is positive, so only the A side needs enumeration.
     n = joint.shape[0]
-    if n > EVENT_SCAN_CAP:
-        raise CapExceededError(f"mixing_coefficients: alphabet above scan cap {EVENT_SCAN_CAP}")
+    _check_event_scan(n)
     alpha = 0.0
     ua = _masks(n)[1 : max(1, 1 << (n - 1))]  # one of each complement pair, nonempty
     if len(ua):

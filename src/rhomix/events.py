@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 OPNORM_MIN_GRID = 256
+OPNORM_MAX_GRID = 1 << 22
+SAMPLE_CAP = 1 << 22  # chogosov_sample peaks at about 13 floats per sample
 NU_UNION_SAMPLES = 2000  # seeded random unions scanned by nu_event_ratio
 
 
@@ -187,6 +189,8 @@ def chogosov_sample(model: ChogosovModel, n: int, seed: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError("chogosov_sample: n must be >= 1")
+    if n > SAMPLE_CAP:
+        raise CapExceededError(f"chogosov_sample: n above cap {SAMPLE_CAP}")
     rng = np.random.default_rng(seed)
     ps = rng.uniform(size=n)
     ws = rng.uniform(size=n)
@@ -204,18 +208,42 @@ def curve_atom_fraction(model: ChogosovModel) -> float:
 # discretized transfer operator
 
 
-def transfer_matrix(model: ChogosovModel, m: int) -> np.ndarray:
-    """m x m cell transition matrix of the transfer operator.
+def transfer_matvec(model: ChogosovModel, m: int):
+    """The cell transfer operator T[i,j] = m mass(C_i x C_j) as an O(m) matvec.
 
-    T[i,j] = m * mass(C_i x C_j), assembled exactly from CDF differences so
-    the curve line-masses land in the cells containing them and every row
-    sums to exactly 1/m * m = 1 (uniform marginals).
+    With q_k = k/m and d_k = v_{k-1} - v_k (v_{-1} = v_m = 0), (Tv)_i =
+    m (y_{i+1} - y_i) for y_i = sum_k Z(q_i, q_k) d_k.  Along a row the CDF is
+    q below the border index a_i (q_k <= q_lower), p from b_i on (q_k >=
+    q_upper) and pq + eps s(p) s(q) between, s = sqrt(q(1-q)); so y needs the
+    prefix sums C of q d and S of s d, while that of d telescopes to -v.
+
+    ``apply(v)`` returns (Tv, beta), beta >= |fl(Tv) - Tv|_inf to first order
+    in the unit roundoff u.  Each term of C and S is formed with relative
+    error <= 5u and each step of a recursive prefix sum adds <= u |C_j|, so
+    every C_j is within u (|C|_1 + 5 |d|_1), and likewise S_j.  y_i weighs
+    them with coefficients of modulus <= 1 (eps s <= 1/2) and rounds a few
+    more times, within 10u (2|C|_inf + |S|_inf + 2|v|_inf); that also covers
+    a grid point within a few ulps of a zone border put on its wrong side,
+    where the two formulas for Z differ by O(u).  Hence beta = 2m e_y +
+    2u |Tv|_inf, e_y = u (|C|_1 + |S|_1 + 10 |d|_1 + 10 (2|C|_inf + |S|_inf + 2|v|_inf)).
     """
-    g = np.linspace(0.0, 1.0, m + 1)
-    P, Q = np.meshgrid(g, g, indexing="ij")
-    Z = chogosov_cdf(model, P, Q)
-    T = np.diff(np.diff(Z, axis=0), axis=1) * m
-    return 0.5 * (T + T.T)  # the law is exchangeable; symmetrize assembly noise
+    q = np.linspace(0.0, 1.0, m + 1)
+    s = np.sqrt(q * (1.0 - q))
+    a = np.searchsorted(q, model.q_lower(q), side="right")
+    b = np.searchsorted(q, model.q_upper(q), side="left")
+    unit = np.finfo(float).eps / 2
+
+    def apply(v):
+        vp = np.concatenate(([0.0], v, [0.0]))
+        d = vp[:-1] - vp[1:]
+        C, S = (np.concatenate(([0.0], np.cumsum(c * d))) for c in (q, s))
+        y = (1.0 - q) * C[a] + q * C[b] + model.eps * s * (S[b] - S[a]) + q * vp[b]
+        w = m * np.diff(y)
+        e_y = unit * (np.abs(C).sum() + np.abs(S).sum() + 10.0 * np.abs(d).sum()
+                      + 10.0 * (2.0 * np.abs(C).max() + np.abs(S).max() + 2.0 * np.abs(v).max()))
+        return w, float(2.0 * m * e_y + 2.0 * unit * np.abs(w).max())
+
+    return apply
 
 
 def truncated_quasi_eigenvector(m: int, eta: float) -> np.ndarray:
@@ -233,38 +261,48 @@ class OpnormReport:
     rayleigh_quotient: float  # of the truncated quasi-eigenvector
     m: int
     eta: float
-    iterations: int
+    iterations: int  # matvecs
 
 
-def chogosov_opnorm(model: ChogosovModel, m: int | None = None, iters: int = 400) -> OpnormReport:
-    """Spectral radius of the transfer operator restricted to mean-zero functions.
+def chogosov_opnorm(model: ChogosovModel, m: int | None = None) -> OpnormReport:
+    """Norm of the grid transfer operator on mean-zero functions, from below.
 
-    Power iteration on the symmetrized grid operator, warm-started at the
-    truncated quasi-eigenvector; rho_hat is the largest Rayleigh quotient
-    seen, hence a certified lower bound on the grid norm, which in turn never
-    exceeds the true operator norm Lambda(eps).
+    Implicitly restarted Lanczos (``eigsh``, largest magnitude) runs on the
+    O(m) matvec of ``transfer_matvec`` with the mean projected out before
+    and after each product, warm-started at the truncated quasi-eigenvector.
+    rho_hat is the Rayleigh quotient of the unit, mean-zero Ritz vector x less
+    its rounding bound |x|_1 beta + 4mu |Tx|_2 (the matvec's bound, then the
+    dot product's and the normalization's), so it is a certified lower bound
+    on the grid norm at any Lanczos tolerance; the grid norm in turn never
+    exceeds Lambda(eps).  rho_hat is at least |rayleigh_quotient|, that of
+    the quasi-eigenvector.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     m = model.m if m is None else int(m)
     if m < OPNORM_MIN_GRID:
         raise ValidationError(f"chogosov_opnorm: grid must have at least {OPNORM_MIN_GRID} cells")
-    T = transfer_matrix(model, m)
+    if m > OPNORM_MAX_GRID:
+        raise CapExceededError(f"chogosov_opnorm: grid above cap {OPNORM_MAX_GRID} cells")
+    apply = transfer_matvec(model, m)
     eta = 4.0 / m
     f = truncated_quasi_eigenvector(m, eta)
-    rq0 = float(f @ (T @ f) / (f @ f))
-    v = f.copy()
-    best = abs(rq0)
-    it = 0
-    for it in range(1, iters + 1):
-        v -= v.mean()
-        w = T @ v
-        w -= w.mean()
-        rq = float(v @ w / (v @ v))
-        best = max(best, abs(rq))
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            break
-        v = w / nrm
-    return OpnormReport(best, rq0, m, eta, it)
+    rq0 = float(f @ apply(f)[0] / (f @ f))
+    calls = 2  # the quasi-eigenvector's product and the Ritz vector's
+
+    def matvec(v):
+        nonlocal calls
+        calls += 1
+        w = apply(np.ravel(v) - np.mean(v))[0]
+        return w - w.mean()
+
+    _, vecs = eigsh(LinearOperator((m, m), matvec=matvec, dtype=float), k=1, which="LM", v0=f, tol=1e-12)
+    x = vecs[:, 0] - vecs[:, 0].mean()
+    x /= np.linalg.norm(x)
+    w, beta = apply(x)
+    rq = float(x @ w)
+    bound = np.abs(x).sum() * beta + 2.0 * m * np.finfo(float).eps * np.linalg.norm(w)
+    return OpnormReport(float(max(abs(rq) - bound, abs(rq0))), rq0, m, eta, calls)
 
 
 # ---------------------------------------------------------------------------

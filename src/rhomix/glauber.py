@@ -106,6 +106,12 @@ def _heat_bath(joint: np.ndarray):
     return apply
 
 
+def _check_gap_states(sys: FiniteSystem) -> None:
+    """Raise CapExceededError if exact_gap would run on more than EXACT_GAP_STATE_CAP states."""
+    if sys.joint.size > EXACT_GAP_STATE_CAP:
+        raise CapExceededError(f"exact_gap: state count above cap {EXACT_GAP_STATE_CAP}")
+
+
 def exact_gap(sys: FiniteSystem, return_vector: bool = False):
     """Smallest nonzero eigenvalue of the heat-bath Dirichlet operator, matrix-free.
 
@@ -116,10 +122,9 @@ def exact_gap(sys: FiniteSystem, return_vector: bool = False):
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
+    _check_gap_states(sys)
     joint = sys.joint
     total = joint.size
-    if total > EXACT_GAP_STATE_CAP:
-        raise CapExceededError(f"exact_gap: state count above cap {EXACT_GAP_STATE_CAP}")
     on = joint > 0
     # communicating classes: the least flat index reachable by one-site moves
     labels, prev = np.where(on, np.arange(total).reshape(joint.shape), total), None

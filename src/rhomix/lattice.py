@@ -172,11 +172,16 @@ class IsingTorus:
         return tuple((c + self.L // 2) % self.L - self.L // 2 for c in z)
 
 
+def _check_exact_sites(torus: IsingTorus) -> None:
+    """Raise CapExceededError if ising_exact cannot enumerate the torus."""
+    if torus.L**torus.n > ISING_EXACT_SITE_CAP:
+        raise CapExceededError(f"ising_exact: more than {ISING_EXACT_SITE_CAP} sites")
+
+
 def ising_exact(torus: IsingTorus) -> FiniteSystem:
     """Exact Gibbs law of a small torus as a FiniteSystem (state 0 is spin -1)."""
+    _check_exact_sites(torus)
     sites = torus.sites
-    if len(sites) > ISING_EXACT_SITE_CAP:
-        raise CapExceededError(f"ising_exact: more than {ISING_EXACT_SITE_CAP} sites")
     nsite = len(sites)
     site_pos = {s: k for k, s in enumerate(sites)}
     bonds = [(site_pos[a], site_pos[b]) for a, b in torus.bonds()]

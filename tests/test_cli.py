@@ -305,6 +305,10 @@ def input_files(tmp_path):
         "R_half": {"n": 1, "R": 1.5, "values": {"(1)": 0.1, "(-1)": 0.1}},
         "tail_word": {"n": 1, "R": 1, "values": {"(1)": 0.1, "(-1)": 0.1}, "tail": "none"},
         "labels_int": {"labels_x": 5, "labels_y": [0, 1], "joint": [[0.5, 0.5]]},
+        "big_system": {"variables": [{"name": f"X{k}", "size": 2} for k in range(13)],
+                       "joint_flat": [2.0**-13] * 2**13},
+        "wide_pair": {"labels_x": list(range(21)), "labels_y": [0, 1], "joint": [[1 / 42, 1 / 42]] * 21},
+        "heavy_kernel": {"n": 1, "R": 1, "values": {"(1)": 0.6, "(-1)": 0.6}},
     }
     return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
 
@@ -347,6 +351,13 @@ class TestHandlerTable:
         (["clt", "--model", "ising", "--T", "nan"], "temperature must be finite and > 0"),
         (["clt", "--ells", "a"], "comma-separated integers"),
         (["quadratic", "--gamma", "{kernel}", "--beta", "nan"], "beta must be finite and > 0"),
+        (["chogosov", "opnorm", "--eps", "0.5", "--m", "100000000"], "--m must be >= 256 and <= cap 4194304"),
+        (["chogosov", "sample", "--eps", "0.5", "--n", "1000000000000"], "--n must be >= 1 and <= cap 4194304"),
+        (["ising", "--n", "2", "--L", "5", "--T", "2"], "ising_exact: more than 16 sites"),
+        (["glauber-gap", "exact", "--system", "{big_system}"], "exact_gap: state count above cap 4096"),
+        (["event-bound", "extremes", "--pair", "{wide_pair}"], "alphabet of 21 states above cap 20"),
+        (["mixing", "--pair", "{wide_pair}"], "alphabet of 21 states above cap 20"),
+        (["conv-inverse", "--kernel", "{heavy_kernel}"], "||a||_1 = 1.2 must be < 1"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):

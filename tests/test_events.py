@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from rhomix import discrete, events
 from rhomix.discrete import FinitePair
-from rhomix.errors import ValidationError
+from rhomix.errors import CapExceededError, ValidationError
 from rhomix.events import ChogosovModel, NuModel
 
 
@@ -230,16 +230,59 @@ class TestChogosovLaw:
         assert np.array_equal(a, b)
 
 
+def transfer_matrix(model, m):
+    """Dense reference of the cell transfer operator: T[i,j] = m * mass(C_i x C_j)
+    from CDF differences on the (m+1)^2 grid, assembled in row blocks."""
+    g = np.linspace(0.0, 1.0, m + 1)
+    T = np.empty((m, m))
+    for i in range(0, m, 256):
+        T[i:i + 256] = np.diff(np.diff(events.chogosov_cdf(model, g[i:i + 257, None], g), axis=0), axis=1)
+    T *= m
+    return T
+
+
 class TestTransferOperator:
     def test_rows_are_stochastic(self):
-        T = events.transfer_matrix(ChogosovModel(0.5), 256)
+        T = transfer_matrix(ChogosovModel(0.5), 256)
         assert np.abs(T.sum(axis=1) - 1.0).max() < 1e-10
+        for eps in (0.2, 0.5, 0.8):
+            w, _ = events.transfer_matvec(ChogosovModel(eps), 1024)(np.ones(1024))
+            assert np.abs(w - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("m", [256, 1024, 4096])
+    def test_matvec_matches_dense_within_its_rounding_bound(self, m):
+        rng = np.random.default_rng(m)
+        quasi = events.truncated_quasi_eigenvector(m, 4.0 / m)
+        for eps in (0.2, 0.5, 0.8):
+            model = ChogosovModel(eps)
+            T, apply = transfer_matrix(model, m), events.transfer_matvec(model, m)
+            for x in (rng.standard_normal(m), quasi):
+                x = x / np.linalg.norm(x)
+                w, beta = apply(x)
+                err = T @ x - w
+                assert np.abs(err).max() <= min(1e-9, beta)
+                # the part of the bound chogosov_opnorm subtracts from a Rayleigh quotient
+                assert abs(x @ err) <= np.abs(x).sum() * beta
+
+    def test_opnorm_at_4096(self):
+        rep = events.chogosov_opnorm(ChogosovModel(0.5), 4096)
+        assert rep.rho_hat == pytest.approx(0.834017, abs=5e-7)
+        assert 0 < rep.iterations < rep.m
 
     def test_opnorm_below_lambda(self):
         for eps in (0.25, 0.5):
             rep = events.chogosov_opnorm(ChogosovModel(eps), 512)
             assert rep.rho_hat <= events.lambda_fn(eps) * (1 + 1e-6)
             assert rep.rayleigh_quotient <= rep.rho_hat + 1e-12
+
+    @given(st.floats(0.01, 0.99, exclude_min=True, exclude_max=True), st.integers(256, 8192))
+    @settings(max_examples=20, deadline=None)
+    def test_opnorm_bracketed_and_monotone_under_refinement(self, eps, m):
+        model = ChogosovModel(eps)
+        rep = events.chogosov_opnorm(model, m)
+        assert 0 <= rep.rho_hat <= events.lambda_fn(eps)
+        assert rep.rayleigh_quotient <= rep.rho_hat
+        assert events.chogosov_opnorm(model, 2 * m).rayleigh_quotient >= rep.rayleigh_quotient
 
     def test_small_eps_norm_vanishes(self):
         rep = events.chogosov_opnorm(ChogosovModel(0.02), 256)
@@ -254,6 +297,12 @@ class TestTransferOperator:
     def test_grid_floor(self):
         with pytest.raises(ValidationError):
             events.chogosov_opnorm(ChogosovModel(0.5), 128)
+
+    def test_size_caps(self):
+        with pytest.raises(CapExceededError, match=f"cap {events.OPNORM_MAX_GRID}"):
+            events.chogosov_opnorm(ChogosovModel(0.5), events.OPNORM_MAX_GRID + 1)
+        with pytest.raises(CapExceededError, match=f"cap {events.SAMPLE_CAP}"):
+            events.chogosov_sample(ChogosovModel(0.5), events.SAMPLE_CAP + 1)
 
 
 class TestIdentities:
