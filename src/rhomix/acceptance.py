@@ -480,27 +480,18 @@ def check_12_hypocoercive() -> CheckResult:
 def check_13_three_lines() -> CheckResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(13)
-    worst_spread = 0.0
-    consistent = True
-    count = 0
-    while count < 10_000:
-        u = rng.standard_normal((3, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        sines = [
-            np.linalg.norm(np.cross(u[a], u[b]))
-            for a, b in ((0, 1), (1, 2), (2, 0))
-        ]
-        if min(sines) < 1e-3:
-            continue
-        count += 1
-        rep = gaussian.three_lines(u[0], u[1], u[2])
-        worst_spread = max(worst_spread, max(rep.sine_ratios) - min(rep.sine_ratios))
-        r = rep.sine_ratios[0]
-        for geo, app in zip(rep.geometric, rep.apparent):
-            if r < 1 - 1e-12 and app > geo + 1e-12:
-                consistent = False
-            if r > 1 + 1e-12 and app < geo - 1e-12:
-                consistent = False
+    sin_g, sin_a = np.empty((0, 3)), np.empty((0, 3))
+    while len(sin_g) < 10_000:  # keep draws with every pairwise sine >= 1e-3, in draw order
+        u = rng.standard_normal((10_000 - len(sin_g), 3, 3))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        g, a = gaussian._line_sines(u)
+        keep = g.min(axis=1) >= 1e-3
+        sin_g, sin_a = np.concatenate([sin_g, g[keep]]), np.concatenate([sin_a, a[keep]])
+    ratios = sin_a / sin_g
+    worst_spread = float((ratios.max(axis=1) - ratios.min(axis=1)).max())
+    r = ratios[:, :1]
+    geo, app = np.arcsin(np.minimum(sin_g, 1.0)), np.arcsin(np.minimum(sin_a, 1.0))
+    consistent = not np.any(((r < 1 - 1e-12) & (app > geo + 1e-12)) | ((r > 1 + 1e-12) & (app < geo - 1e-12)))
     ok = worst_spread <= 1e-10 and consistent
     return CheckResult(
         "13 three lines", ok,

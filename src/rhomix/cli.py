@@ -346,8 +346,7 @@ def _glauber_gap(args):
 
 def _glauber_sim(args):
     sys_ = _system_from_file(args.system)
-    if not (args.horizon > 0 and math.isfinite(args.horizon)):
-        raise ValidationError("glauber-sim: --horizon must be finite and > 0")
+    glauber._check_horizon(len(sys_.variables), args.horizon)
     site = args.observable_site
     if not 0 <= site < len(sys_.variables):
         raise ValidationError(f"glauber-sim: --observable-site must lie in [0, {len(sys_.variables)})")
@@ -426,9 +425,7 @@ def _clt(args):
         model = lattice.QuadraticModel(gam.n, gam)
     else:
         model = "independent"
-    ells = _numbers(args.ells, int)
-    if min(ells, default=0) < 1 or args.replicas < 2:
-        raise ValidationError("clt: --ells must be integers >= 1 and --replicas must be >= 2")
+    ells = lattice._check_clt(model, _numbers(args.ells, int), args.replicas, args.shape)
 
     def run():
         rep = lattice.clt_experiment(model, ells, replicas=args.replicas, seed=args.seed, shape=args.shape)

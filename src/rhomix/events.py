@@ -22,6 +22,7 @@ OPNORM_MIN_GRID = 256
 OPNORM_MAX_GRID = 1 << 22
 SAMPLE_CAP = 1 << 22  # chogosov_sample peaks at about 13 floats per sample
 NU_UNION_SAMPLES = 2000  # seeded random unions scanned by nu_event_ratio
+NU_GRID_CAP = 768  # nu_event_ratio's interval scan grows like m^4
 
 
 def lambda_fn(eps: float) -> float:
@@ -388,6 +389,8 @@ class NuModel:
             raise ValidationError("NuModel: eps and x must lie in (0, 1)")
         if self.m < 8:
             raise ValidationError("NuModel: grid resolution must be >= 8")
+        if self.m > NU_GRID_CAP:
+            raise CapExceededError(f"NuModel: grid resolution above cap {NU_GRID_CAP}")
         if self.factor >= 1.0:
             raise ValidationError("NuModel: factor >= 1, choose a smaller x")
 

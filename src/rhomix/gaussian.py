@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IntegratorError, ValidationError
+from .errors import CapExceededError, IntegratorError, ValidationError
+
+OU_CHAIN_K_CAP = 512  # ou_chain_joint takes the exponential of a 4K x 4K matrix
 
 RANK_RTOL = 1e-10  # relative eigenvalue cutoff for dropping deterministic directions
 
@@ -215,6 +217,8 @@ class OUChainParams:
                 raise ValidationError(f"OUChainParams: {name} must be finite and strictly positive")
         if self.K < 3:
             raise ValidationError("OUChainParams: K must be >= 3")
+        if self.K > OU_CHAIN_K_CAP:
+            raise CapExceededError(f"OUChainParams: K above cap {OU_CHAIN_K_CAP}")
 
 
 @dataclass(frozen=True)
@@ -370,35 +374,38 @@ def _unit(v) -> np.ndarray:
     return v / n
 
 
+def _line_sines(U: np.ndarray) -> tuple:
+    """(sin_geometric, sin_apparent), each (k, 3), of k triples of unit directions U (k, 3, 3).
+
+    Column c is the angle seen from line c between the other two lines a, b:
+    the pairs (1, 2), (2, 0), (0, 1).  The geometric sine is |a x b|; the
+    apparent sine is |p_a x p_b| / (|p_a| |p_b|) for the projections p_a, p_b
+    of a, b onto the plane normal to line c.  Sines are taken from cross
+    products (stable near zero angle).  A collinear pair gives a zero
+    geometric sine, and its apparent sines may be nan.  Row dot products go
+    through matmul, which rounds like a 1-d ``x @ y`` and so like
+    ``np.linalg.norm`` of one vector.
+    """
+    dot = lambda x, y: (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+    norm = lambda v: np.sqrt(dot(v, v))
+    a, b = U[:, [1, 2, 0]], U[:, [2, 0, 1]]
+    pa = a - dot(a, U)[..., None] * U
+    pb = b - dot(b, U)[..., None] * U
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_a = norm(np.cross(pa, pb)) / (norm(pa) * norm(pb))
+    return norm(np.cross(a, b)), sin_a
+
+
 def three_lines(u1, u2, u3) -> ThreeLinesReport:
     """Geometric vs apparent angles of three distinct lines through the origin.
 
-    Sines are taken from cross products (stable near zero angle); the three
-    ratios sin(apparent)/sin(geometric) agree to 1e-10 and therefore so do
-    the relative orders, which is asserted.
+    The three ratios sin(apparent)/sin(geometric) agree to 1e-10 and
+    therefore so do the relative orders, which is asserted.
     """
-    us = [_unit(u1), _unit(u2), _unit(u3)]
-
-    def sin_geometric(a, b):
-        return float(np.linalg.norm(np.cross(us[a], us[b])))
-
-    def sin_apparent(a, b, v):
-        pa = us[a] - (us[a] @ us[v]) * us[v]
-        pb = us[b] - (us[b] @ us[v]) * us[v]
-        na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
-        if na < 1e-12 or nb < 1e-12:
-            raise ValidationError("three_lines: lines must be pairwise non-collinear")
-        return float(np.linalg.norm(np.cross(pa, pb)) / (na * nb))
-
-    pairs = [(1, 2, 0), (2, 0, 1), (0, 1, 2)]  # (A from L1), (B from L2), (Om from L3)
-    sins_g = []
-    sins_a = []
-    for a, b, v in pairs:
-        sg = sin_geometric(a, b)
-        if sg < 1e-12:
-            raise ValidationError("three_lines: lines must be pairwise non-collinear")
-        sins_g.append(sg)
-        sins_a.append(sin_apparent(a, b, v))
+    sin_g, sin_a = _line_sines(np.array([[_unit(u1), _unit(u2), _unit(u3)]]))
+    if sin_g.min() < 1e-12:
+        raise ValidationError("three_lines: lines must be pairwise non-collinear")
+    sins_g, sins_a = sin_g[0].tolist(), sin_a[0].tolist()
     ratios = tuple(sa / sg for sa, sg in zip(sins_a, sins_g))
     if max(ratios) - min(ratios) > 1e-10:
         raise ValidationError("three_lines: sine-ratio identity violated beyond 1e-10")

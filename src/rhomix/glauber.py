@@ -17,9 +17,10 @@ import numpy as np
 
 from .discrete import FiniteSystem
 from .errors import CapExceededError, ValidationError
-from .tensor_bounds import LatticeKernel, _class_sums, SUBLATTICE_SEARCH_CAP
+from .tensor_bounds import LatticeKernel, sublattice_k
 
 EXACT_GAP_STATE_CAP = 1 << 12
+SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,15 @@ def _fit_rate(c: np.ndarray, dt: float) -> tuple:
     return -slope, tau_rel
 
 
+def _check_horizon(nsites: int, horizon: float) -> None:
+    """Raise unless horizon is finite and > 0 with N * horizon <= SIM_EVENT_CAP expected rings."""
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValidationError("heat-bath simulator: horizon must be finite and > 0")
+    if nsites * horizon > SIM_EVENT_CAP:
+        raise CapExceededError(f"heat-bath simulator: N * horizon = {nsites * horizon:.6g} "
+                               f"expected events above cap {SIM_EVENT_CAP}")
+
+
 def glauber_simulate(
     sys: FiniteSystem,
     horizon: float,
@@ -238,10 +248,9 @@ def glauber_simulate(
     every ``sample_dt`` (default 0.25 / N) on [0, horizon].  The trajectory
     is deterministic per seed.
     """
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValidationError("glauber_simulate: horizon must be finite and > 0")
     sizes = [s for _, s in sys.variables]
     nsites = len(sizes)
+    _check_horizon(nsites, horizon)
     strides = [math.prod(sizes[i + 1:]) for i in range(nsites)]
     if observable is None:
         observable = lambda s: float(s[0])
@@ -306,8 +315,7 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
     """
     from .lattice import ising_mcmc_samples
 
-    if horizon <= 0:
-        raise ValidationError("glauber_simulate_ising: horizon must be > 0")
+    _check_horizon(torus.L**torus.n, horizon)
     rng = np.random.default_rng(seed)
     state = ising_mcmc_samples(torus, sweeps=1, thin=1, seed=seed, burn=burn_sweeps)[-1]
     neigh = torus.neighbour_table()
@@ -369,30 +377,17 @@ class SublatticeGap:
 def sublattice_gap(kernel: LatticeKernel) -> SublatticeGap:
     """Positive gap bound ||M||^-2 (1 - zeta)^2 via sublattice block dynamics.
 
-    Picks the smallest spacing ell whose congruence-class sums are all < 1;
-    zeta is the class sum of the zero class (the ell Z^n tail of the kernel)
+    Takes sublattice_k's spacing ell, the smallest whose congruence-class
+    sums are all < 1; zeta is the class sum of the zero class (the ell Z^n tail of the kernel)
     and M is the triangular-inverse matrix of the block system.
     """
-    offs = kernel.offsets()
-    nonzero = ~np.all(offs == 0, axis=1)
-    vals = kernel.flat_values()
-    if vals[nonzero].size and vals[nonzero].max() >= 1.0:
-        raise ValidationError("sublattice_gap: requires eps(z) < 1 for z != 0")
-    for ell in range(1, SUBLATTICE_SEARCH_CAP + 1):
-        sums = _class_sums(kernel, ell)
-        if sums.max() < 1.0:
-            zeta = float(sums[(0,) * kernel.n])
-            n_cls = sums.size
-            shape = (ell,) * kernel.n
-            eps_block = np.zeros((n_cls, n_cls))
-            for u in range(n_cls):
-                zu = np.array(np.unravel_index(u, shape))
-                for v in range(n_cls):
-                    if u == v:
-                        continue
-                    zv = np.array(np.unravel_index(v, shape))
-                    eps_block[u, v] = sums[tuple((zv - zu) % ell)]
-            report = gap_lower_bounds(eps_block)
-            value = report.bound_M * (1.0 - zeta) ** 2
-            return SublatticeGap(float(value), ell, zeta, float(report.bound_M ** -0.5))
-    raise ValidationError(f"sublattice_gap: no spacing ell <= {SUBLATTICE_SEARCH_CAP} works")
+    sub = sublattice_k(kernel)
+    sums, ell = sub.class_sums, sub.ell
+    zeta = float(sums[(0,) * kernel.n])
+    # eps_block[u, v] = sums[(z_v - z_u) mod ell] over the flattened classes;
+    # gap_lower_bounds sets the diagonal to 0
+    z = np.indices(sums.shape).reshape(kernel.n, -1)
+    eps_block = sums[tuple((z[:, None, :] - z[:, :, None]) % ell)]
+    report = gap_lower_bounds(eps_block)
+    value = report.bound_M * (1.0 - zeta) ** 2
+    return SublatticeGap(float(value), ell, zeta, float(report.bound_M ** -0.5))

@@ -22,9 +22,11 @@ from .discrete import FinitePair, FiniteSystem
 from .errors import CapExceededError, ValidationError
 from .tensor_bounds import LatticeKernel, TailModel, distance_bound, sublattice_k
 
+ISING_SITE_CAP = 1 << 16  # sites of any IsingTorus; its site list and MCMC state grow like L^n
 ISING_EXACT_SITE_CAP = 16
 ISING_SUBJECTIVE_SITE_CAP = 10
 QUADRATIC_PROFILE_DISTANCES = (0, 1, 2, 4, 8)  # the distances of quadratic_rho_report's profile
+CLT_SAMPLE_CAP = 1 << 24  # clt_experiment's replicas x widest sampled row
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +137,9 @@ class IsingTorus:
     def __post_init__(self):
         if self.n < 1 or self.L < 2:
             raise ValidationError("IsingTorus: need n >= 1 and L >= 2")
+        # with L >= 2 a torus has at least 2^n sites, so a large n is rejected before L**n is formed
+        if self.n >= ISING_SITE_CAP.bit_length() or self.L**self.n > ISING_SITE_CAP:
+            raise CapExceededError(f"IsingTorus: more than {ISING_SITE_CAP} sites")
         if not 0 < self.T < math.inf:
             raise ValidationError("IsingTorus: temperature must be finite and > 0")
         if len(self.clamp_sites) != len(self.clamp_values):
@@ -380,6 +385,30 @@ def _cf_distance(values: np.ndarray, sigma2: float, lam_grid: np.ndarray) -> flo
     return float(np.abs(phi - target).max())
 
 
+def _ring_length(model, ell: int) -> int:
+    """Sites of the ring a chain model is sampled on for blocks of ell sites; the
+    buffer makes the window indistinguishable from the infinite chain."""
+    if isinstance(model, IsingTorus):
+        return ell + 64
+    return max(4 * ell, 4 * (model.gamma.R + 1))
+
+
+def _check_clt(model, ells, replicas: int, shape: str = "cube", dim: int = 1) -> tuple:
+    """The block sizes of a clt_experiment as ints, once its sizes are checked:
+    ell >= 1, replicas >= 2 and at most CLT_SAMPLE_CAP sampled values."""
+    ells = tuple(int(l) for l in ells)
+    if min(ells, default=0) < 1 or replicas < 2:
+        raise ValidationError("clt: --ells must be integers >= 1 and --replicas must be >= 2")
+    ell = max(ells)
+    if isinstance(model, (IsingTorus, QuadraticModel)):
+        width = _ring_length(model, ell)
+    else:
+        width = (2 * ell + 1) ** dim if shape == "disk" else ell**dim
+    if replicas * width > CLT_SAMPLE_CAP:
+        raise CapExceededError(f"clt: {replicas} replicas x {width} sampled sites above cap {CLT_SAMPLE_CAP}")
+    return ells
+
+
 def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
                    shape: str = "cube", dim: int = 1) -> CLTReport:
     """Block sums F(l) = sum f(X_i) / sqrt(#block) against their Gaussian limit.
@@ -393,9 +422,7 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
     """
     if shape not in ("cube", "disk"):
         raise ValidationError("clt_experiment: shape must be 'cube' or 'disk'")
-    ells = tuple(int(l) for l in ells)
-    if min(ells, default=0) < 1 or replicas < 2:
-        raise ValidationError("clt_experiment: need block sizes ell >= 1 and replicas >= 2")
+    ells = _check_clt(model, ells, replicas, shape, dim)
     rng = np.random.default_rng(seed)
     lam_grid = np.linspace(-3.0, 3.0, 61)
     dists = []
@@ -406,13 +433,13 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
         if isinstance(model, IsingTorus):
             if model.n != 1:
                 raise ValidationError("clt_experiment: only 1-d Ising tori are supported")
-            Lbig = ell + 64  # buffer makes the window indistinguishable from the infinite chain
+            Lbig = _ring_length(model, ell)
             spins = sample_ising_ring(Lbig, model.T, replicas, seed=int(rng.integers(2**63)))
             block = f(spins[:, :ell]).sum(axis=1) / math.sqrt(ell)
         elif isinstance(model, QuadraticModel):
             if model.n != 1:
                 raise ValidationError("clt_experiment: only 1-d quadratic models are supported")
-            Lbig = max(4 * ell, 4 * (model.gamma.R + 1))
+            Lbig = _ring_length(model, ell)
             cov_kernel = quadratic_covariance(model).a_inv
             # periodized covariance: circulant embedding of a_inv / beta
             col = np.zeros(Lbig)

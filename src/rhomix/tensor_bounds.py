@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 
@@ -337,49 +335,23 @@ def sublattice_k(kernel: LatticeKernel) -> SublatticeK:
 # Perron-Frobenius certificate
 
 
-def _power_iteration_rho(A: np.ndarray, tol: float = 1e-13, iters: int = 200_000) -> float:
-    """Spectral radius of an irreducible nonnegative matrix by power iteration.
-
-    A unit diagonal shift makes the matrix primitive so the Collatz-Wielandt
-    sandwich min (Bv)_i/v_i <= rho(B) <= max (Bv)_i/v_i closes.
-    """
-    n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0])
-    B = A + np.eye(n)
-    v = np.full(n, 1.0)
-    lo, hi = 0.0, np.inf
-    for _ in range(iters):
-        w = B @ v
-        r = w / v
-        lo, hi = float(r.min()), float(r.max())
-        if hi - lo <= tol * max(hi, 1.0):
-            break
-        v = w / w.max()
-    return 0.5 * (lo + hi) - 1.0
-
-
 def pf_certificate(A, delta: float = 1e-9) -> tuple:
     """Spectral radius of a nonnegative matrix plus a positivity certificate.
 
     Returns (rho, u) with u > 0 and A u <= (rho + delta) u entrywise, which
     certifies the characterization rho = inf{lambda : exists u > 0, Au <= lambda u}.
-    The radius is computed by power iteration on each strongly connected
-    component (deflation for reducible matrices).
+    The radius is max |eigvals(A)| (0 for a 0x0 matrix), reducible or not;
+    the certificate solve and its slack check below are the gate on it.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("pf_certificate: A must be square")
-    if A.size and A.min() < 0:
-        raise ValidationError("pf_certificate: A must be entrywise nonnegative")
+    if A.size and not (np.isfinite(A).all() and A.min() >= 0):
+        raise ValidationError("pf_certificate: A must be entrywise finite and nonnegative")
     if delta <= 0:
         raise ValidationError("pf_certificate: delta must be > 0")
     n = A.shape[0]
-    ncomp, labels = connected_components(sp.csr_matrix(A > 0), directed=True, connection="strong")
-    rho = 0.0
-    for c in range(ncomp):
-        idx = np.flatnonzero(labels == c)
-        rho = max(rho, _power_iteration_rho(A[np.ix_(idx, idx)]))
+    rho = float(np.abs(np.linalg.eigvals(A)).max()) if n else 0.0
     # u = sum_k (A/(rho+delta))^k 1 = (I - A/(rho+delta))^-1 1, which gives
     # A u = (rho+delta)(u - 1) <= (rho+delta) u with u >= 1 entrywise
     M = A / (rho + delta)

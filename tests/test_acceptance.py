@@ -30,3 +30,18 @@ def test_check_12_pins_contraction_law(monkeypatch, law_factor, passes):
     monkeypatch.setattr(acceptance.gaussian, "ou_chain_joint", fake_joint)
     result = acceptance.check_12_hypocoercive()
     assert result.passed == passes, result.detail
+
+
+def test_check_13_reports_a_broken_identity(monkeypatch):
+    # the middle apparent-sine column off by 1e-9 of its geometric sine moves
+    # every sine ratio spread to 1e-9: the check must fail and say so, not raise
+    line_sines = acceptance.gaussian._line_sines
+
+    def broken(U):
+        sin_g, sin_a = line_sines(U)
+        return sin_g, sin_a + [0.0, 1e-9, 0.0] * sin_g
+
+    monkeypatch.setattr(acceptance.gaussian, "_line_sines", broken)
+    result = acceptance.check_13_three_lines()
+    assert not result.passed
+    assert "worst sine-ratio spread 1.00e-09" in result.detail

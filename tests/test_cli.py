@@ -358,6 +358,13 @@ class TestHandlerTable:
         (["event-bound", "extremes", "--pair", "{wide_pair}"], "alphabet of 21 states above cap 20"),
         (["mixing", "--pair", "{wide_pair}"], "alphabet of 21 states above cap 20"),
         (["conv-inverse", "--kernel", "{heavy_kernel}"], "||a||_1 = 1.2 must be < 1"),
+        (["event-bound", "nu", "--eps", "0.5", "--m", "100000000000"], "grid resolution above cap 768"),
+        (["ou-chain", "--K", "100000000000"], "K above cap 512"),
+        (["clt", "--model", "independent", "--ells", "10000000000000", "--replicas", "10"],
+         "10 replicas x 10000000000000 sampled sites above cap 16777216"),
+        (["glauber-sim", "--system", "{system}", "--horizon", "1e15"], "expected events above cap 4194304"),
+        (["glauber-sim", "--system", "{system}", "--horizon", "1e300"], "expected events above cap 4194304"),
+        (["ising", "--method", "mcmc", "--n", "3", "--L", "100000", "--T", "2"], "more than 65536 sites"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):

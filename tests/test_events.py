@@ -379,6 +379,11 @@ class TestNuMeasure:
         with pytest.raises(ValidationError):
             events.nu_event_ratio(NuModel(0.9, 0.5, 64))
 
+    def test_grid_cap(self):
+        assert NuModel(0.5, 0.02, events.NU_GRID_CAP).m == events.NU_GRID_CAP
+        with pytest.raises(CapExceededError, match="grid resolution above cap"):
+            NuModel(0.5, 0.02, events.NU_GRID_CAP + 1)
+
     def test_mu_star_rectangle_bound(self):
         rng = np.random.default_rng(2)
         for _ in range(200):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rhomix import gaussian, tensor_bounds
 from rhomix.errors import ValidationError
-from rhomix.gaussian import GaussianSystem, OUChainParams
+from rhomix.gaussian import GaussianSystem, OUChainParams, ThreeLinesReport
 
 
 def random_psd(rng, n, labels=None):
@@ -200,12 +201,49 @@ class TestOUChain:
     def test_param_validation(self):
         with pytest.raises(ValidationError):
             OUChainParams(K=2)
+        assert OUChainParams(K=gaussian.OU_CHAIN_K_CAP).K == gaussian.OU_CHAIN_K_CAP
+        with pytest.raises(ValidationError, match="K above cap"):
+            OUChainParams(K=gaussian.OU_CHAIN_K_CAP + 1)
         with pytest.raises(ValidationError):
             OUChainParams(t=-1.0)
         for name in ("m", "omega", "c", "T", "lam", "t"):
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValidationError, match=f"{name} must be finite"):
                     OUChainParams(**{name: bad})
+
+
+def scalar_three_lines(u1, u2, u3):
+    """Reference: three_lines one pair at a time, as (report, sines_geometric, sines_apparent)."""
+    us = [gaussian._unit(u1), gaussian._unit(u2), gaussian._unit(u3)]
+
+    def sin_geometric(a, b):
+        return float(np.linalg.norm(np.cross(us[a], us[b])))
+
+    def sin_apparent(a, b, v):
+        pa = us[a] - (us[a] @ us[v]) * us[v]
+        pb = us[b] - (us[b] @ us[v]) * us[v]
+        na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
+        if na < 1e-12 or nb < 1e-12:
+            raise ValidationError("three_lines: lines must be pairwise non-collinear")
+        return float(np.linalg.norm(np.cross(pa, pb)) / (na * nb))
+
+    pairs = [(1, 2, 0), (2, 0, 1), (0, 1, 2)]  # (A from L1), (B from L2), (Om from L3)
+    sins_g = []
+    sins_a = []
+    for a, b, v in pairs:
+        sg = sin_geometric(a, b)
+        if sg < 1e-12:
+            raise ValidationError("three_lines: lines must be pairwise non-collinear")
+        sins_g.append(sg)
+        sins_a.append(sin_apparent(a, b, v))
+    ratios = tuple(sa / sg for sa, sg in zip(sins_a, sins_g))
+    if max(ratios) - min(ratios) > 1e-10:
+        raise ValidationError("three_lines: sine-ratio identity violated beyond 1e-10")
+    geo = tuple(math.asin(min(s, 1.0)) for s in sins_g)
+    app = tuple(math.asin(min(s, 1.0)) for s in sins_a)
+    r = ratios[0]
+    order = "equal" if abs(r - 1.0) <= 1e-12 else ("apparent<geometric" if r < 1 else "apparent>geometric")
+    return ThreeLinesReport(geo, app, ratios, order), sins_g, sins_a
 
 
 class TestThreeLines:
@@ -243,3 +281,40 @@ class TestThreeLines:
     def test_collinear_error(self):
         with pytest.raises(ValidationError):
             gaussian.three_lines([1, 0, 0], [1, 0, 0], [0, 0, 1])
+
+    def test_kernel_and_wrapper_match_the_scalar_reference(self):
+        raw = np.random.default_rng(31).standard_normal((10_000, 3, 3))
+        sin_g, sin_a = gaussian._line_sines(np.array([[gaussian._unit(v) for v in u] for u in raw]))
+        assert sin_g.shape == sin_a.shape == (10_000, 3)
+        for k, u in enumerate(raw):
+            ref, ref_g, ref_a = scalar_three_lines(*u)
+            assert np.abs(sin_g[k] - ref_g).max() <= 1e-14
+            assert np.abs(sin_a[k] - ref_a).max() <= 1e-14
+            if k < 1000:
+                rep = gaussian.three_lines(*u)
+                assert np.abs(np.subtract(rep.sine_ratios, ref.sine_ratios)).max() <= 1e-14
+                # asin magnifies a sine's rounding near pi/2, so the angles are compared by their sines
+                for field in ("geometric", "apparent"):
+                    assert np.abs(np.sin(getattr(rep, field)) - np.sin(getattr(ref, field))).max() <= 1e-14
+                assert rep.order == ref.order
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           st.permutations([0, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_rotation_invariant_and_permutation_equivariant(self, entries, quaternion, perm):
+        U = np.array(entries).reshape(1, 3, 3)
+        q = np.array(quaternion)
+        assume(np.linalg.norm(U, axis=-1).min() > 1e-3 and np.linalg.norm(q) > 1e-3)
+        U = U / np.linalg.norm(U, axis=-1, keepdims=True)
+        sin_g, sin_a = gaussian._line_sines(U)
+        assume(sin_g.min() > 1e-3)
+        w, x, y, z = q / np.linalg.norm(q)
+        R = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                      [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                      [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+        rot_g, rot_a = gaussian._line_sines(U @ R.T)
+        assert np.abs(rot_g - sin_g).max() <= 1e-12 and np.abs(rot_a - sin_a).max() <= 1e-12
+        perm_g, perm_a = gaussian._line_sines(U[:, perm])
+        assert np.abs(perm_g - sin_g[:, perm]).max() <= 1e-12
+        assert np.abs(perm_a - sin_a[:, perm]).max() <= 1e-12

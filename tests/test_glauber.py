@@ -7,7 +7,7 @@ from scipy.stats import chi2
 from rhomix import discrete, glauber
 from rhomix.discrete import FiniteSystem
 from rhomix.errors import CapExceededError, ValidationError
-from rhomix.tensor_bounds import LatticeKernel
+from rhomix.tensor_bounds import LatticeKernel, TailModel, sublattice_k
 
 
 def spin_system(joint):
@@ -210,6 +210,18 @@ class TestExactGap:
 
 
 class TestSimulator:
+    @pytest.mark.parametrize("horizon, message", [
+        (math.nan, "horizon must be finite"), (-1.0, "horizon must be finite"),
+        (2.0**22, "expected events above cap"),  # 2 sites x 2^22 rings
+    ])
+    def test_both_simulators_reject_bad_horizons(self, horizon, message):
+        from rhomix.lattice import IsingTorus
+
+        with pytest.raises(ValidationError, match=message):
+            glauber.glauber_simulate(spin_system(np.full((2, 2), 0.25)), horizon)
+        with pytest.raises(ValidationError, match=message):
+            glauber.glauber_simulate_ising(IsingTorus(1, 2, 2.0), horizon)
+
     def test_single_spin_rate_one(self):
         joint = np.full((2, 2), 0.25)
         sys = spin_system(joint)
@@ -298,7 +310,36 @@ class TestSimulator:
         assert np.abs(replayed - sim.autocorr).max() <= 1e-12
 
 
+def double_loop_eps_block(sums, ell):
+    """Reference: the block matrix of the ell^n classes filled entry by entry,
+    eps_block[u, v] = sums[(z_v - z_u) mod ell] off the diagonal."""
+    n_cls = sums.size
+    eps_block = np.zeros((n_cls, n_cls))
+    for u in range(n_cls):
+        zu = np.array(np.unravel_index(u, sums.shape))
+        for v in range(n_cls):
+            if u != v:
+                zv = np.array(np.unravel_index(v, sums.shape))
+                eps_block[u, v] = sums[tuple((zv - zu) % ell)]
+    return eps_block
+
+
 class TestSublatticeGap:
+    @pytest.mark.parametrize("kernel", [
+        LatticeKernel.from_dict(1, 1, {1: 0.6}),
+        LatticeKernel.from_dict(2, 1, {(1, 0): 0.25, (0, 1): 0.2, (1, 1): 0.1, (1, -1): 0.05},
+                                tail=TailModel("mass", total=0.05)),
+        LatticeKernel.from_dict(2, 2, {(1, 0): 0.3, (0, 1): 0.3, (2, 0): 0.1, (1, 1): 0.05}, norm="l2",
+                                tail=TailModel("exponential", C=0.05, psi=2.0)),
+    ])
+    def test_matches_the_double_loop_block(self, kernel):
+        sub = sublattice_k(kernel)
+        zeta = float(sub.class_sums[(0,) * kernel.n])
+        bound_M = glauber.gap_lower_bounds(double_loop_eps_block(sub.class_sums, sub.ell)).bound_M
+        rep = glauber.sublattice_gap(kernel)
+        assert (rep.value, rep.ell, rep.zeta, rep.norm_M) == (bound_M * (1 - zeta) ** 2, sub.ell, zeta, bound_M**-0.5)
+        assert sub.class_sums.size >= 3  # a block matrix with off-diagonal entries
+
     def test_zero_kernel(self):
         k = LatticeKernel.from_dict(1, 1, {1: 0.0})
         rep = glauber.sublattice_gap(k)

@@ -202,6 +202,25 @@ class TestCLT:
         assert rep.cf_distances[1] < rep.cf_distances[0]
         assert rep.sigma_hat2 == pytest.approx(rep.sigma2_limit, rel=0.06)
 
+    def test_sample_cap(self):
+        cap = lattice.CLT_SAMPLE_CAP
+        assert lattice._check_clt("independent", [cap // 4], 4) == (cap // 4,)
+        assert lattice._check_clt(IsingTorus(1, 8, 3.0), (8, cap // 2 - 64), 2) == (8, cap // 2 - 64)
+        for model, ells, replicas in [("independent", (cap // 4 + 1,), 4),
+                                      (IsingTorus(1, 8, 3.0), (cap // 2 - 63,), 2),
+                                      (nn_model(0.2), (cap // 8 + 1,), 2),
+                                      ("independent", (10, 10**13), 10)]:
+            with pytest.raises(CapExceededError, match="sampled sites above cap"):
+                lattice.clt_experiment(model, ells, replicas)
+
+
+class TestSiteCap:
+    def test_torus_site_cap(self):
+        assert IsingTorus(2, 256, 2.0).L ** 2 == lattice.ISING_SITE_CAP
+        for n, L in [(1, lattice.ISING_SITE_CAP + 1), (17, 2), (3, 100_000), (10**9, 3)]:
+            with pytest.raises(CapExceededError, match="more than 65536 sites"):
+                IsingTorus(n, L, 2.0)
+
 
 class TestPhaseProductBound:
     def _paired_system(self, gamma, blocks=2):

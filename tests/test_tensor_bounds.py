@@ -263,6 +263,23 @@ class TestPFCertificate:
         rho, u = tb.pf_certificate(np.array([[0.7]]))
         assert rho == pytest.approx(0.7, abs=1e-12)
 
+    def test_six_cycle(self):
+        # irreducible but periodic: every eigenvalue has modulus 1
+        A = np.roll(np.eye(6), 1, axis=1)
+        rho, u = tb.pf_certificate(A, delta=1e-9)
+        assert rho == pytest.approx(1.0, abs=1e-12)
+        assert (u > 0).all()
+        assert (A @ u <= (rho + 1e-9) * u).all()
+
+    def test_empty_matrix(self):
+        rho, u = tb.pf_certificate(np.zeros((0, 0)))
+        assert rho == 0.0 and u.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_entries(self, bad):
+        with pytest.raises(ValidationError, match="entrywise finite and nonnegative"):
+            tb.pf_certificate(np.array([[bad, 0.5], [0.5, 0.1]]))
+
     def test_random_matches_eigen_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
