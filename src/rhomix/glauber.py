@@ -17,10 +17,14 @@ import numpy as np
 
 from .discrete import FiniteSystem
 from .errors import CapExceededError, ValidationError
+from .lattice import _heat_bath_updater, ising_mcmc_samples
 from .tensor_bounds import LatticeKernel, sublattice_k
 
 EXACT_GAP_STATE_CAP = 1 << 12
 SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
+ISING_BURN_SWEEPS = 200  # MCMC sweeps before glauber_simulate_ising's trajectory starts
+ISING_SAMPLE_DT = 0.25  # glauber_simulate_ising's sampling step
+_NO_EVENTS = (np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int))  # SimResult without events
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def _autocorrelation(samples: np.ndarray, max_lag: int) -> np.ndarray:
     var = float(x @ x) / n
     if var <= 0:
         return np.zeros(max_lag)
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    nfft = 1 << (n + max_lag - 1).bit_length()  # >= n + max_lag: no circular wrap
     f = np.fft.rfft(x, nfft)
     acf = np.fft.irfft(f * np.conj(f), nfft)[:max_lag]
     counts = n - np.arange(max_lag)
@@ -224,6 +228,27 @@ def _check_horizon(nsites: int, horizon: float) -> None:
                                f"expected events above cap {SIM_EVENT_CAP}")
 
 
+def _schedule(rng, nsites: int, horizon: float, sample_dt: float) -> tuple:
+    """Uniformized rings of N site clocks on (0, horizon]: K ~ Poisson(N horizon), then K sorted
+    times, K sites and K uniforms, in that order, and counts[k], the number of rings at or
+    before the sample time k * sample_dt.  Returns (times, sites, uniforms, counts)."""
+    n_events = int(rng.poisson(nsites * horizon))
+    times = np.sort(horizon * (1.0 - rng.random(n_events)))
+    sites = rng.integers(nsites, size=n_events)
+    uniforms = rng.random(n_events)
+    grid = np.arange(int(horizon / sample_dt) + 1) * sample_dt
+    return times, sites, uniforms, np.searchsorted(times, grid, side="right")
+
+
+def _result(samples: np.ndarray, sample_dt: float, times, sites, new_states) -> SimResult:
+    """SimResult of samples every sample_dt: autocorrelation to 8000 lags, its fitted rate, 400 lags kept."""
+    c = _autocorrelation(samples, max(min(samples.size // 4, 8000), 1))
+    rate, tau = _fit_rate(c, sample_dt)
+    nlag = min(c.size, 400)
+    return SimResult(times, sites, new_states, float(rate), float(tau),
+                     np.arange(nlag) * sample_dt, c[:nlag])
+
+
 def glauber_simulate(
     sys: FiniteSystem,
     horizon: float,
@@ -238,15 +263,13 @@ def glauber_simulate(
     conditional law given the rest (possibly landing on the same state).
     Because N does not depend on the state, the trajectory is simulated by
     uniformization (Jensen 1953; Gillespie 1977): after a stationary initial
-    state, the ring count K ~ Poisson(N * horizon), the K sorted ring times
-    in (0, horizon], the K ringing sites and K uniforms are all drawn up
-    front, and one integer loop maps each uniform through the conditional
-    CDF of its site given the current flat state.  Every ring is recorded
-    in ``times``/``sites``/``new_states``, same-state resamples included.
-    ``observable`` maps a state tuple to a float (default: value of the
-    first coordinate); it is evaluated once per visited state and sampled
-    every ``sample_dt`` (default 0.25 / N) on [0, horizon].  The trajectory
-    is deterministic per seed.
+    state, ``_schedule`` draws every ring up front, and one integer loop maps
+    each uniform through the conditional CDF of its site given the current
+    flat state.  Every ring is recorded in ``times``/``sites``/``new_states``,
+    same-state resamples included.  ``observable`` maps a state tuple to a
+    float (default: value of the first coordinate); it is evaluated once per
+    visited state and sampled every ``sample_dt`` (default 0.25 / N) on
+    [0, horizon].  The trajectory is deterministic per seed.
     """
     sizes = [s for _, s in sys.variables]
     nsites = len(sizes)
@@ -260,10 +283,7 @@ def glauber_simulate(
     flat = sys.joint.ravel()
     total = flat.size
     x = int(rng.choice(total, p=flat / flat.sum()))
-    n_events = int(rng.poisson(nsites * horizon))
-    times = np.sort(horizon * (1.0 - rng.random(n_events)))
-    sites = rng.integers(nsites, size=n_events)
-    uniforms = rng.random(n_events)
+    times, sites, uniforms, counts = _schedule(rng, nsites, horizon, sample_dt)
     # row i * total + y -> (conditional CDF of site i given the rest of y
     # without its last entry, flat states of y with site i set to 0, 1, ...),
     # filled from an axis slice of the joint when the chain first needs it.
@@ -291,64 +311,35 @@ def glauber_simulate(
     obs_table = np.zeros(total)
     states = zip(*(d.tolist() for d in np.unravel_index(visited, sizes)))
     obs_table[visited] = [observable(s) for s in states]
-    grid = np.arange(int(horizon / sample_dt) + 1) * sample_dt
-    samples = obs_table[path[np.searchsorted(times, grid, side="right")]]
-    c = _autocorrelation(samples, max(min(samples.size // 4, 8000), 1))
-    rate, tau = _fit_rate(c, sample_dt)
-    nlag = min(c.size, 400)
-    if keep_events:
-        new_states = path[1:] // np.array(strides)[sites] % np.array(sizes)[sites]
-    else:
-        times, sites, new_states = np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)
-    return SimResult(times, sites, new_states, float(rate), float(tau),
-                     np.arange(nlag) * sample_dt, c[:nlag])
+    samples = obs_table[path[counts]]
+    if not keep_events:
+        return _result(samples, sample_dt, *_NO_EVENTS)
+    new_states = path[1:] // np.array(strides)[sites] % np.array(sizes)[sites]
+    return _result(samples, sample_dt, times, sites, new_states)
 
 
-def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None,
-                           sample_dt: float | None = None, burn_sweeps: int = 200) -> SimResult:
-    """Continuous-time heat-bath trajectory of an Ising torus of any size.
-
-    Site clocks ring at total rate N; the ringing spin is resampled from the
-    heat-bath conditional given its neighbours.  The initial state is a
-    burned-in configuration; ``observable`` maps the +-1 spin vector to a
-    float (default: magnetization / sqrt(N)).
+def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None) -> SimResult:
+    """Continuous-time heat-bath trajectory of an Ising torus of any size, uniformized
+    like ``glauber_simulate``; clamped spins keep their value.  The initial state is
+    burned in by ``ising_mcmc_samples`` on the same generator.  ``observable`` maps the
+    +-1 spin vector to a float (default: magnetization / sqrt(N)) and is evaluated once
+    per sample time, every ISING_SAMPLE_DT on [0, horizon].  No events are recorded.
     """
-    from .lattice import ising_mcmc_samples
-
-    _check_horizon(torus.L**torus.n, horizon)
-    rng = np.random.default_rng(seed)
-    state = ising_mcmc_samples(torus, sweeps=1, thin=1, seed=seed, burn=burn_sweeps)[-1]
-    neigh = torus.neighbour_table()
-    nsite = len(neigh)
+    nsite = torus.L**torus.n
+    _check_horizon(nsite, horizon)
     if observable is None:
         observable = lambda spins: float(spins.sum()) / math.sqrt(nsite)
-    if sample_dt is None:
-        sample_dt = 0.25
-    n_samples = int(horizon / sample_dt) + 1
-    samples = np.empty(n_samples)
-    beta = 1.0 / torus.T
-    t = 0.0
-    next_sample = 0
-    while next_sample < n_samples:
-        obs = observable(state)
-        t_next = t + rng.exponential(1.0 / nsite)
-        while next_sample < n_samples and next_sample * sample_dt < t_next:
-            samples[next_sample] = obs
-            next_sample += 1
-        if next_sample >= n_samples:
-            break
-        t = t_next
-        k = int(rng.integers(nsite))
-        h = state[neigh[k]].sum()
-        p_up = 1.0 / (1.0 + math.exp(-2.0 * beta * h))
-        state[k] = 1.0 if rng.uniform() < p_up else -1.0
-    c = _autocorrelation(samples, max(min(samples.size // 4, 8000), 1))
-    rate, tau = _fit_rate(c, sample_dt)
-    nlag = min(c.size, 400)
-    return SimResult(
-        np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int),
-        float(rate), float(tau), np.arange(nlag) * sample_dt, c[:nlag],
-    )
+    rng = np.random.default_rng(seed)
+    burned = ising_mcmc_samples(torus, sweeps=1, thin=1, seed=rng, burn=ISING_BURN_SWEEPS)
+    state = burned[-1].astype(int).tolist()
+    _, sites, uniforms, counts = _schedule(rng, nsite, horizon, ISING_SAMPLE_DT)
+    update = _heat_bath_updater(torus)
+    samples, done = [], 0
+    for upto in counts.tolist():
+        update(state, sites[done:upto].tolist(), uniforms[done:upto].tolist())
+        samples.append(observable(np.array(state, dtype=float)))
+        done = upto
+    return _result(np.array(samples), ISING_SAMPLE_DT, *_NO_EVENTS)
 
 
 def glauber_replicas(sys: FiniteSystem, horizon: float, seed: int, replicas: int,

@@ -234,14 +234,13 @@ def ising_constants(n: int, T: float) -> tuple:
 
 
 def _displacement_classes(torus: IsingTorus) -> dict:
-    """Representative site pairs, one per minimal-image displacement class."""
-    sites = torus.sites
-    origin = sites[0]
+    """Representative flat site pairs (0, b), one per minimal-image displacement
+    class; a site's flat index is its position in ``sites``."""
     classes = {}
-    for s in sites[1:]:
+    for b, s in enumerate(torus.sites[1:], start=1):
         z = torus.min_image(s)
         key = max(z, tuple(-c for c in z))  # identify z and -z
-        classes.setdefault(key, (origin, s))
+        classes.setdefault(key, (0, b))
     return classes
 
 
@@ -260,9 +259,7 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
         sys = ising_exact(torus)
         subjective = nsite <= ISING_SUBJECTIVE_SITE_CAP
         values: dict = {}
-        for key, (a, b) in _displacement_classes(torus).items():
-            ia = torus.sites.index(a)
-            ib = torus.sites.index(b)
+        for key, (ia, ib) in _displacement_classes(torus).items():
             if subjective:
                 v = discrete.subjective_maxcorr(sys, ia, ib)
             else:
@@ -277,11 +274,7 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
     errs = {}
     nobs = samples.shape[0]
     zconf = 1.959963984540054  # 95% normal quantile for the Wilson interval
-    origin = 0
-    site_list = torus.sites
-    for key, (a, b) in _displacement_classes(torus).items():
-        ia = site_list.index(a)
-        ib = site_list.index(b)
+    for key, (ia, ib) in _displacement_classes(torus).items():
         sa = samples[:, ia]
         sb = samples[:, ib]
         cells = np.array(
@@ -300,32 +293,47 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
     return IsingEpsilonReport(kern, c0, k0, "mcmc", False, errs)
 
 
-def ising_mcmc_samples(torus: IsingTorus, sweeps: int, thin: int, seed: int,
-                       burn: int = 200) -> np.ndarray:
-    """Thinned heat-bath samples of the torus, shape (n_kept, n_sites)."""
-    rng = np.random.default_rng(seed)
-    sites = torus.sites
-    nsite = len(sites)
-    site_pos = {s: k for k, s in enumerate(sites)}
-    neigh = torus.neighbour_table()
-    clamp_pos = {site_pos[tuple(s)]: v for s, v in zip(torus.clamp_sites, torus.clamp_values)}
-    state = rng.choice((-1, 1), size=nsite).astype(float)
-    for k, v in clamp_pos.items():
-        state[k] = v
-    kept = []
+def _heat_bath_updater(torus: IsingTorus):
+    """update(state, sites, uniforms): single-site heat-bath updates of a +-1
+    int list, in order.  Site k with neighbour sum h becomes +1 iff its uniform
+    is below 1 / (1 + exp(-2 beta h)), read from a table over h = -2n .. 2n;
+    clamped sites keep their value."""
+    neigh = [tuple(row) for row in torus.neighbour_table().tolist()]
+    n2 = 2 * torus.n
     beta = 1.0 / torus.T
+    p_up = [1.0 / (1.0 + math.exp(-2.0 * beta * h)) for h in range(-n2, n2 + 1)]
+    clamped = {int(np.ravel_multi_index(s, (torus.L,) * torus.n)) for s in torus.clamp_sites}
+
+    def update(state, sites, uniforms):
+        for k, u in zip(sites, uniforms):
+            if k in clamped:
+                continue
+            h = n2  # offset into p_up
+            for j in neigh[k]:
+                h += state[j]
+            state[k] = 1 if u < p_up[h] else -1
+
+    return update
+
+
+def ising_mcmc_samples(torus: IsingTorus, sweeps: int, thin: int, seed,
+                       burn: int = 200) -> np.ndarray:
+    """Thinned heat-bath samples of the torus, shape (n_kept, n_sites); each sweep updates
+    every site once in a fresh random order.  ``seed`` may be a Generator, read in place."""
+    rng = np.random.default_rng(seed)
+    nsite = torus.L**torus.n
+    update = _heat_bath_updater(torus)
+    state = rng.choice((-1, 1), size=nsite).tolist()
+    for s, v in zip(torus.clamp_sites, torus.clamp_values):
+        state[np.ravel_multi_index(s, (torus.L,) * torus.n)] = v
+    kept = []
     for sweep in range(burn + sweeps):
         order = rng.permutation(nsite)
         us = rng.uniform(size=nsite)
-        for t, k in enumerate(order):
-            if k in clamp_pos:
-                continue
-            h = state[neigh[k]].sum()
-            p_up = 1.0 / (1.0 + math.exp(-2.0 * beta * h))
-            state[k] = 1.0 if us[t] < p_up else -1.0
+        update(state, order.tolist(), us.tolist())
         if sweep >= burn and (sweep - burn) % thin == 0:
             kept.append(state.copy())
-    return np.array(kept)
+    return np.array(kept, dtype=float)
 
 
 def ising_transfer_correlation(T: float, L: int, d: int) -> float:

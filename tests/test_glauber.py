@@ -309,6 +309,58 @@ class TestSimulator:
         replayed = glauber._autocorrelation(np.array(samples), len(sim.autocorr))
         assert np.abs(replayed - sim.autocorr).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 1000, 4097])
+    def test_autocorrelation_matches_the_2n_padded_fft(self, n):
+        def padded_2n(samples, max_lag):
+            x = samples - samples.mean()
+            var = float(x @ x) / n
+            if var <= 0:
+                return np.zeros(max_lag)
+            nfft = 1 << int(np.ceil(np.log2(2 * n)))
+            f = np.fft.rfft(x, nfft)
+            return np.fft.irfft(f * np.conj(f), nfft)[:max_lag] / ((n - np.arange(max_lag)) * var)
+
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n).cumsum()  # a correlated series
+        for max_lag in sorted({1, max(n // 4, 1), n}):
+            got = glauber._autocorrelation(x, max_lag)
+            assert got.shape == (max_lag,)
+            assert np.abs(got - padded_2n(x, max_lag)).max() <= 1e-12
+
+    def test_ising_simulator_keeps_clamped_spins(self):
+        from rhomix.lattice import IsingTorus
+
+        torus = IsingTorus(1, 5, 2.0, clamp_sites=((0,),), clamp_values=(1,))
+        seen = []
+        glauber.glauber_simulate_ising(torus, 200.0, seed=1,
+                                       observable=lambda spins: seen.append(spins[0]) or 0.0)
+        assert all(s == 1.0 for s in seen)
+        assert len(seen) == int(200.0 / glauber.ISING_SAMPLE_DT) + 1  # once per sample time
+
+    def test_ising_replay_from_one_generator(self):
+        from rhomix.lattice import IsingTorus, ising_mcmc_samples
+
+        torus, horizon, seed = IsingTorus(2, 3, 2.5), 50.0, 4
+        seen = []
+        glauber.glauber_simulate_ising(torus, horizon, seed=seed,
+                                       observable=lambda spins: seen.append(spins.copy()) or 0.0)
+        # the burn-in and then the uniformized rings, all read from one generator
+        rng = np.random.default_rng(seed)
+        state = ising_mcmc_samples(torus, sweeps=1, thin=1, seed=rng, burn=glauber.ISING_BURN_SWEEPS)[-1]
+        n_events = int(rng.poisson(state.size * horizon))
+        times = np.sort(horizon * (1.0 - rng.random(n_events)))
+        sites = rng.integers(state.size, size=n_events)
+        uniforms = rng.random(n_events)
+        neigh = torus.neighbour_table()
+        beta, dt, k = 1.0 / torus.T, glauber.ISING_SAMPLE_DT, 0
+        assert len(seen) == int(horizon / dt) + 1
+        for j, spins in enumerate(seen):
+            while k < n_events and times[k] <= j * dt:
+                p_up = 1.0 / (1.0 + math.exp(-2.0 * beta * state[neigh[sites[k]]].sum()))
+                state[sites[k]] = 1.0 if uniforms[k] < p_up else -1.0
+                k += 1
+            assert np.array_equal(spins, state)
+
 
 def double_loop_eps_block(sums, ell):
     """Reference: the block matrix of the ell^n classes filled entry by entry,

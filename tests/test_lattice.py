@@ -139,7 +139,75 @@ class TestNeighbourTable:
             assert list(neigh[k]) == expect
 
 
+def per_site_mcmc_samples(torus, sweeps, thin, seed, burn=200):
+    """Reference: the heat-bath sampler with one float-array update and one
+    math.exp per site per sweep, drawing the same stream."""
+    rng = np.random.default_rng(seed)
+    sites = torus.sites
+    nsite = len(sites)
+    site_pos = {s: k for k, s in enumerate(sites)}
+    neigh = torus.neighbour_table()
+    clamp_pos = {site_pos[tuple(s)]: v for s, v in zip(torus.clamp_sites, torus.clamp_values)}
+    state = rng.choice((-1, 1), size=nsite).astype(float)
+    for k, v in clamp_pos.items():
+        state[k] = v
+    kept = []
+    beta = 1.0 / torus.T
+    for sweep in range(burn + sweeps):
+        order = rng.permutation(nsite)
+        us = rng.uniform(size=nsite)
+        for t, k in enumerate(order):
+            if k in clamp_pos:
+                continue
+            h = state[neigh[k]].sum()
+            p_up = 1.0 / (1.0 + math.exp(-2.0 * beta * h))
+            state[k] = 1.0 if us[t] < p_up else -1.0
+        if sweep >= burn and (sweep - burn) % thin == 0:
+            kept.append(state.copy())
+    return np.array(kept)
+
+
+CLAMPED_RING = IsingTorus(1, 5, 2.0, clamp_sites=((0,),), clamp_values=(1,))
+
+
+class TestHeatBathUpdater:
+    @pytest.mark.parametrize("torus", [IsingTorus(2, 2, 3.0), IsingTorus(2, 3, 2.5), CLAMPED_RING])
+    def test_thresholds_are_the_exact_conditionals(self, torus):
+        # IsingTorus(2, 2, .) counts each bond twice, as its neighbour table does
+        joint = lattice.ising_exact(torus).joint
+        update = lattice._heat_bath_updater(torus)
+        clamped = {k for k, s in enumerate(torus.sites) if s in torus.clamp_sites}
+        for digits in np.argwhere(joint > 0):
+            spins = [2 * int(d) - 1 for d in digits]  # state 0 is spin -1
+            for k in range(len(spins)):
+                ctx = tuple(digits[:k]) + (slice(None),) + tuple(digits[k + 1:])
+                down, up = joint[ctx]
+                p = up / (down + up)
+                for u, expect in ((p * (1 - 1e-9), 1), (p * (1 + 1e-9), -1)):
+                    state = list(spins)
+                    update(state, [k], [u])
+                    assert state[:k] + state[k + 1:] == spins[:k] + spins[k + 1:]
+                    assert state[k] == (spins[k] if k in clamped else expect)
+
+
 class TestIsingMcmc:
+    @pytest.mark.parametrize("torus", [IsingTorus(1, 16, 2.0), IsingTorus(2, 4, 2.5),
+                                       IsingTorus(3, 3, 4.0), CLAMPED_RING])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_site_sampler(self, torus, seed):
+        got = lattice.ising_mcmc_samples(torus, sweeps=30, thin=3, seed=seed, burn=20)
+        ref = per_site_mcmc_samples(torus, sweeps=30, thin=3, seed=seed, burn=20)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_displacement_classes_are_flat_site_indices(self):
+        torus = IsingTorus(2, 5, 2.0)
+        sites = torus.sites
+        classes = lattice._displacement_classes(torus)
+        assert len(classes) == 12  # (5^2 - 1) / 2 pairs {z, -z}
+        for key, (a, b) in classes.items():
+            z = torus.min_image(sites[b])
+            assert a == 0 and key in (z, tuple(-c for c in z))
+
     def test_pairwise_estimate_matches_exact(self):
         T, L = 3.0, 16
         rep = lattice.ising_epsilon(IsingTorus(1, L, T), method="mcmc", seed=2,
