@@ -298,8 +298,7 @@ def _event_bound(args):
 def _chogosov(args):
     model = events.ChogosovModel(args.eps)
     if args.kind == "sample":
-        if not 1 <= args.n <= events.SAMPLE_CAP:
-            raise ValidationError(f"chogosov sample: --n must be >= 1 and <= cap {events.SAMPLE_CAP}")
+        events._check_sample_count(args.n)
 
         def run():
             cloud = events.chogosov_sample(model, args.n, args.seed)
@@ -309,9 +308,7 @@ def _chogosov(args):
             return {"n": args.n, "eps": args.eps, "seed": args.seed}, csv
         return run
     if args.kind == "opnorm":
-        if not events.OPNORM_MIN_GRID <= args.m <= events.OPNORM_MAX_GRID:
-            raise ValidationError(f"chogosov opnorm: --m must be >= {events.OPNORM_MIN_GRID} "
-                                  f"and <= cap {events.OPNORM_MAX_GRID}")
+        events._check_grid(args.m)
         return lambda: ({**_fields(events.chogosov_opnorm(model, args.m), "rho_hat", "rayleigh_quotient", "m"),
                          "lambda": events.lambda_fn(args.eps)}, None)
     if args.kind == "lambda-check":

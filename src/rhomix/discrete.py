@@ -11,6 +11,7 @@ of positive marginal probability.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,38 +179,23 @@ def maxcorr_pair(pair: FinitePair) -> PairCorrelationReport:
     return PairCorrelationReport(rho, pi_full, f_full, g_full)
 
 
-def _maxcorr_of_table(table: np.ndarray) -> float:
-    return maxcorr_pair(FinitePair.from_joint(table)).rho
-
-
 def _batch_maxcorr(tables: np.ndarray) -> float:
-    """Max of maximal correlations over a stack of (unnormalized) tables."""
+    """Max of maximal correlations over a stack of (unnormalized) tables; a state of zero
+    mass gets a zero row or column of Pi, which leaves its singular values unchanged."""
     mass = tables.sum(axis=(1, 2))
     keep = mass > 0
     if not keep.any():
         return 0.0
     t = tables[keep] / mass[keep, None, None]
-    px = t.sum(axis=2)
-    py = t.sum(axis=1)
-    if (px > 0).all() and (py > 0).all():
-        outer = px[:, :, None] * py[:, None, :]
-        pi = (t - outer) / np.sqrt(outer)
-        s = np.linalg.svd(pi, compute_uv=False)
-        return float(min(s[:, 0].max(), 1.0))
-    return max(_maxcorr_of_table(tt) for tt in t)
+    outer = t.sum(axis=2)[:, :, None] * t.sum(axis=1)[:, None, :]
+    pi = np.divide(t - outer, np.sqrt(outer), out=np.zeros_like(t), where=outer > 0)
+    s = np.linalg.svd(pi, compute_uv=False)
+    return float(min(s[:, 0].max(), 1.0))
 
 
 def maxcorr_blocks(sys: FiniteSystem, block_x, block_y) -> float:
     """Maximal correlation between two disjoint blocks of variables."""
     return maxcorr_pair(sys.pair(block_x, block_y)).rho
-
-
-def _conditioning_tables(sys: FiniteSystem, i: int, j: int, subset: list) -> np.ndarray:
-    """Stack of joint (X_i, X_j) tables, one per assignment of ``subset``."""
-    marg = sys.marginal(list(subset) + [i, j])
-    ni = sys.variables[i][1]
-    nj = sys.variables[j][1]
-    return marg.reshape(-1, ni, nj)
 
 
 def subjective_pool(sys: FiniteSystem, i, j, conditioning_pool=None) -> tuple:
@@ -235,13 +221,18 @@ def subjective_maxcorr(sys: FiniteSystem, i, j, conditioning_pool=None) -> float
     K with positive probability.  Zero-probability conditionings are skipped.
     """
     i, j, pool = subjective_pool(sys, i, j, conditioning_pool)
-    best = 0.0
-    for r in range(len(pool) + 1):
-        for subset in itertools.combinations(pool, r):
-            best = max(best, _batch_maxcorr(_conditioning_tables(sys, i, j, list(subset))))
-            if best >= 1.0 - 1e-15:
-                return min(best, 1.0)
-    return best
+    return _metalgebra_maxcorr(sys.marginal(pool + [i, j]))
+
+
+def _metalgebra_maxcorr(marg: np.ndarray) -> float:
+    """Each pool axis of ``marg`` (pool axes, then X_i, X_j) gains an index holding it summed out, so
+    one table stands for each (subset, assignment); above STATE_CAP entries the leading axis is split."""
+    *pool_shape, ni, nj = marg.shape
+    if pool_shape and math.prod(s + 1 for s in pool_shape) * ni * nj > STATE_CAP:
+        return max(_metalgebra_maxcorr(t) for t in [*marg, marg.sum(axis=0)])
+    for k in range(len(pool_shape)):
+        marg = np.concatenate([marg, marg.sum(axis=k, keepdims=True)], axis=k)
+    return _batch_maxcorr(marg.reshape(-1, ni, nj))
 
 
 def conditional_maxcorr(sys: FiniteSystem, i, j, conditioning) -> float:
@@ -255,7 +246,8 @@ def conditional_maxcorr(sys: FiniteSystem, i, j, conditioning) -> float:
     subset = sys.indices(conditioning)
     if i in subset or j in subset:
         raise ValidationError("conditional_maxcorr: i, j must not be conditioned on")
-    return _batch_maxcorr(_conditioning_tables(sys, i, j, subset))
+    marg = sys.marginal(subset + [i, j])
+    return _batch_maxcorr(marg.reshape(-1, *marg.shape[-2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +420,7 @@ def markov_chain_checks(P, steps: int = 10) -> MarkovChainReport:
     Pk = np.eye(P.shape[0])
     for _ in range(steps):
         Pk = Pk @ P
-        rhos.append(_maxcorr_of_table(pi[:, None] * Pk))
+        rhos.append(_batch_maxcorr((pi[:, None] * Pk)[None]))
     rho_k = np.array(rhos)
     rho1 = rho_k[0]
     product = rho1 ** np.arange(1, steps + 1)
@@ -481,5 +473,5 @@ def product_pair_system(rng, n_pairs: int, max_alpha: int = 3) -> tuple:
         (f"Y{i}", sizes[i][1]) for i in range(n_pairs)
     ]
     sys = FiniteSystem(tuple(names), joint)
-    per_pair = [_maxcorr_of_table(t) for t in tables]
+    per_pair = [_batch_maxcorr(t[None]) for t in tables]
     return sys, per_pair

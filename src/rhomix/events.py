@@ -182,16 +182,20 @@ def chogosov_quantile(model: ChogosovModel, p: float, w: float) -> float:
     return float(_quantile(model, p, w)[0])
 
 
+def _check_sample_count(n: int) -> None:
+    """Raise ValidationError if n < 1 and CapExceededError if n > SAMPLE_CAP."""
+    if not 1 <= n <= SAMPLE_CAP:
+        raise (ValidationError if n < 1 else CapExceededError)(
+            f"chogosov sample: --n must be >= 1 and <= cap {SAMPLE_CAP}, got {n}")
+
+
 def chogosov_sample(model: ChogosovModel, n: int, seed: int = 0) -> np.ndarray:
     """n exact samples of the law by inverse transform; columns (p, q, branch).
 
     branch is -1 on the lower curve, 0 in the interior, +1 on the upper curve;
     the cloud is deterministic per seed.
     """
-    if n < 1:
-        raise ValidationError("chogosov_sample: n must be >= 1")
-    if n > SAMPLE_CAP:
-        raise CapExceededError(f"chogosov_sample: n above cap {SAMPLE_CAP}")
+    _check_sample_count(n)
     rng = np.random.default_rng(seed)
     ps = rng.uniform(size=n)
     ws = rng.uniform(size=n)
@@ -265,6 +269,13 @@ class OpnormReport:
     iterations: int  # matvecs
 
 
+def _check_grid(m: int) -> None:
+    """Raise ValidationError if m < OPNORM_MIN_GRID and CapExceededError if m > OPNORM_MAX_GRID."""
+    if not OPNORM_MIN_GRID <= m <= OPNORM_MAX_GRID:
+        raise (ValidationError if m < OPNORM_MIN_GRID else CapExceededError)(
+            f"chogosov opnorm: --m must be >= {OPNORM_MIN_GRID} and <= cap {OPNORM_MAX_GRID}, got {m}")
+
+
 def chogosov_opnorm(model: ChogosovModel, m: int | None = None) -> OpnormReport:
     """Norm of the grid transfer operator on mean-zero functions, from below.
 
@@ -281,10 +292,7 @@ def chogosov_opnorm(model: ChogosovModel, m: int | None = None) -> OpnormReport:
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     m = model.m if m is None else int(m)
-    if m < OPNORM_MIN_GRID:
-        raise ValidationError(f"chogosov_opnorm: grid must have at least {OPNORM_MIN_GRID} cells")
-    if m > OPNORM_MAX_GRID:
-        raise CapExceededError(f"chogosov_opnorm: grid above cap {OPNORM_MAX_GRID} cells")
+    _check_grid(m)
     apply = transfer_matvec(model, m)
     eta = 4.0 / m
     f = truncated_quasi_eigenvector(m, eta)

@@ -342,17 +342,6 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
     return _result(np.array(samples), ISING_SAMPLE_DT, *_NO_EVENTS)
 
 
-def glauber_replicas(sys: FiniteSystem, horizon: float, seed: int, replicas: int,
-                     observable=None) -> list:
-    """Independent simulator replicas; per-replica seeds come from spawning
-    numpy's SeedSequence(seed), so results are reproducible and order-free."""
-    return [
-        glauber_simulate(sys, horizon, seed=int(child.generate_state(1)[0]), observable=observable,
-                         keep_events=False)
-        for child in np.random.SeedSequence(seed).spawn(replicas)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # sublattice route for translation-invariant kernels
 

@@ -146,6 +146,12 @@ class IsingTorus:
             raise ValidationError("IsingTorus: clamp sites/values mismatch")
         if any(v not in (-1, 1) for v in self.clamp_values):
             raise ValidationError("IsingTorus: clamp values must be +-1")
+        for s in self.clamp_sites:
+            if not (isinstance(s, tuple) and len(s) == self.n
+                    and all(isinstance(c, (int, np.integer)) and 0 <= c < self.L for c in s)):
+                raise ValidationError(f"IsingTorus: clamp site {s!r} must hold n = {self.n} integers in [0, {self.L})")
+        if len(set(self.clamp_sites)) != len(self.clamp_sites):
+            raise ValidationError("IsingTorus: a site may be clamped only once")
 
     @property
     def sites(self) -> list:

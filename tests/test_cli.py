@@ -352,7 +352,8 @@ class TestHandlerTable:
         (["clt", "--ells", "a"], "comma-separated integers"),
         (["quadratic", "--gamma", "{kernel}", "--beta", "nan"], "beta must be finite and > 0"),
         (["chogosov", "opnorm", "--eps", "0.5", "--m", "100000000"], "--m must be >= 256 and <= cap 4194304"),
-        (["chogosov", "sample", "--eps", "0.5", "--n", "1000000000000"], "--n must be >= 1 and <= cap 4194304"),
+        (["chogosov", "sample", "--eps", "0.5", "--n", "1000000000000"],
+         "--n must be >= 1 and <= cap 4194304, got 1000000000000"),
         (["ising", "--n", "2", "--L", "5", "--T", "2"], "ising_exact: more than 16 sites"),
         (["glauber-gap", "exact", "--system", "{big_system}"], "exact_gap: state count above cap 4096"),
         (["event-bound", "extremes", "--pair", "{wide_pair}"], "alphabet of 21 states above cap 20"),

@@ -155,6 +155,39 @@ class TestBlocks:
             assert xz <= xy * yz + 1e-10
 
 
+def _subset_loop(sys, i, j, pool):
+    """Reference: the subset loop subjective_maxcorr used to run, one stacked call per
+    conditioning subset with an early exit at 1, on the current _batch_maxcorr."""
+    ni, nj = sys.variables[i][1], sys.variables[j][1]
+    best = 0.0
+    for r in range(len(pool) + 1):
+        for subset in itertools.combinations(pool, r):
+            best = max(best, discrete._batch_maxcorr(sys.marginal(list(subset) + [i, j]).reshape(-1, ni, nj)))
+            if best >= 1.0 - 1e-15:
+                return min(best, 1.0)
+    return best
+
+
+def _subjective_cases(count=200, seed=29):
+    """Seeded random systems with states of zero mass, size-1 alphabets and, for
+    half of them, explicit pools in shuffled order; one case per ordered pair."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        sizes = [int(s) for s in rng.integers(1, 4, size=int(rng.integers(2, 6)))]
+        joint = rng.dirichlet(np.full(math.prod(sizes), 0.5))
+        joint[rng.random(joint.size) < rng.choice([0.0, 0.3, 0.7])] = 0.0
+        joint[int(rng.integers(joint.size))] += 1e-3
+        sys = FiniteSystem(tuple((f"v{k}", s) for k, s in enumerate(sizes)), (joint / joint.sum()).reshape(sizes))
+        order = [int(k) for k in rng.permutation(len(sizes))]
+        explicit = rng.random() < 0.5
+        for i, j in itertools.permutations(range(len(sizes)), 2):
+            others = [k for k in order if k not in (i, j)]
+            pool = others[: int(rng.integers(len(others) + 1))] if explicit else None
+            cases.append((sys, i, j, pool))
+    return cases
+
+
 class TestSubjective:
     def _encoded_common_bit_system(self):
         # X = (g, a), Y = (g, b), Z = g for three independent fair bits
@@ -195,6 +228,23 @@ class TestSubjective:
         sys = FiniteSystem((("a", 2), ("b", 2), ("c", 2)), joint)
         assert discrete.subjective_maxcorr(sys, "a", "b") == pytest.approx(0.0, abs=1e-12)
         assert discrete.conditional_maxcorr(sys, "a", "b", ["c"]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cap", [None, 8])
+    def test_stack_matches_the_subset_loop(self, cap, monkeypatch):
+        cases = _subjective_cases()
+        if cap is not None:  # after the systems are built: every stack above 8 entries is split
+            monkeypatch.setattr(discrete, "STATE_CAP", cap)
+        worst = 0.0
+        for sys, i, j, pool in cases:
+            _, _, checked = discrete.subjective_pool(sys, i, j, pool)
+            ref = _subset_loop(sys, i, j, checked)
+            conditional = max(discrete.conditional_maxcorr(sys, i, j, list(sub))
+                              for r in range(len(checked) + 1) for sub in itertools.combinations(checked, r))
+            worst = max(worst, abs(discrete.subjective_maxcorr(sys, i, j, pool) - ref), abs(conditional - ref))
+        assert worst <= 2e-15
+        assert any(sys.joint.min() == 0 for sys, *_ in cases)
+        assert any(1 in sys.joint.shape for sys, *_ in cases)
+        assert sum(pool is not None for *_, pool in cases) >= 200
 
     def test_pool_validation(self):
         sys = self._encoded_common_bit_system()

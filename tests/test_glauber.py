@@ -250,14 +250,6 @@ class TestSimulator:
         assert np.array_equal(a.sites, b.sites)
         assert np.array_equal(a.new_states, b.new_states)
 
-    def test_replica_seed_splitter(self):
-        sys = two_spin_ferromagnet(0.3)
-        runs = glauber.glauber_replicas(sys, horizon=200.0, seed=5, replicas=3)
-        reruns = glauber.glauber_replicas(sys, horizon=200.0, seed=5, replicas=3)
-        rates = [r.rate_estimate for r in runs]
-        assert rates == [r.rate_estimate for r in reruns]
-        assert len(set(rates)) == 3  # distinct replica streams
-
     def test_trajectory_states_follow_conditionals(self):
         sys = three_state_system()
         sizes = sys.joint.shape

@@ -121,6 +121,15 @@ class TestIsingExact:
         marg = sys.marginal([0])
         assert marg[1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sites, values, message", [
+        (((7,),), (1,), r"clamp site \(7,\) must hold n = 1 integers in \[0, 5\)"),
+        (((0, 1),), (1,), r"clamp site \(0, 1\) must hold n = 1 integers"),
+        (((0,), (0,)), (1, -1), "clamped only once"),
+    ])
+    def test_bad_clamp_sites(self, sites, values, message):
+        with pytest.raises(ValidationError, match=message):
+            IsingTorus(1, 5, 2.0, clamp_sites=sites, clamp_values=values)
+
 
 class TestNeighbourTable:
     @pytest.mark.parametrize("n, L", [(1, 2), (1, 5), (2, 3), (3, 4)])
