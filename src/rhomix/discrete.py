@@ -21,6 +21,7 @@ from .errors import CapExceededError, NonErgodicChainError, ValidationError
 PROB_TOL = 1e-12
 STATE_CAP = 1 << 20
 EVENT_SCAN_CAP = 20
+EVENT_BLOCK = 1 << 22  # ratios in one row block of _event_ratio_scan
 POOL_CAP = 12
 
 
@@ -273,6 +274,39 @@ def _check_event_scan(*alphabets: int) -> None:
         raise CapExceededError(f"event scan: alphabet of {max(alphabets)} states above cap {EVENT_SCAN_CAP}")
 
 
+def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
+    """Max of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]) over rows of A and B.
+
+    A and B are 0/1 state indicators of the two sides, one event per row.  A
+    is scanned in row blocks of at most EVENT_BLOCK ratios.  Returns
+    (ratio, row, col) of the first maximizer in row-major order, with ratio
+    -inf when no pair is valid.
+    """
+    px, py = joint.sum(axis=1), joint.sum(axis=0)
+    pa, qb = A @ px, B @ py
+    wb = qb * (1 - qb)
+    # nontrivial events only: both the event and its complement must contain
+    # a state of positive probability (anything else is a roundoff artifact)
+    pos_x, pos_y = (px > 0).astype(float), (py > 0).astype(float)
+    hit_a, hit_b = A @ pos_x, B @ pos_y
+    valid_a = (hit_a > 0) & (hit_a < pos_x.sum())
+    valid_b = (hit_b > 0) & (hit_b < pos_y.sum())
+    inner = joint @ B.T
+    best, at = -np.inf, (0, 0)
+    step = max(1, EVENT_BLOCK // max(1, len(B)))
+    for lo in range(0, len(A), step):
+        rows = slice(lo, lo + step)
+        num = np.abs(A[rows] @ inner - np.outer(pa[rows], qb))
+        den = np.sqrt(np.maximum(np.outer(pa[rows] * (1 - pa[rows]), wb), 0.0))
+        valid = np.outer(valid_a[rows], valid_b) & (den > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(valid, num / den, -np.inf)
+        k = int(np.argmax(ratio))
+        if ratio.flat[k] > best:
+            best, at = float(ratio.flat[k]), (lo + k // len(B), k % len(B))
+    return (best, *at)
+
+
 def event_extremes(pair: FinitePair) -> EventExtremes:
     """Exhaustive scan of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]).
 
@@ -282,45 +316,12 @@ def event_extremes(pair: FinitePair) -> EventExtremes:
     """
     n, m = pair.joint.shape
     _check_event_scan(n, m)
-    joint = pair.joint / pair.joint.sum()
-    px, py = joint.sum(axis=1), joint.sum(axis=0)
-    vb = _masks(m)
-    qb = vb @ py
-    wb = qb * (1 - qb)
-    # nontrivial events only: both the event and its complement must contain
-    # a state of positive probability (anything else is a roundoff artifact)
-    pos_y = (py > 0).astype(float)
-    hit_y = vb @ pos_y
-    valid_b = (hit_y > 0) & (hit_y < pos_y.sum())
-    best = -1.0
-    best_ab = (0, 0)
-    chunk = max(1, (1 << 22) // (1 << m))
-    ua_all = _masks(n)
-    pa_all = ua_all @ px
-    pos_x = (px > 0).astype(float)
-    hit_x_all = ua_all @ pos_x
-    valid_a_all = (hit_x_all > 0) & (hit_x_all < pos_x.sum())
-    inner = joint @ vb.T  # (n, 2^m)
-    for lo in range(0, 1 << n, chunk):
-        hi = min(lo + chunk, 1 << n)
-        ua = ua_all[lo:hi]
-        pa = pa_all[lo:hi]
-        pab = ua @ inner
-        num = np.abs(pab - np.outer(pa, qb))
-        den = np.sqrt(np.maximum(np.outer(pa * (1 - pa), wb), 0.0))
-        valid = np.outer(valid_a_all[lo:hi], valid_b) & (den > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(valid, num / den, -np.inf)
-        k = int(np.argmax(ratio))
-        v = float(ratio.flat[k])
-        if v > best:
-            best = v
-            best_ab = (lo + k // (1 << m), k % (1 << m))
+    best, a, b = _event_ratio_scan(pair.joint / pair.joint.sum(), _masks(n), _masks(m))
     if best < 0:
         return EventExtremes(0.0, (), ())
-    wa = tuple(pair.labels_x[t] for t in range(n) if (best_ab[0] >> t) & 1)
-    wbl = tuple(pair.labels_y[t] for t in range(m) if (best_ab[1] >> t) & 1)
-    return EventExtremes(float(best), wa, wbl)
+    wa = tuple(pair.labels_x[t] for t in range(n) if (a >> t) & 1)
+    wb = tuple(pair.labels_y[t] for t in range(m) if (b >> t) & 1)
+    return EventExtremes(best, wa, wb)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .discrete import _event_ratio_scan
 from .errors import CapExceededError, ValidationError
 
 OPNORM_MIN_GRID = 256
 OPNORM_MAX_GRID = 1 << 22
 SAMPLE_CAP = 1 << 22  # chogosov_sample peaks at about 13 floats per sample
 NU_UNION_SAMPLES = 2000  # seeded random unions scanned by nu_event_ratio
-NU_GRID_CAP = 768  # nu_event_ratio's interval scan grows like m^4
+NU_GRID_CAP = 768  # nu_event_ratio scans (m^2/128)^2 stride-8 interval pairs: time grows like m^4
 
 
 def lambda_fn(eps: float) -> float:
@@ -463,13 +464,35 @@ class NuEventReport:
     marginal_error: float
 
 
+def _nu_event_families(m: int, seed: int) -> dict:
+    """The (A, B) 0/1 indicator pairs of nu_event_ratio's three event families."""
+    idx = np.arange(m)
+    anchored = (idx < np.arange(1, m)[:, None]).astype(float)  # [0, k), k = 1..m-1
+    marks = np.arange(0, m + 1, 8)
+    lo, hi = np.meshgrid(marks, marks, indexing="ij")
+    keep = lo < hi
+    stride8 = ((idx >= lo[keep][:, None]) & (idx < hi[keep][:, None])).astype(float)
+    rng = np.random.default_rng(seed)
+    unions = np.zeros((NU_UNION_SAMPLES, m))
+    for row in unions:  # up to 4 intervals each
+        k = int(rng.integers(1, 5))
+        for a, b in np.sort(rng.integers(0, m + 1, size=2 * k)).reshape(k, 2):
+            row[a:b] = 1.0
+    size = unions.sum(axis=1)
+    unions = unions[(size > 0) & (size < m)]
+    half = len(unions) // 2
+    return {"anchored": (anchored, anchored), "stride8": (stride8, stride8),
+            "unions": (unions[:half], unions[half:])}
+
+
 def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     """Worst normalized event deviation of nu over a scanned event family.
 
     The scan covers every anchored-interval pair (the extremizers), every
-    single-interval pair on a stride-8 subgrid, and NU_UNION_SAMPLES seeded
-    random unions of up to 4 intervals per side.  The worst ratio is asserted
-    by the caller to stay below the model factor plus grid slack.
+    single-interval pair on a stride-8 subgrid, and the first half of the
+    nontrivial ones among NU_UNION_SAMPLES seeded random unions of up to 4
+    intervals against the second half; each family is one _event_ratio_scan.
+    The worst ratio is asserted by the caller to stay below the model factor plus grid slack.
     """
     m = model.m
     cells = nu_cell_masses(model)
@@ -478,64 +501,7 @@ def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     )
     if marg_err > 1e-9:
         raise ValidationError("nu_event_ratio: assembled marginals are not uniform")
-    pref = np.zeros((m + 1, m + 1))
-    pref[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
-
-    def ratio_of(mass, pa, qb):
-        num = np.abs(mass - pa * qb)
-        den = np.sqrt(pa * (1 - pa) * qb * (1 - qb))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den > 0, num / den, -np.inf)
-
-    # anchored pairs
-    frac = np.arange(1, m) / m
-    anchored = ratio_of(pref[1:m, 1:m], frac[:, None], frac[None, :])
-    worst = float(anchored.max())
-
-    # single intervals on a stride-8 subgrid
-    marks = np.arange(0, m + 1, 8)
-    starts, ends = np.meshgrid(marks, marks, indexing="ij")
-    keep = starts < ends
-    ivs = np.stack([starts[keep], ends[keep]], axis=1)
-    lens = (ivs[:, 1] - ivs[:, 0]) / m
-    inner = pref[ivs[:, 1]][:, ivs[:, 1]] - pref[ivs[:, 0]][:, ivs[:, 1]] \
-        - pref[ivs[:, 1]][:, ivs[:, 0]] + pref[ivs[:, 0]][:, ivs[:, 0]]
-    good = (lens > 0) & (lens < 1)
-    r = ratio_of(inner[np.ix_(good, good)], lens[good][:, None], lens[good][None, :])
-    worst = max(worst, float(r.max()))
-
-    # random unions of up to 4 intervals per side
-    rng = np.random.default_rng(seed)
-
-    def random_union():
-        k = int(rng.integers(1, 5))
-        pts = np.sort(rng.integers(0, m + 1, size=2 * k))
-        return [(int(pts[2 * t]), int(pts[2 * t + 1])) for t in range(k) if pts[2 * t] < pts[2 * t + 1]]
-
-    unions = [u for u in (random_union() for _ in range(NU_UNION_SAMPLES)) if u]
-    kept = []
-    profiles = []
-    lens_u = []
-    for u in unions:
-        prof = np.zeros(m + 1)
-        total = 0.0
-        for a, b in u:
-            prof += pref[b] - pref[a]
-            total += (b - a) / m
-        if 0 < total < 1:
-            kept.append(u)
-            profiles.append(prof)
-            lens_u.append(total)
-    if len(kept) >= 2:
-        prof_arr = np.array(profiles)
-        len_arr = np.array(lens_u)
-        half = len(kept) // 2
-        a_prof, a_len = prof_arr[:half], len_arr[:half]
-        for u, blen in zip(kept[half:], len_arr[half:]):
-            mass = np.zeros(half)
-            for a, b in u:
-                mass += a_prof[:, b] - a_prof[:, a]
-            worst = max(worst, float(np.max(ratio_of(mass, a_len, blen))))
+    worst = max(_event_ratio_scan(cells, A, B)[0] for A, B in _nu_event_families(m, seed).values())
 
     # correlation lower-bound witness: truncated 1/sqrt(p) test function
     mid = (np.arange(m) + 0.5) / m

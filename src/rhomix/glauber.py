@@ -47,6 +47,8 @@ def _check_eps_matrix(eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 2 or eps.shape[0] != eps.shape[1]:
         raise ValidationError("gap_lower_bounds: eps must be a square matrix")
+    if not np.isfinite(eps).all():
+        raise ValidationError("gap_lower_bounds: eps entries must be finite numbers")
     if np.abs(eps - eps.T).max() > 1e-12:
         raise ValidationError("gap_lower_bounds: eps must be symmetric")
     eps = 0.5 * (eps + eps.T)

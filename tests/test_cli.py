@@ -101,12 +101,14 @@ class TestExitCodes:
         (["glauber-sim", "--system", "{two_site}", "--horizon", "nan", "--dry-run"], "horizon must be finite"),
         (["glauber-sim", "--system", "{two_site}", "--horizon", "5", "--observable-site", "7"],
          "--observable-site must lie in [0, 2)"),
+        (["glauber-gap", "bounds", "--matrix", "{nan_matrix}"], "eps entries must be finite"),
     ])
     def test_bad_input_is_exit_2(self, argv, message, tmp_path, capsys):
         two_site = write_json(tmp_path, "two_site.json",
                               {"variables": [{"name": "a", "size": 2}, {"name": "b", "size": 2}],
                                "joint_flat": [0.4, 0.1, 0.1, 0.4]})
-        argv = [a.format(two_site=two_site) for a in argv]
+        nan_matrix = write_json(tmp_path, "nan_matrix.json", {"entries": [[0, math.nan], [math.nan, 0]]})
+        argv = [a.format(two_site=two_site, nan_matrix=nan_matrix) for a in argv]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""

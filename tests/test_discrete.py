@@ -318,6 +318,61 @@ class TestEventExtremes:
         with pytest.raises(CapExceededError):
             discrete.event_extremes(pair(joint))
 
+    def test_shared_scan_matches_the_block_loop(self):
+        # random pairs with zero-mass states and size-1 alphabets; the value
+        # and both witnesses must equal the block loop's exactly
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n, m = (int(v) for v in rng.integers(1, 7, size=2))
+            joint = random_joint(rng, n, m) * (rng.uniform(size=(n, m)) > 0.3)
+            joint[rng.uniform(size=n) < 0.2] = 0.0
+            joint[:, rng.uniform(size=m) < 0.2] = 0.0
+            if joint.sum() == 0:
+                joint[0, 0] = 1.0
+            p = pair(joint / joint.sum())
+            assert discrete.event_extremes(p) == block_loop_event_extremes(p)
+
+
+def block_loop_event_extremes(p):
+    """The event scan as an inline row-block loop over 0/1 masks: the reference
+    for the shared event-ratio scan."""
+    n, m = p.joint.shape
+    joint = p.joint / p.joint.sum()
+    px, py = joint.sum(axis=1), joint.sum(axis=0)
+    vb = discrete._masks(m)
+    qb = vb @ py
+    wb = qb * (1 - qb)
+    pos_y = (py > 0).astype(float)
+    hit_y = vb @ pos_y
+    valid_b = (hit_y > 0) & (hit_y < pos_y.sum())
+    best = -1.0
+    best_ab = (0, 0)
+    chunk = max(1, (1 << 22) // (1 << m))
+    ua_all = discrete._masks(n)
+    pa_all = ua_all @ px
+    pos_x = (px > 0).astype(float)
+    hit_x_all = ua_all @ pos_x
+    valid_a_all = (hit_x_all > 0) & (hit_x_all < pos_x.sum())
+    inner = joint @ vb.T
+    for lo in range(0, 1 << n, chunk):
+        hi = min(lo + chunk, 1 << n)
+        pa = pa_all[lo:hi]
+        num = np.abs(ua_all[lo:hi] @ inner - np.outer(pa, qb))
+        den = np.sqrt(np.maximum(np.outer(pa * (1 - pa), wb), 0.0))
+        valid = np.outer(valid_a_all[lo:hi], valid_b) & (den > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(valid, num / den, -np.inf)
+        k = int(np.argmax(ratio))
+        v = float(ratio.flat[k])
+        if v > best:
+            best = v
+            best_ab = (lo + k // (1 << m), k % (1 << m))
+    if best < 0:
+        return discrete.EventExtremes(0.0, (), ())
+    wa = tuple(p.labels_x[t] for t in range(n) if (best_ab[0] >> t) & 1)
+    wbl = tuple(p.labels_y[t] for t in range(m) if (best_ab[1] >> t) & 1)
+    return discrete.EventExtremes(float(best), wa, wbl)
+
 
 class TestMarkovChain:
     def test_nonreversible_three_state(self):

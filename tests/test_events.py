@@ -375,6 +375,25 @@ class TestNuMeasure:
         assert rep.worst_ratio <= rep.factor + 2.0 / 256
         assert rep.witness_correlation >= 0.0
 
+    @pytest.mark.parametrize("m", [64, 256, 512])
+    def test_shared_scan_matches_the_family_code(self, m):
+        # The prefix-table reference drifts from a correctly rounded sum by
+        # up to 1.9e-12 relative on the unions (m = 512, seed 0), so the
+        # unions get 5e-12; the scan itself is checked at its maximizer to 1e-12.
+        rel = {"anchored": 1e-12, "stride8": 1e-12, "unions": 5e-12}
+        cells = events.nu_cell_masses(NuModel(0.5, 0.02, m))
+        ref = prefix_table_family_worst(cells, m)
+        for seed in range(3):
+            families = events._nu_event_families(m, seed)
+            ref["unions"] = prefix_table_union_worst(cells, m, seed)
+            assert set(families) == set(ref)
+            for name, (A, B) in families.items():
+                got, i, j = discrete._event_ratio_scan(cells, A, B)
+                assert got == pytest.approx(fsum_ratio(cells, A[i], B[j]), rel=1e-12, abs=0)
+                assert got == pytest.approx(ref[name], rel=rel[name], abs=0), (name, seed)
+            worst = events.nu_event_ratio(NuModel(0.5, 0.02, m), seed=seed).worst_ratio
+            assert worst == pytest.approx(max(ref.values()), rel=1e-12, abs=0)
+
     def test_factor_too_large_is_an_error(self):
         with pytest.raises(ValidationError):
             events.nu_event_ratio(NuModel(0.9, 0.5, 64))
@@ -408,3 +427,78 @@ class TestNuMeasure:
             la = (a[1] - a[0]) + (a[3] - a[2])
             lb = (b[1] - b[0]) + (b[3] - b[2])
             assert mass <= eps * math.sqrt(la * lb) + 1e-12
+
+
+# The nu event families as separate prefix-table computations: the reference
+# for the shared event-ratio scan.
+
+
+def fsum_ratio(cells, a, b):
+    """The event ratio of one indicator pair from correctly rounded sums."""
+    ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+    mass = math.fsum(cells[np.ix_(ia, ib)].ravel())
+    pa, qb = math.fsum(cells[ia].ravel()), math.fsum(cells[:, ib].ravel())
+    return abs(mass - pa * qb) / math.sqrt(pa * (1 - pa) * qb * (1 - qb))
+
+
+def _prefix_table(cells, m):
+    pref = np.zeros((m + 1, m + 1))
+    pref[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
+    return pref
+
+
+def _ratio_of(mass, pa, qb):
+    num = np.abs(mass - pa * qb)
+    den = np.sqrt(pa * (1 - pa) * qb * (1 - qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / den, -np.inf)
+
+
+def prefix_table_family_worst(cells, m):
+    """Worst ratio of the anchored and the stride-8 interval families."""
+    pref = _prefix_table(cells, m)
+    frac = np.arange(1, m) / m
+    anchored = float(_ratio_of(pref[1:m, 1:m], frac[:, None], frac[None, :]).max())
+    marks = np.arange(0, m + 1, 8)
+    starts, ends = np.meshgrid(marks, marks, indexing="ij")
+    keep = starts < ends
+    ivs = np.stack([starts[keep], ends[keep]], axis=1)
+    lens = (ivs[:, 1] - ivs[:, 0]) / m
+    inner = pref[ivs[:, 1]][:, ivs[:, 1]] - pref[ivs[:, 0]][:, ivs[:, 1]] \
+        - pref[ivs[:, 1]][:, ivs[:, 0]] + pref[ivs[:, 0]][:, ivs[:, 0]]
+    good = (lens > 0) & (lens < 1)
+    stride8 = float(_ratio_of(inner[np.ix_(good, good)], lens[good][:, None], lens[good][None, :]).max())
+    return {"anchored": anchored, "stride8": stride8}
+
+
+def prefix_table_union_worst(cells, m, seed):
+    """Worst ratio of the random-union family, first kept half against the second."""
+    pref = _prefix_table(cells, m)
+    rng = np.random.default_rng(seed)
+
+    def random_union():
+        k = int(rng.integers(1, 5))
+        pts = np.sort(rng.integers(0, m + 1, size=2 * k))
+        return [(int(pts[2 * t]), int(pts[2 * t + 1])) for t in range(k) if pts[2 * t] < pts[2 * t + 1]]
+
+    unions = [u for u in (random_union() for _ in range(events.NU_UNION_SAMPLES)) if u]
+    kept, profiles, lens_u = [], [], []
+    for u in unions:
+        prof = np.zeros(m + 1)
+        total = 0.0
+        for a, b in u:
+            prof += pref[b] - pref[a]
+            total += (b - a) / m
+        if 0 < total < 1:
+            kept.append(u)
+            profiles.append(prof)
+            lens_u.append(total)
+    worst = -np.inf
+    prof_arr, len_arr = np.array(profiles), np.array(lens_u)
+    half = len(kept) // 2
+    for u, blen in zip(kept[half:], len_arr[half:]):
+        mass = np.zeros(half)
+        for a, b in u:
+            mass += prof_arr[:half, b] - prof_arr[:half, a]
+        worst = max(worst, float(np.max(_ratio_of(mass, len_arr[:half], blen))))
+    return worst

@@ -105,6 +105,11 @@ class TestGapLowerBounds:
         with pytest.raises(ValidationError):
             glauber.gap_lower_bounds(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_rejected(self, bad):
+        with pytest.raises(ValidationError, match="eps entries must be finite"):
+            glauber.gap_lower_bounds(np.array([[0.0, bad], [bad, 0.0]]))
+
     def test_mprime_flag_when_radius_reaches_one(self):
         eps = np.full((4, 4), 0.4)
         np.fill_diagonal(eps, 0.0)
@@ -412,23 +417,38 @@ class TestSublatticeGap:
         assert gap >= bound.value - 1e-9
 
     def test_long_ring_fitted_rate_dominates_pipeline_bound(self):
-        # high-temperature L = 64 ring: sublattice gap bound from an
-        # MCMC-measured kernel (upper confidence values), fitted rate above it
-        from rhomix.lattice import IsingTorus, LatticeKernel, ising_epsilon
+        # high-temperature L = 64 ring: sublattice gap bound from the exact
+        # ring kernel at every distance of the window (so no tail is
+        # needed), fitted rate of the simulator above it
+        from rhomix.lattice import IsingTorus, ising_epsilon, ising_transfer_correlation
 
-        torus = IsingTorus(1, 64, 3.0)
-        meas = ising_epsilon(torus, method="mcmc", seed=6, sweeps=1500, thin=2)
-        entries = {}
-        for key, half in meas.stderr.items():
-            d = abs(key[0])
-            val = meas.kernel.value_at(key) + 2 * half
-            if val > 0.02:  # keep the measurable part of the kernel
-                entries[d] = min(val, 0.95)
-        kern = LatticeKernel.from_dict(1, max(entries), entries)
-        bound = glauber.sublattice_gap(kern)
-        sim = glauber.glauber_simulate_ising(torus, horizon=6_000.0, seed=2)
-        assert bound.value > 0.0
+        T = 3.0
+        small = ising_epsilon(IsingTorus(1, 10, T))  # subjective suprema over clamped contexts
+        for d in range(1, 6):  # equal the closed form, which is thus the kernel the theorem takes
+            assert small.kernel.value_at(d) == pytest.approx(ising_transfer_correlation(T, 10, d), abs=1e-12)
+        L = 64
+        entries = {d: ising_transfer_correlation(T, L, d) for d in range(1, L // 2 + 1)}
+        bound = glauber.sublattice_gap(LatticeKernel.from_dict(1, L // 2, entries))
+        sim = glauber.glauber_simulate_ising(IsingTorus(1, L, T), horizon=6_000.0, seed=2)
+        assert bound.value >= 1e-3
         assert sim.rate_estimate >= bound.value
+
+    @pytest.mark.parametrize("T", [8.0, 5.0, 3.5])
+    def test_gap_theorem_on_a_2d_torus(self, T):
+        # 3x3 torus, 512 states: subjective eps over all 36 site pairs
+        from rhomix.lattice import IsingTorus, ising_epsilon, ising_exact
+
+        torus = IsingTorus(2, 3, T)
+        sys = ising_exact(torus)
+        eps = np.zeros((9, 9))
+        for i in range(9):
+            for j in range(i + 1, 9):
+                eps[i, j] = eps[j, i] = discrete.subjective_maxcorr(sys, i, j)
+        rep = glauber.gap_lower_bounds(eps)
+        gap = glauber.exact_gap(sys)
+        assert gap >= rep.bound_M - 1e-9
+        assert rep.bound_M >= rep.bound_simple - 1e-12
+        assert gap >= glauber.sublattice_gap(ising_epsilon(torus).kernel).value - 1e-9
 
 
 class TestSweep:
