@@ -1,10 +1,13 @@
 """The acceptance suite: one callable per criterion, shared by pytest and the CLI.
 
-Each check returns a CheckResult; ``run_all`` executes a selection and prints
-one pass/fail line per criterion.
+``_check`` registers each check in ALL_CHECKS, times it and builds its
+CheckResult; ``run_all`` executes a selection and prints one pass/fail line
+per criterion.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discrete, events, gaussian, glauber, lattice, tensor_bounds
+from .convdecay import ToeplitzKernel, banded_inverse_constants, conv_inverse, decay_fit
 from .discrete import FinitePair, FiniteSystem
 
 TOL = 1e-9
@@ -25,12 +29,38 @@ class CheckResult:
     elapsed: float
 
 
+ALL_CHECKS: list = []  # filled by _check
+
+
+def _check(name: str, budget_s: float = math.inf):
+    """Register a check body in ALL_CHECKS and time it.
+
+    The body returns (passed, detail).  The check returns a CheckResult that
+    fails past ``budget_s`` seconds and whose detail ends in the elapsed time.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            elapsed = time.perf_counter() - t0
+            over = elapsed >= budget_s
+            detail += f"; {elapsed:.2f}s" + (f", over the {budget_s:g}s budget" if over else "")
+            return CheckResult(name, passed and not over, detail, elapsed)
+
+        ALL_CHECKS.append(check)
+        ALL_CHECKS.sort(key=lambda fn: fn.__name__)  # criterion order: check_01 .. check_13
+        return check
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # criterion 1: the worked 3x3 mixing example
 
 
-def check_01_worked_example() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("01 worked example", budget_s=1.0)
+def check_01_worked_example():
     rep = gaussian.par411_report()
     errs = {
         "x1_y": abs(rep["x1_y"] - 0.5),
@@ -47,10 +77,8 @@ def check_01_worked_example() -> CheckResult:
         errs[f"vtable_{expect[0][0]}"] = float(
             np.abs(gaussian.vtable(np.array(mix)) - np.array(expect)).max()
         )
-    elapsed = time.perf_counter() - t0
     worst = max(errs.values())
-    ok = worst <= 1e-10 and elapsed < 1.0
-    return CheckResult("01 worked example", ok, f"max err {worst:.2e}, {elapsed:.2f}s", elapsed)
+    return worst <= 1e-10, f"max err {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +86,6 @@ def check_01_worked_example() -> CheckResult:
 
 
 def _membership_pair(n: int, p: int) -> FinitePair:
-    import itertools
-
     xs = list(itertools.combinations(range(n), p))
     joint = np.zeros((len(xs), n))
     for a, x in enumerate(xs):
@@ -78,8 +104,8 @@ def _membership_twostep_pair(n: int, p: int) -> FinitePair:
     return FinitePair.from_joint(P / n)
 
 
-def check_02_closed_forms() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("02 closed forms")
+def check_02_closed_forms():
     worst = 0.0
     details = []
     for n, p in ((5, 2), (10, 3), (50, 7)):
@@ -101,9 +127,7 @@ def check_02_closed_forms() -> CheckResult:
         expect = 0.5 + 6.0 * max(alpha, 0.0)
         err = abs(discrete.maxcorr_pair(FinitePair.from_joint(joint)).rho - expect)
         worst = max(worst, err)
-    ok = worst <= 1e-12
-    return CheckResult("02 closed forms", ok, f"max err {worst:.2e}; " + ", ".join(details),
-                       time.perf_counter() - t0)
+    return worst <= 1e-12, f"max err {worst:.2e}; " + ", ".join(details)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +180,14 @@ def _event_violation(seed: int) -> float:
     return worst
 
 
-def check_03_tensor_sweep() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("03 tensorization sweep", budget_s=300.0)
+def check_03_tensor_sweep():
     worst = min(min(_bound_slacks(k)) for k in range(500))
-    elapsed = time.perf_counter() - t0
-    ok = worst >= -TOL and elapsed < 300.0
-    return CheckResult("03 tensorization sweep", ok,
-                       f"500 systems, worst slack {worst:.2e}, {elapsed:.1f}s", elapsed)
+    return worst >= -TOL, f"500 systems, worst slack {worst:.2e}"
 
 
-def check_04_independent_tensorization() -> CheckResult:
-    t0 = time.perf_counter()
-
+@_check("04 independent tensorization")
+def check_04_independent_tensorization():
     def one(seed: int) -> float:
         rng = np.random.default_rng(4000 + seed)
         sys, per_pair = discrete.product_pair_system(rng, int(rng.integers(1, 4)))
@@ -176,33 +196,25 @@ def check_04_independent_tensorization() -> CheckResult:
         return abs(discrete.maxcorr_blocks(sys, xs, ys) - max(per_pair))
 
     worst = max(one(k) for k in range(100))
-    ok = worst <= TOL
-    return CheckResult("04 independent tensorization", ok, f"worst |equality gap| {worst:.2e}",
-                       time.perf_counter() - t0)
+    return worst <= TOL, f"worst |equality gap| {worst:.2e}"
 
 
-def check_07_event_criteria() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("07 event criteria")
+def check_07_event_criteria():
     worst = max(_event_violation(k) for k in range(500))
     m = 512
     nu = events.nu_event_ratio(events.NuModel(0.5, 0.02, m))
-    nu_ok = nu.worst_ratio <= nu.factor + 2.0 / m
-    ok = worst <= TOL and nu_ok
-    return CheckResult(
-        "07 event criteria", ok,
-        f"worst chain violation {worst:.2e}; nu ratio {nu.worst_ratio:.4f} vs "
-        f"factor {nu.factor:.4f} + {2.0 / m:.4f}",
-        time.perf_counter() - t0,
-    )
+    ok = worst <= TOL and nu.worst_ratio <= nu.factor + 2.0 / m
+    return ok, (f"worst chain violation {worst:.2e}; nu ratio {nu.worst_ratio:.4f} vs "
+                f"factor {nu.factor:.4f} + {2.0 / m:.4f}")
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: Gaussian optimality
 
 
-def check_05_gaussian_optimality() -> CheckResult:
-    t0 = time.perf_counter()
-
+@_check("05 gaussian optimality")
+def check_05_gaussian_optimality():
     def one(seed: int) -> float:
         rng = np.random.default_rng(5000 + seed)
         eps = rng.uniform(0.0, 0.95, size=int(rng.integers(1, 6)))
@@ -215,20 +227,16 @@ def check_05_gaussian_optimality() -> CheckResult:
     k = 64
     rep = gaussian.build_banded_zz(1.0, k)
     banded_err = abs(rep.maxcorr - 2.0 / 3.0)
-    ok = worst <= TOL and banded_err <= 2.0 / k
-    return CheckResult(
-        "05 gaussian optimality", ok,
-        f"worst simple-bound gap {worst:.2e}; banded window error {banded_err:.2e} <= {2.0 / k:.2e}",
-        time.perf_counter() - t0,
-    )
+    return (worst <= TOL and banded_err <= 2.0 / k,
+            f"worst simple-bound gap {worst:.2e}; banded window error {banded_err:.2e} <= {2.0 / k:.2e}")
 
 
 # ---------------------------------------------------------------------------
 # criterion 6: the Chogosov suite
 
 
-def check_06_chogosov() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("06 chogosov suite", budget_s=120.0)
+def check_06_chogosov():
     n = 100_000
     model = events.ChogosovModel(0.5)
     cloud = events.chogosov_sample(model, n, seed=7)
@@ -248,14 +256,9 @@ def check_06_chogosov() -> CheckResult:
     rep = events.chogosov_opnorm(events.ChogosovModel(0.5), m=1 << 16)
     lam05 = events.lambda_fn(0.5)
     opnorm_ok = 0.985 * lam05 <= rep.rho_hat <= lam05 * (1 + 1e-6)
-    elapsed = time.perf_counter() - t0
-    ok = ks < crit and lam_dev <= 1e-8 and lstar < 1e-12 and opnorm_ok and elapsed < 120.0
-    return CheckResult(
-        "06 chogosov suite", ok,
-        f"KS {ks:.4f} < {crit:.4f}; lambda dev {lam_dev:.1e}; L* residual {lstar:.1e}; "
-        f"rho_hat {rep.rho_hat:.4f} in [{0.985 * lam05:.4f}, {lam05:.4f}]; {elapsed:.1f}s",
-        elapsed,
-    )
+    ok = ks < crit and lam_dev <= 1e-8 and lstar < 1e-12 and opnorm_ok
+    return ok, (f"KS {ks:.4f} < {crit:.4f}; lambda dev {lam_dev:.1e}; L* residual {lstar:.1e}; "
+                f"rho_hat {rep.rho_hat:.4f} in [{0.985 * lam05:.4f}, {lam05:.4f}]")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +279,8 @@ def _gap_sweep_one(seed: int) -> tuple:
     return gap - rep.bound_M, rep.bound_M - rep.bound_simple, gap / rep.bound_M
 
 
-def check_08_glauber() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("08 glauber", budget_s=600.0)
+def check_08_glauber():
     rows = [_gap_sweep_one(k) for k in range(200)]
     worst_gap = min(r[0] for r in rows)
     worst_nest = min(r[1] for r in rows)
@@ -298,31 +301,18 @@ def check_08_glauber() -> CheckResult:
         keep_events=False,
     )
     sim_err = abs(sim.rate_estimate - gap3) / gap3
-    elapsed = time.perf_counter() - t0
-    ok = (
-        worst_gap >= -TOL
-        and worst_nest >= -TOL
-        and abs(gap_prod - 1.0) <= 1e-9
-        and sim_err <= 0.10
-        and elapsed < 600.0
-    )
-    return CheckResult(
-        "08 glauber", ok,
-        f"worst gap slack {worst_gap:.2e}; worst bound nesting {worst_nest:.2e}; "
-        f"tightest gap/bound ratio {tightest:.2f}; product gap err {abs(gap_prod - 1):.1e}; "
-        f"sim rate err {100 * sim_err:.1f}%; {elapsed:.1f}s",
-        elapsed,
-    )
+    ok = worst_gap >= -TOL and worst_nest >= -TOL and abs(gap_prod - 1.0) <= 1e-9 and sim_err <= 0.10
+    return ok, (f"worst gap slack {worst_gap:.2e}; worst bound nesting {worst_nest:.2e}; "
+                f"tightest gap/bound ratio {tightest:.2f}; product gap err {abs(gap_prod - 1):.1e}; "
+                f"sim rate err {100 * sim_err:.1f}%")
 
 
 # ---------------------------------------------------------------------------
 # criterion 9 and 10: quadratic model and convolution inverses
 
 
-def check_09_quadratic() -> CheckResult:
-    t0 = time.perf_counter()
-    from .convdecay import ToeplitzKernel, decay_fit
-
+@_check("09 quadratic model")
+def check_09_quadratic():
     gam = ToeplitzKernel.from_dict(1, 1, {1: 0.2, -1: 0.2})
     model = lattice.QuadraticModel(1, gam)
     cov = lattice.quadratic_covariance(model)
@@ -333,11 +323,12 @@ def check_09_quadratic() -> CheckResult:
     # decay-class preservation
     R = 46
     zs = np.arange(-R, R + 1)
-    expo = ToeplitzKernel(1, R, 0.3 * np.exp(-0.7 * np.abs(zs)))
-    fit_e = decay_fit(lattice.quadratic_covariance(lattice.QuadraticModel(1, _zeroed(expo))).a_inv, max_shell=R)
-    poly_vals = 0.4 / (1.0 + np.abs(zs)) ** 3
-    poly = ToeplitzKernel(1, R, poly_vals)
-    fit_p = decay_fit(lattice.quadratic_covariance(lattice.QuadraticModel(1, _zeroed(poly))).a_inv, max_shell=R)
+    fits = []
+    for vals in (0.3 * np.exp(-0.7 * np.abs(zs)), 0.4 / (1.0 + np.abs(zs)) ** 3):
+        vals[R] = 0.0  # no self-coupling: a valid quadratic model
+        cov_v = lattice.quadratic_covariance(lattice.QuadraticModel(1, ToeplitzKernel(1, R, vals)))
+        fits.append(decay_fit(cov_v.a_inv, max_shell=R))
+    fit_e, fit_p = fits
     decay_ok = (
         fit_e.classification == "exponential"
         and fit_e.rate <= 0.7 + 1e-6
@@ -345,27 +336,12 @@ def check_09_quadratic() -> CheckResult:
         and abs(fit_p.exponent - 3.0) <= 0.3
     )
     ok = sum_err <= 1e-10 and eps_ok and a0_ok and decay_ok
-    return CheckResult(
-        "09 quadratic model", ok,
-        f"sum-to-one err {sum_err:.1e}; eps mass {rep.eps_sum_offcenter:.3f} <= {model.Gamma}; "
-        f"exp rate {fit_e.rate:.3f} <= 0.7; poly exponent {fit_p.exponent:.2f}",
-        time.perf_counter() - t0,
-    )
+    return ok, (f"sum-to-one err {sum_err:.1e}; eps mass {rep.eps_sum_offcenter:.3f} <= {model.Gamma}; "
+                f"exp rate {fit_e.rate:.3f} <= 0.7; poly exponent {fit_p.exponent:.2f}")
 
 
-def _zeroed(kernel):
-    """Copy of a kernel with the origin forced to zero (a valid coupling)."""
-    from .convdecay import ToeplitzKernel
-
-    v = kernel.values.copy()
-    v[(kernel.R,) * kernel.n] = 0.0
-    return ToeplitzKernel(kernel.n, kernel.R, v)
-
-
-def check_10_conv_exact() -> CheckResult:
-    t0 = time.perf_counter()
-    from .convdecay import ToeplitzKernel, banded_inverse_constants, conv_inverse
-
+@_check("10 convolution inverses")
+def check_10_conv_exact():
     a = ToeplitzKernel.from_dict(1, 1, {1: math.exp(-1.0)})
     b = conv_inverse(a)
     worst = 0.0
@@ -393,38 +369,31 @@ def check_10_conv_exact() -> CheckResult:
         envelope = consts.A_out * np.exp(-consts.gamma_out * np.abs(idx[:, None] - idx[None, :]))
         if (np.abs(inv) > envelope * (1 + 1e-9)).any():
             bound_ok = False
-    ok = worst <= 1e-12 and bound_ok
-    return CheckResult(
-        "10 convolution inverses", ok,
-        f"geometric-inverse max err {worst:.2e}; banded envelope held on 50 matrices: {bound_ok}",
-        time.perf_counter() - t0,
-    )
+    return (worst <= 1e-12 and bound_ok,
+            f"geometric-inverse max err {worst:.2e}; banded envelope held on 50 matrices: {bound_ok}")
 
 
 # ---------------------------------------------------------------------------
 # criterion 11: the Ising CLT
 
 
-def check_11_clt() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("11 ising clt")
+def check_11_clt():
     model = lattice.IsingTorus(1, 8, 3.0)
     rep = lattice.clt_experiment(model, (8, 16, 32), replicas=10_000, seed=3)
     decreasing = rep.cf_distances[0] > rep.cf_distances[1] > rep.cf_distances[2]
     sig_err = abs(rep.sigma_hat2 - rep.sigma2_limit) / rep.sigma2_limit
     ok = decreasing and rep.cf_distances[-1] < 0.05 and sig_err <= 0.05
-    return CheckResult(
-        "11 ising clt", ok,
-        f"cf distances {tuple(round(d, 4) for d in rep.cf_distances)} decreasing={decreasing}; "
-        f"sigma2 rel err {100 * sig_err:.1f}%",
-        time.perf_counter() - t0,
-    )
+    return ok, (f"cf distances {tuple(round(d, 4) for d in rep.cf_distances)} decreasing={decreasing}; "
+                f"sigma2 rel err {100 * sig_err:.1f}%")
 
 
 # ---------------------------------------------------------------------------
 # criterion 12: hypocoercive chain
 
 
-def check_12_hypocoercive() -> CheckResult:
+@_check("12 hypocoercive chain", budget_s=60.0)
+def check_12_hypocoercive():
     """Criterion 12: the damped harmonic chain contracts strictly,
     {eta_0 : eta_t} < 1 at every horizon t.
 
@@ -446,7 +415,6 @@ def check_12_hypocoercive() -> CheckResult:
     and 0.1, (1 - rho) / (lam omega^2 t^3 / 12) within 1e-2 of 1, which pins
     rho from both sides; rho(1) < 1 - 1e-3; under 60 s.
     """
-    t0 = time.perf_counter()
     params = gaussian.OUChainParams(K=16, t=0.05)
     co = gaussian.ou_smallt_coefficients(params, 0.05)
     rich_err = max(
@@ -467,18 +435,15 @@ def check_12_hypocoercive() -> CheckResult:
             passed, band = rho < 1.0 - 1e-3, "rho < 0.999"
         contraction_ok = contraction_ok and passed
         parts.append(f"t={t:g}: 1-rho {1.0 - rho:.3e}, law {law:.3e}, ratio {ratio:.5f} (needs {band})")
-    elapsed = time.perf_counter() - t0
-    ok = rich_err <= 0.02 and contraction_ok and elapsed < 60.0
-    detail = f"Richardson rel err {rich_err:.2e}; " + "; ".join(parts) + f"; {elapsed:.1f}s"
-    return CheckResult("12 hypocoercive chain", ok, detail, elapsed)
+    return rich_err <= 0.02 and contraction_ok, f"Richardson rel err {rich_err:.2e}; " + "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # criterion 13: three lines
 
 
-def check_13_three_lines() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("13 three lines")
+def check_13_three_lines():
     rng = np.random.default_rng(13)
     sin_g, sin_a = np.empty((0, 3)), np.empty((0, 3))
     while len(sin_g) < 10_000:  # keep draws with every pairwise sine >= 1e-3, in draw order
@@ -492,29 +457,8 @@ def check_13_three_lines() -> CheckResult:
     r = ratios[:, :1]
     geo, app = np.arcsin(np.minimum(sin_g, 1.0)), np.arcsin(np.minimum(sin_a, 1.0))
     consistent = not np.any(((r < 1 - 1e-12) & (app > geo + 1e-12)) | ((r > 1 + 1e-12) & (app < geo - 1e-12)))
-    ok = worst_spread <= 1e-10 and consistent
-    return CheckResult(
-        "13 three lines", ok,
-        f"worst sine-ratio spread {worst_spread:.2e} on 10^4 triples; orders consistent: {consistent}",
-        time.perf_counter() - t0,
-    )
-
-
-ALL_CHECKS = [
-    check_01_worked_example,
-    check_02_closed_forms,
-    check_03_tensor_sweep,
-    check_04_independent_tensorization,
-    check_05_gaussian_optimality,
-    check_06_chogosov,
-    check_07_event_criteria,
-    check_08_glauber,
-    check_09_quadratic,
-    check_10_conv_exact,
-    check_11_clt,
-    check_12_hypocoercive,
-    check_13_three_lines,
-]
+    return (worst_spread <= 1e-10 and consistent,
+            f"worst sine-ratio spread {worst_spread:.2e} on 10^4 triples; orders consistent: {consistent}")
 
 
 def run_all(only=None, out=print):

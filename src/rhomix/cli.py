@@ -11,6 +11,7 @@ alone decides between ``--dry-run`` and ``run``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys as _sys
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import acceptance, discrete, events, gaussian, glauber, lattice, tensor_bounds
 from . import io as rio
+from .convdecay import ToeplitzKernel, _check_neumann, conv_inverse, decay_fit
 from .errors import IntegratorError, ValidationError
 
 
@@ -105,8 +107,6 @@ def _kernel_from_file(path: str) -> tensor_bounds.LatticeKernel:
 
 
 def _toeplitz_from_file(path: str):
-    from .convdecay import ToeplitzKernel
-
     d, n, R, entries = _window_file(path)
     return ToeplitzKernel.from_dict(n, R, entries, d.get("decay_class", "none"))
 
@@ -393,8 +393,6 @@ def _quadratic(args):
 
 
 def _conv_inverse(args):
-    from .convdecay import _check_neumann, conv_inverse, decay_fit
-
     kern = _toeplitz_from_file(args.kernel)
     _check_neumann(kern)
 
@@ -457,8 +455,12 @@ def _three_lines(args):
 
 def _verify_all(args):
     only = args.only.split(",") if args.only else None
-    # the suite prints one line per check as it goes; its run returns the exit code
-    return lambda: 0 if all(r.passed for r in acceptance.run_all(only=only)) else 1
+    # the suite writes one line per check as it goes; its run returns the exit code
+    def run():
+        with open(args.output, "w") if args.output else contextlib.nullcontext(_sys.stdout) as fh:
+            results = acceptance.run_all(only=only, out=lambda line: print(line, file=fh))
+        return 0 if all(r.passed for r in results) else 1
+    return run
 
 
 HANDLERS = {

@@ -80,17 +80,23 @@ def _check_neumann(a: ToeplitzKernel) -> float:
     return s
 
 
+def _neumann_terms(s: float) -> int:
+    """Neumann terms K kept for ||a||_1 = s in (0, 1): the least K >= 1 with
+    s^K / (1 - s) <= SERIES_TOL, so the l1 remainder s^(K+1) / (1 - s) is below it."""
+    return max(1, int(math.ceil(math.log(SERIES_TOL * (1.0 - s)) / math.log(s))))
+
+
 def conv_inverse(a: ToeplitzKernel) -> ToeplitzKernel:
     """Neumann series B[a] on an auto-enlarged window.
 
     Requires ||a||_1 < 1.  The window doubles from the support radius until
     the geometric tail ||a||_1^{K+1} / (1 - ||a||_1) of the truncated series
-    is below 1e-12; the defining identity is then verified on the window.
+    is below SERIES_TOL; the defining identity is then verified on the window.
     """
     s = _check_neumann(a)
     if s == 0.0:
         return ToeplitzKernel(a.n, a.R, np.zeros_like(a.values))
-    n_terms = max(1, int(math.ceil(math.log(SERIES_TOL * (1.0 - s)) / math.log(s))))
+    n_terms = _neumann_terms(s)
     R_need = n_terms * max(a.R, 1)  # support radius of the truncated series
     R_out = max(a.R, 1)
     while R_out < R_need:
@@ -102,11 +108,12 @@ def conv_inverse(a: ToeplitzKernel) -> ToeplitzKernel:
         total += power
         power = convolve(power, a.values, mode="same", method="direct")
     b = ToeplitzKernel(a.n, R_out, total)
-    # verify (delta_0 - a) * (delta_0 + b) = delta_0 on the window
+    # verify (delta_0 - a) * (delta_0 + b) = delta_0 on the window: exactly, the
+    # residual is -a^(K+1), below SERIES_TOL; the factor 100 leaves room for rounding
     conv_ab = convolve(total, a.values, mode="same", method="direct")
     residual = total - base - conv_ab
-    if np.abs(residual).max() > 1e-10:
-        raise ValidationError("conv_inverse: defining identity failed beyond 1e-10")
+    if np.abs(residual).max() > 100 * SERIES_TOL:
+        raise ValidationError(f"conv_inverse: defining identity failed beyond {100 * SERIES_TOL:g}")
     return b
 
 

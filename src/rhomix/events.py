@@ -86,13 +86,10 @@ def weak_bound(zeta, theta, m: int = 1024) -> WeakBoundResult:
 @dataclass(frozen=True)
 class ChogosovModel:
     eps: float
-    m: int = 1024  # default grid resolution for discretizations
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValidationError("ChogosovModel: eps must lie in (0, 1)")
-        if self.m < 2:
-            raise ValidationError("ChogosovModel: grid resolution must be >= 2")
 
     def q_lower(self, p):
         """Lower zone border q_D(p): on it q(1-p) = eps^2 p(1-q)."""
@@ -277,7 +274,7 @@ def _check_grid(m: int) -> None:
             f"chogosov opnorm: --m must be >= {OPNORM_MIN_GRID} and <= cap {OPNORM_MAX_GRID}, got {m}")
 
 
-def chogosov_opnorm(model: ChogosovModel, m: int | None = None) -> OpnormReport:
+def chogosov_opnorm(model: ChogosovModel, m: int) -> OpnormReport:
     """Norm of the grid transfer operator on mean-zero functions, from below.
 
     Implicitly restarted Lanczos (``eigsh``, largest magnitude) runs on the
@@ -292,7 +289,7 @@ def chogosov_opnorm(model: ChogosovModel, m: int | None = None) -> OpnormReport:
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    m = model.m if m is None else int(m)
+    m = int(m)
     _check_grid(m)
     apply = transfer_matvec(model, m)
     eta = 4.0 / m

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import CapExceededError, IntegratorError, ValidationError
+from .tensor_bounds import l2_sum_bound, simple_bound
 
 OU_CHAIN_K_CAP = 512  # ou_chain_joint takes the exponential of a 4K x 4K matrix
 
@@ -459,8 +460,6 @@ def par411_report() -> dict:
     x1y_given_x2 = maxcorr_gaussian(condition(sys, ["X2"]), ["X1"], ["Y"])
     direct = maxcorr_gaussian(sys, ["X1", "X2"], ["Y"])
     chained, es = chained_maxcorr(sys, ["X1", "X2"], "Y")
-    from .tensor_bounds import l2_sum_bound, simple_bound
-
     return {
         "x1_y": x1y,
         "x2_y": x2y,

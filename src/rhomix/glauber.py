@@ -18,7 +18,7 @@ import numpy as np
 from .discrete import FiniteSystem
 from .errors import CapExceededError, ValidationError
 from .lattice import _heat_bath_updater, ising_mcmc_samples
-from .tensor_bounds import LatticeKernel, sublattice_k
+from .tensor_bounds import EpsilonMatrix, LatticeKernel, sublattice_k
 
 EXACT_GAP_STATE_CAP = 1 << 12
 SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
@@ -40,8 +40,6 @@ class GapBoundReport:
 
 
 def _check_eps_matrix(eps) -> np.ndarray:
-    from .tensor_bounds import EpsilonMatrix
-
     if isinstance(eps, EpsilonMatrix):
         eps = eps.entries
     eps = np.asarray(eps, dtype=float)

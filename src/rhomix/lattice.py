@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrete
-from .convdecay import ToeplitzKernel, conv_inverse
+from .convdecay import ToeplitzKernel, _neumann_terms, conv_inverse
 from .discrete import FinitePair, FiniteSystem
 from .errors import CapExceededError, ValidationError
 from .tensor_bounds import LatticeKernel, TailModel, distance_bound, sublattice_k
@@ -86,8 +86,7 @@ def quadratic_covariance(model: QuadraticModel) -> QuadraticCovariance:
     values /= 1.0 + G
     a_inv = ToeplitzKernel(model.n, series.R, values)
     s = scaled.l1_norm()
-    n_terms = max(1, int(math.ceil(math.log(1e-12 * (1.0 - s)) / math.log(s)))) if s > 0 else 1
-    trunc = (s ** (n_terms + 1)) / (1.0 - s) / (1.0 + G) if s > 0 else 0.0
+    trunc = (s ** (_neumann_terms(s) + 1)) / (1.0 - s) / (1.0 + G) if s > 0 else 0.0
     a0 = float(values[center])
     eps_vals = np.clip(values / a0, 0.0, 1.0)
     tail = TailModel(kind="mass", total=min(1.0, trunc / a0)) if trunc > 0 else TailModel()
@@ -232,10 +231,18 @@ class IsingEpsilonReport:
                                   self.subjective, self.stderr, ok)
 
 
+def _exp(x: float) -> float:
+    """math.exp, but inf where it overflows, so that low temperatures take their limits."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def ising_constants(n: int, T: float) -> tuple:
     """(c0, k0): the conditional-decorrelation constants of the torus model."""
     c0 = math.tanh(4.0 * n / T) + 1.0
-    k0 = 1.0 - 4.0 / (math.exp(8.0 * n / T) + 2.0 * math.exp((4.0 * n + 2.0) / T) + 1.0)
+    k0 = 1.0 - 4.0 / (_exp(8.0 * n / T) + 2.0 * _exp((4.0 * n + 2.0) / T) + 1.0)
     return c0, k0
 
 
@@ -307,7 +314,7 @@ def _heat_bath_updater(torus: IsingTorus):
     neigh = [tuple(row) for row in torus.neighbour_table().tolist()]
     n2 = 2 * torus.n
     beta = 1.0 / torus.T
-    p_up = [1.0 / (1.0 + math.exp(-2.0 * beta * h)) for h in range(-n2, n2 + 1)]
+    p_up = [1.0 / (1.0 + _exp(-2.0 * beta * h)) for h in range(-n2, n2 + 1)]
     clamped = {int(np.ravel_multi_index(s, (torus.L,) * torus.n)) for s in torus.clamp_sites}
 
     def update(state, sites, uniforms):
@@ -413,6 +420,9 @@ def _check_clt(model, ells, replicas: int, shape: str = "cube", dim: int = 1) ->
     ells = tuple(int(l) for l in ells)
     if min(ells, default=0) < 1 or replicas < 2:
         raise ValidationError("clt: --ells must be integers >= 1 and --replicas must be >= 2")
+    if isinstance(model, IsingTorus) and math.tanh(1.0 / model.T) == 1.0:
+        raise ValidationError(f"clt: the Ising limit variance needs tanh(1/T) < 1, "
+                              f"but it rounds to 1 at T = {model.T!r}")
     ell = max(ells)
     if isinstance(model, (IsingTorus, QuadraticModel)):
         width = _ring_length(model, ell)

@@ -45,3 +45,24 @@ def test_check_13_reports_a_broken_identity(monkeypatch):
     result = acceptance.check_13_three_lines()
     assert not result.passed
     assert "worst sine-ratio spread 1.00e-09" in result.detail
+
+
+def test_registry_lists_the_13_checks_in_criterion_order():
+    assert [fn.__name__ for fn in acceptance.ALL_CHECKS] == [
+        "check_01_worked_example", "check_02_closed_forms", "check_03_tensor_sweep",
+        "check_04_independent_tensorization", "check_05_gaussian_optimality", "check_06_chogosov",
+        "check_07_event_criteria", "check_08_glauber", "check_09_quadratic", "check_10_conv_exact",
+        "check_11_clt", "check_12_hypocoercive", "check_13_three_lines",
+    ]
+
+
+@pytest.mark.parametrize("seconds, passes, suffix", [
+    (2.0, False, "; 2.00s, over the 1s budget"),
+    (0.5, True, "; 0.50s"),
+])
+def test_check_01_fails_past_its_budget(monkeypatch, seconds, passes, suffix):
+    clock = iter([0.0, seconds])
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    result = acceptance.check_01_worked_example()
+    assert result.passed == passes and result.elapsed == seconds
+    assert result.detail.startswith("max err ") and result.detail.endswith(suffix), result.detail

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rhomix import cli
+from rhomix import acceptance, cli
 
 
 def run_cli(args, tmp_path=None):
@@ -288,6 +288,32 @@ class TestInProcessMain:
         out = capsys.readouterr().out
         assert json.loads(out)["value"] == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("worst, code, verdict", [(0.0, 0, "[PASS]"), (1.0, 1, "[FAIL]")])
+    def test_verify_all_writes_its_lines_to_output(self, worst, code, verdict, tmp_path, capsys, monkeypatch):
+        report = acceptance.gaussian.par411_report
+
+        def shifted():  # the x1_y error of the worked example becomes `worst`
+            return {**report(), "x1_y": 0.5 + worst}
+
+        monkeypatch.setattr(acceptance.gaussian, "par411_report", shifted)
+        out = tmp_path / "v.txt"
+        assert cli.main(["verify-all", "--only", "01", "--output", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith(f"{verdict} 01 worked example: max err ")
+
+    @pytest.mark.parametrize("argv", [
+        ["ising", "--L", "4", "--T", "1e-3"],
+        ["ising", "--L", "8", "--T", "0.01", "--method", "mcmc"],
+        ["ising", "--L", "8", "--T", "1e-3", "--method", "mcmc"],
+    ])
+    def test_ising_takes_its_zero_temperature_limit(self, argv, capsys):
+        # exp(8n/T) and exp(-2 beta h) overflow: k0 and the heat-bath table take their limits
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["c0"] == 2.0 and out["k0"] == 1.0
+        if out["method"] == "exact":
+            assert out["values"] == {"(-2)": 1.0, "(-1)": 1.0, "(1)": 1.0, "(2)": 1.0}
+
 
 @pytest.fixture
 def input_files(tmp_path):
@@ -368,6 +394,7 @@ class TestHandlerTable:
         (["glauber-sim", "--system", "{system}", "--horizon", "1e15"], "expected events above cap 4194304"),
         (["glauber-sim", "--system", "{system}", "--horizon", "1e300"], "expected events above cap 4194304"),
         (["ising", "--method", "mcmc", "--n", "3", "--L", "100000", "--T", "2"], "more than 65536 sites"),
+        (["clt", "--T", "1e-3", "--replicas", "100"], "needs tanh(1/T) < 1, but it rounds to 1 at T = 0.001"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):

@@ -188,6 +188,19 @@ class TestExactGap:
             gap = glauber.exact_gap(spin_system(joint))
             assert gap == pytest.approx(brute_force_gap(joint), abs=1e-10)
 
+    def test_ritz_residual_bounds_the_gap_error(self):
+        # exact_gap returns shift - theta for the Ritz value theta of (shift I - B);
+        # a symmetric operator has an eigenvalue within |(shift I - B)x - theta x|
+        # of theta, so the residual must be small and must cover the dense error
+        for joint in random_joints():
+            gap, f = glauber.exact_gap(spin_system(joint), return_vector=True)
+            x = np.sqrt(joint).ravel() * f.ravel()
+            x /= np.linalg.norm(x)
+            shift = joint.ndim + 1
+            residual = np.linalg.norm(shift * x - glauber._heat_bath(joint)(x) - (shift - gap) * x)
+            assert residual <= 1e-9
+            assert abs(gap - brute_force_gap(joint)) <= residual + 1e-12
+
     def test_no_nonzero_mode(self):
         joint = np.diag([0.2, 0.3, 0.5])  # every support state is its own class
         assert brute_force_gap(joint) is None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rhomix import discrete, lattice
+from rhomix import convdecay, discrete, lattice
 from rhomix.convdecay import ToeplitzKernel, decay_fit
 from rhomix.discrete import FiniteSystem
 from rhomix.errors import CapExceededError, ValidationError
@@ -15,6 +15,25 @@ def nn_model(gamma_value, beta=1.0):
 
 
 class TestQuadratic:
+    def test_truncation_mass_bounds_the_remainder_at_any_series_tol(self, monkeypatch):
+        monkeypatch.setattr(convdecay, "SERIES_TOL", 1e-6)
+        model = nn_model(0.3)
+        cov = lattice.quadratic_covariance(model)
+        # reference: 401 Neumann terms of a_inv, on the window they fill
+        R, G = 400, model.Gamma
+        power, ref = np.zeros(2 * R + 1), np.zeros(2 * R + 1)
+        power[R] = 1.0
+        for _ in range(R + 1):
+            ref += power
+            power = np.convolve(power, model.gamma.values / (1.0 + G), mode="same")
+        ref /= 1.0 + G
+        got = np.zeros(2 * R + 1)
+        got[R - cov.a_inv.R:R + cov.a_inv.R + 1] = cov.a_inv.values
+        remainder = np.abs(ref - got).sum()
+        assert remainder > 1e-8  # the series really is cut at the patched tolerance
+        # for a nonnegative kernel the bound is an equality, up to rounding
+        assert remainder <= cov.truncation_mass + 1e-12
+
     def test_zero_coupling_is_delta(self):
         cov = lattice.quadratic_covariance(nn_model(0.0))
         assert cov.a_inv_center == pytest.approx(1.0, abs=1e-15)
