@@ -6,13 +6,12 @@ from .discrete import (
     conditional_maxcorr,
     density_bound,
     event_extremes,
-    markov_chain_checks,
     maxcorr_blocks,
     maxcorr_pair,
     mixing_coefficients,
     subjective_maxcorr,
 )
-from .errors import CapExceededError, IntegratorError, NonErgodicChainError, ValidationError
+from .errors import CapExceededError, IntegratorError, ValidationError
 from .events import (
     ChogosovModel,
     NuModel,
@@ -25,7 +24,6 @@ from .events import (
     lambda_integral_identity,
     lstar_identity,
     nu_event_ratio,
-    weak_bound,
 )
 from .gaussian import (
     GaussianSystem,
@@ -46,7 +44,6 @@ from .lattice import (
     clt_experiment,
     ising_epsilon,
     ising_exact,
-    phase_product_bound,
     quadratic_covariance,
     quadratic_rho_report,
 )
@@ -56,7 +53,6 @@ from .tensor_bounds import (
     TailModel,
     distance_bound,
     nm_bound,
-    pf_certificate,
     simple_bound,
     sublattice_k,
     zn_bound,

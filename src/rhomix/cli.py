@@ -120,10 +120,18 @@ def _fields(rep, *names: str) -> dict:
     return {name: getattr(rep, name) for name in names}
 
 
+def _open_output(path: str):
+    """``path`` opened for writing; a file that cannot be opened is a ValidationError naming it."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValidationError(f"{path}: output file must be writable ({exc.strerror or exc})") from exc
+
+
 def _emit(args, payload, csv_text=None):
     text = csv_text if args.format == "csv" and csv_text is not None else rio.dumps(payload)
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_output(args.output) as fh:
             fh.write(text)
     else:
         _sys.stdout.write(text)
@@ -372,7 +380,7 @@ def _ising(args):
         if args.snapshot:
             conf = lattice.ising_mcmc_samples(torus, sweeps=1, thin=1, seed=args.seed, burn=50)[-1]
             grid = conf.reshape((args.L,) * args.n) if args.n > 1 else conf
-            with open(args.snapshot, "w") as fh:
+            with _open_output(args.snapshot) as fh:
                 fh.write(rio.spin_grid_text(grid))
         return out, None
     return run
@@ -457,7 +465,7 @@ def _verify_all(args):
     only = args.only.split(",") if args.only else None
     # the suite writes one line per check as it goes; its run returns the exit code
     def run():
-        with open(args.output, "w") if args.output else contextlib.nullcontext(_sys.stdout) as fh:
+        with _open_output(args.output) if args.output else contextlib.nullcontext(_sys.stdout) as fh:
             results = acceptance.run_all(only=only, out=lambda line: print(line, file=fh))
         return 0 if all(r.passed for r in results) else 1
     return run

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, NonErgodicChainError, ValidationError
+from .errors import CapExceededError, ValidationError
 
 PROB_TOL = 1e-12
 STATE_CAP = 1 << 20
@@ -371,79 +371,7 @@ def density_bound(pair: FinitePair) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Markov chains
-
-
-@dataclass(frozen=True)
-class MarkovChainReport:
-    stationary: np.ndarray
-    reversible: bool
-    rho_step: float
-    rho_k: np.ndarray          # {X_0 : X_t} for t = 1..steps
-    product_bound: np.ndarray  # rho_step ** t
-    transposed_input: bool
-
-
-def markov_chain_checks(P, steps: int = 10) -> MarkovChainReport:
-    """Stationary-chain correlations {X_0:X_t} and the contraction bound.
-
-    ``P`` is row-stochastic; a column-stochastic matrix is detected and
-    transposed.  For reversible chains the exact power law
-    {X_0:X_k} = {X_0:X_1}^k is asserted to 1e-9.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValidationError("markov_chain_checks: P must be square")
-    if P.min() < -1e-15:
-        raise ValidationError("markov_chain_checks: negative transition probability")
-    transposed = False
-    rows_ok = np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
-    cols_ok = np.allclose(P.sum(axis=0), 1.0, atol=1e-9)
-    if not rows_ok and cols_ok:
-        P = P.T
-        transposed = True
-    elif not rows_ok:
-        raise ValidationError("markov_chain_checks: P is not stochastic")
-    # uniqueness of the stationary law: eigenvalue 1 must be simple; its left
-    # eigenvector, normalized to sum 1, is the stationary law
-    ev, vecs = np.linalg.eig(P.T)
-    unit = np.abs(ev - 1.0) < 1e-9
-    if int(np.sum(unit)) != 1:
-        raise NonErgodicChainError("markov_chain_checks: stationary law is not unique")
-    pi = np.real(vecs[:, np.argmax(unit)])
-    pi = np.maximum(pi / pi.sum(), 0.0)
-    pi /= pi.sum()
-    if np.abs(pi @ P - pi).max() > 1e-10:
-        raise NonErgodicChainError("markov_chain_checks: stationary vector has residual |pi P - pi| > 1e-10")
-    flux = pi[:, None] * P
-    reversible = bool(np.abs(flux - flux.T).max() < 1e-12)
-    rhos = []
-    Pk = np.eye(P.shape[0])
-    for _ in range(steps):
-        Pk = Pk @ P
-        rhos.append(_batch_maxcorr((pi[:, None] * Pk)[None]))
-    rho_k = np.array(rhos)
-    rho1 = rho_k[0]
-    product = rho1 ** np.arange(1, steps + 1)
-    if reversible and np.abs(rho_k - product).max() > 1e-9:
-        raise ValidationError("markov_chain_checks: reversible power law violated")
-    return MarkovChainReport(pi, reversible, float(rho1), rho_k, product, transposed)
-
-
-# ---------------------------------------------------------------------------
 # helpers used across the test-suite and the acceptance harness
-
-
-def coarsen_pair(pair: FinitePair, groups_x=None, groups_y=None) -> FinitePair:
-    """Merge states (coarsen the alphabets); never increases maximal correlation."""
-    joint = pair.joint
-    if groups_x is not None:
-        rows = [sum(joint[list(g), :]) for g in groups_x]
-        joint = np.stack([np.asarray(r) for r in rows])
-    if groups_y is not None:
-        cols = [joint[:, list(g)].sum(axis=1) for g in groups_y]
-        joint = np.stack(cols, axis=1)
-    return FinitePair.from_joint(joint)
 
 
 def random_system(rng, n_vars_x: int, n_vars_y: int, max_alpha: int = 3) -> tuple:

@@ -12,9 +12,5 @@ class CapExceededError(ValidationError):
     """A size cap (state count, alphabet, pool, search range) was exceeded."""
 
 
-class NonErgodicChainError(ValidationError):
-    """The transition matrix does not have a unique stationary law."""
-
-
 class IntegratorError(RuntimeError):
     """A numerical integration produced non-finite output."""

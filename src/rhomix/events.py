@@ -36,50 +36,6 @@ def lambda_fn(eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# weak criterion: H^1_0 seminorms of the envelope functions
-
-
-@dataclass(frozen=True)
-class WeakBoundResult:
-    value: float
-    norm_zeta: float
-    norm_theta: float
-    diverged: bool
-
-
-def _h10_norm_sq(f, m: int) -> float:
-    x = np.linspace(0.0, 1.0, m + 1)
-    v = np.asarray([f(t) for t in x], dtype=float)
-    if not np.isfinite(v).all():
-        raise ValidationError("weak_bound: envelope values must be finite")
-    if abs(v[0]) > 1e-6 or abs(v[-1]) > 1e-6:
-        raise ValidationError("weak_bound: envelope functions must vanish at 0 and 1")
-    d = np.diff(v)
-    return float(np.sum(d * d) * m)
-
-
-def weak_bound(zeta, theta, m: int = 1024) -> WeakBoundResult:
-    """Product of H^1_0 seminorms of two envelope functions on [0,1].
-
-    Norms are discrete squared-difference sums on grids m, 2m, 4m, 8m; if the
-    increments between refinements fail to shrink the norm is flagged as
-    divergent and the value is +inf.
-    """
-    results = []
-    diverged = False
-    for f in (zeta, theta):
-        sq = [_h10_norm_sq(f, m * (1 << k)) for k in range(4)]
-        inc = [sq[k + 1] - sq[k] for k in range(3)]
-        # convergent squared norms are Cauchy under refinement; a divergent one
-        # keeps gaining roughly constant increments per doubling
-        if inc[-1] > 1e-3 and inc[-1] > 0.5 * inc[0]:
-            diverged = True
-        results.append(math.sqrt(max(sq[-1], 0.0)))
-    value = math.inf if diverged else results[0] * results[1]
-    return WeakBoundResult(value, results[0], results[1], diverged)
-
-
-# ---------------------------------------------------------------------------
 # the Chogosov law
 
 
@@ -127,13 +83,6 @@ def chogosov_zone(model: ChogosovModel, p: float, q: float) -> str:
     if r > 1.0 / e2:
         return "3"
     return "2"
-
-
-def chogosov_interior_density(model: ChogosovModel, p, q):
-    """Density of the law in the interior of zone 2: 1 + eps p~ q~ / sqrt(p p̄ q q̄)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return 1.0 + model.eps * (p - 0.5) * (q - 0.5) / np.sqrt(p * (1 - p) * q * (1 - q))
 
 
 def _interior_root(model: ChogosovModel, p, w):
@@ -199,12 +148,6 @@ def chogosov_sample(model: ChogosovModel, n: int, seed: int = 0) -> np.ndarray:
     ws = rng.uniform(size=n)
     q, branch = _quantile(model, ps, ws)
     return np.column_stack((ps, q, branch))
-
-
-def curve_atom_fraction(model: ChogosovModel) -> float:
-    """P(sample lies on the lower curve) = int_0^1 q_D(p)/(2p) dp = eps^2 |ln eps| / (1 - eps^2)."""
-    e2 = model.eps**2
-    return float(e2 * abs(math.log(model.eps)) / (1.0 - e2))
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +355,6 @@ def mu_star_cdf(eps: float, p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return np.minimum(np.minimum(p, q), eps * np.sqrt(p * q))
-
-
-def mu_star_rect_mass(eps: float, p1, p2, q1, q2) -> float:
-    f = mu_star_cdf
-    return float(f(eps, p2, q2) - f(eps, p1, q2) - f(eps, p2, q1) + f(eps, p1, q1))
 
 
 def nu_cell_masses(model: NuModel) -> np.ndarray:

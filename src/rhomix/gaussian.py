@@ -421,8 +421,8 @@ def three_lines(u1, u2, u3) -> ThreeLinesReport:
 # variance decomposition table for a linear functional of a mixed system
 
 
-def vtable(mixing: np.ndarray, f_coeffs=None) -> np.ndarray:
-    """V[j][i] table for f = sum_i c_i X_i under the mixing-matrix model.
+def vtable(mixing: np.ndarray) -> np.ndarray:
+    """V[j][i] table for f = sum_i X_i under the mixing-matrix model.
 
     ``mixing`` has one row of independent-noise coefficients per X variable
     and a final row for Y.  V[j][i] is the variance of the increment of the
@@ -432,8 +432,7 @@ def vtable(mixing: np.ndarray, f_coeffs=None) -> np.ndarray:
     n = Mx.shape[0] - 1
     a_rows = Mx[:n]
     w = Mx[n]
-    c = np.ones(n) if f_coeffs is None else np.asarray(f_coeffs, dtype=float)
-    f = c @ a_rows
+    f = np.ones(n) @ a_rows
 
     def proj(rows, v):
         if not rows:

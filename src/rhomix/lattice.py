@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,17 +218,6 @@ class IsingEpsilonReport:
     method: str
     subjective: bool
     stderr: dict | None = None
-    envelope_holds: bool | None = None  # eps(z) <= c0 C' e^{-psi' |z|}, if (C', psi') given
-
-    def check_envelope(self, C_prime: float, psi_prime: float) -> "IsingEpsilonReport":
-        """Re-issue the report with the user-supplied decay envelope checked."""
-        offs = self.kernel.offsets()
-        dist = self.kernel.norm_of(offs)
-        vals = self.kernel.flat_values()
-        nz = dist > 0
-        ok = bool(np.all(vals[nz] <= self.c0 * C_prime * np.exp(-psi_prime * dist[nz]) + 1e-12))
-        return IsingEpsilonReport(self.kernel, self.c0, self.k0, self.method,
-                                  self.subjective, self.stderr, ok)
 
 
 def _exp(x: float) -> float:
@@ -349,12 +338,6 @@ def ising_mcmc_samples(torus: IsingTorus, sweeps: int, thin: int, seed,
     return np.array(kept, dtype=float)
 
 
-def ising_transfer_correlation(T: float, L: int, d: int) -> float:
-    """E[w_0 w_d] on the 1-d cycle: (th^d + th^{L-d}) / (1 + th^L), th = tanh(1/T)."""
-    th = math.tanh(1.0 / T)
-    return (th**d + th ** (L - d)) / (1.0 + th**L)
-
-
 def sample_ising_ring(L: int, T: float, size: int, seed: int = 0) -> np.ndarray:
     """Exact samples of the 1-d cycle by conditional transfer sampling."""
     rng = np.random.default_rng(seed)
@@ -433,9 +416,9 @@ def _check_clt(model, ells, replicas: int, shape: str = "cube", dim: int = 1) ->
     return ells
 
 
-def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
+def clt_experiment(model, ells, replicas: int, seed: int = 0,
                    shape: str = "cube", dim: int = 1) -> CLTReport:
-    """Block sums F(l) = sum f(X_i) / sqrt(#block) against their Gaussian limit.
+    """Block sums F(l) = sum X_i / sqrt(#block) against their Gaussian limit.
 
     model: IsingTorus with n = 1 (exact ring sampling), QuadraticModel with
     n = 1 (exact circulant Gaussian sampling), or the string "independent"
@@ -451,15 +434,13 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
     lam_grid = np.linspace(-3.0, 3.0, 61)
     dists = []
     sig2s = []
-    if f is None:
-        f = lambda x: x
     for ell in ells:
         if isinstance(model, IsingTorus):
             if model.n != 1:
                 raise ValidationError("clt_experiment: only 1-d Ising tori are supported")
             Lbig = _ring_length(model, ell)
             spins = sample_ising_ring(Lbig, model.T, replicas, seed=int(rng.integers(2**63)))
-            block = f(spins[:, :ell]).sum(axis=1) / math.sqrt(ell)
+            block = spins[:, :ell].sum(axis=1) / math.sqrt(ell)
         elif isinstance(model, QuadraticModel):
             if model.n != 1:
                 raise ValidationError("clt_experiment: only 1-d quadratic models are supported")
@@ -473,11 +454,11 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
             lam_eig = np.maximum(lam_eig, 0.0)
             noise = rng.standard_normal((replicas, Lbig)) + 0j
             field = np.fft.ifft(np.fft.fft(noise, axis=1) * np.sqrt(lam_eig), axis=1).real
-            block = f(field[:, :ell]).sum(axis=1) / math.sqrt(ell)
+            block = field[:, :ell].sum(axis=1) / math.sqrt(ell)
         elif model == "independent":
             count = len(_disk_offsets(dim, ell)) if shape == "disk" else ell**dim
             spins = rng.choice((-1.0, 1.0), size=(replicas, count))
-            block = f(spins).sum(axis=1) / math.sqrt(count)
+            block = spins.sum(axis=1) / math.sqrt(count)
         else:
             raise ValidationError("clt_experiment: unsupported model")
         s2 = float(block.var())
@@ -491,63 +472,3 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0, f=None,
     else:
         sigma2_limit = 1.0
     return CLTReport(ells, tuple(dists), sig2s[-1], tuple(sig2s), sigma2_limit)
-
-
-# ---------------------------------------------------------------------------
-# product-of-phases bound
-
-
-@dataclass(frozen=True)
-class PhaseBoundReport:
-    lhs: float
-    rhs: float
-    eps_bar: float
-    phi: complex
-    n_blocks: int
-
-
-def phase_product_bound(sys: FiniteSystem, blocks, lam: float, g=None) -> PhaseBoundReport:
-    """|E[prod_i e^{i lam G_i}] - phi^N| against N eps_bar (1+eps_bar) (1-|phi|^2).
-
-    blocks: list of variable-name lists with identical marginal distributions
-    (checked); G_i defaults to the sum of the block coordinates; eps_bar is
-    the max row sum of the measured pairwise subjective block correlations.
-    """
-    blocks = [list(b) for b in blocks]
-    if len(blocks) < 2:
-        raise ValidationError("phase_product_bound: need at least two blocks")
-    if g is None:
-        g = lambda values: float(sum(values))
-    margs = [sys.marginal(b) for b in blocks]
-    for mm in margs[1:]:
-        if mm.shape != margs[0].shape or np.abs(mm - margs[0]).max() > 1e-9:
-            raise ValidationError("phase_product_bound: blocks are not identically distributed")
-    # flatten each block into a single super-variable
-    order = [v for b in blocks for v in b]
-    marg = sys.marginal(order)
-    shape = []
-    for b in blocks:
-        size = int(np.prod([sys.variables[sys.index(v)][1] for v in b]))
-        shape.append(size)
-    joint = marg.reshape(shape)
-    super_sys = FiniteSystem(tuple((f"B{k}", s) for k, s in enumerate(shape)), joint)
-    nb = len(blocks)
-    eps = np.zeros((nb, nb))
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            eps[i, j] = eps[j, i] = discrete.subjective_maxcorr(super_sys, i, j)
-    eps_bar = float(eps.sum(axis=1).max())
-    # block phase values
-    states = [list(itertools.product(*[range(sys.variables[sys.index(v)][1]) for v in b])) for b in blocks]
-    phase_tables = [np.exp(1j * lam * np.array([g(s) for s in st])) for st in states]
-    phi = complex(phase_tables[0] @ margs[0].ravel())
-    acc = joint.astype(complex)
-    for k in range(nb):
-        shape_k = [1] * nb
-        shape_k[k] = -1
-        acc = acc * phase_tables[k].reshape(shape_k)
-    lhs = abs(complex(acc.sum()) - phi**nb)
-    rhs = nb * eps_bar * (1.0 + eps_bar) * (1.0 - abs(phi) ** 2)
-    if lhs > rhs + 1e-9:
-        raise ValidationError("phase_product_bound: bound violated beyond tolerance")
-    return PhaseBoundReport(float(lhs), float(rhs), eps_bar, phi, nb)

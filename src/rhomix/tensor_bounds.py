@@ -109,8 +109,9 @@ class TailModel:
         if self.kind not in ("none", "exponential", "polynomial", "mass", "unknown"):
             raise ValidationError(f"TailModel: unknown kind {self.kind!r}")
         for name in ("C", "psi", "alpha", "total"):
-            if getattr(self, name) < 0:
-                raise ValidationError("TailModel: parameters must be nonnegative")
+            v = getattr(self, name)
+            if not v >= 0:  # NaN fails too; inf is allowed and gives the trivial bound 1
+                raise ValidationError(f"TailModel: {name} must be a nonnegative number, got {v!r}")
 
 
 _NORM_TO_LINF_RATIO = {"l1": lambda n: float(n), "l2": lambda n: math.sqrt(n), "linf": lambda n: 1.0}
@@ -134,7 +135,7 @@ class LatticeKernel:
     def __post_init__(self):
         if self.n < 1 or self.R < 0:
             raise ValidationError("LatticeKernel: need n >= 1 and R >= 0")
-        if self.norm not in _NORM_TO_LINF_RATIO:
+        if not isinstance(self.norm, str) or self.norm not in _NORM_TO_LINF_RATIO:
             raise ValidationError(f"LatticeKernel: unknown norm {self.norm!r}")
         values = _check_unit_interval(self.values, "LatticeKernel.values")
         if values.shape != (2 * self.R + 1,) * self.n:
@@ -329,36 +330,3 @@ def sublattice_k(kernel: LatticeKernel) -> SublatticeK:
             k = simple_bound(np.full(n_cls, per_sublattice))
             return SublatticeK(float(k), ell, sums)
     raise ValidationError(f"sublattice_k: no spacing ell <= {SUBLATTICE_SEARCH_CAP} has all class sums < 1")
-
-
-# ---------------------------------------------------------------------------
-# Perron-Frobenius certificate
-
-
-def pf_certificate(A, delta: float = 1e-9) -> tuple:
-    """Spectral radius of a nonnegative matrix plus a positivity certificate.
-
-    Returns (rho, u) with u > 0 and A u <= (rho + delta) u entrywise, which
-    certifies the characterization rho = inf{lambda : exists u > 0, Au <= lambda u}.
-    The radius is max |eigvals(A)| (0 for a 0x0 matrix), reducible or not;
-    the certificate solve and its slack check below are the gate on it.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError("pf_certificate: A must be square")
-    if A.size and not (np.isfinite(A).all() and A.min() >= 0):
-        raise ValidationError("pf_certificate: A must be entrywise finite and nonnegative")
-    if delta <= 0:
-        raise ValidationError("pf_certificate: delta must be > 0")
-    n = A.shape[0]
-    rho = float(np.abs(np.linalg.eigvals(A)).max()) if n else 0.0
-    # u = sum_k (A/(rho+delta))^k 1 = (I - A/(rho+delta))^-1 1, which gives
-    # A u = (rho+delta)(u - 1) <= (rho+delta) u with u >= 1 entrywise
-    M = A / (rho + delta)
-    u = np.linalg.solve(np.eye(n) - M, np.ones(n))
-    if u.size and u.min() <= 0:
-        raise ValidationError("pf_certificate: certificate vector lost positivity")
-    slack = (rho + delta) * u - A @ u
-    if slack.size and slack.min() < -1e-9 * max(1.0, rho) * max(1.0, float(u.max())):
-        raise ValidationError("pf_certificate: numerical certificate check failed")
-    return float(rho), u

@@ -302,6 +302,20 @@ class TestInProcessMain:
         assert out.read_text().startswith(f"{verdict} 01 worked example: max err ")
 
     @pytest.mark.parametrize("argv", [
+        ["tensor-bound", "simple", "--eps", "0.5", "--output", "{dir}/x.json"],
+        ["tensor-bound", "simple", "--eps", "0.5", "--output", "{dir}/x.json", "--dry-run"],
+        ["verify-all", "--only", "01", "--output", "{dir}/v.txt"],
+        ["ising", "--L", "4", "--T", "2", "--snapshot", "{dir}/s.pgm"],
+    ])
+    def test_unwritable_output_is_exit_2(self, argv, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert cli.main([a.format(dir=missing) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"invariant violated: {missing}/")
+        assert ": output file must be writable (" in captured.err
+
+    @pytest.mark.parametrize("argv", [
         ["ising", "--L", "4", "--T", "1e-3"],
         ["ising", "--L", "8", "--T", "0.01", "--method", "mcmc"],
         ["ising", "--L", "8", "--T", "1e-3", "--method", "mcmc"],
@@ -337,6 +351,9 @@ def input_files(tmp_path):
                        "joint_flat": [2.0**-13] * 2**13},
         "wide_pair": {"labels_x": list(range(21)), "labels_y": [0, 1], "joint": [[1 / 42, 1 / 42]] * 21},
         "heavy_kernel": {"n": 1, "R": 1, "values": {"(1)": 0.6, "(-1)": 0.6}},
+        "nan_C": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "tail": {"type": "polynomial", "C": "nan", "alpha": 3}},
+        "nan_psi": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "tail": {"type": "exponential", "C": 0.1, "psi": "nan"}},
+        "norm_list": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "norm": [1]},
     }
     return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
 
@@ -395,6 +412,9 @@ class TestHandlerTable:
         (["glauber-sim", "--system", "{system}", "--horizon", "1e300"], "expected events above cap 4194304"),
         (["ising", "--method", "mcmc", "--n", "3", "--L", "100000", "--T", "2"], "more than 65536 sites"),
         (["clt", "--T", "1e-3", "--replicas", "100"], "needs tanh(1/T) < 1, but it rounds to 1 at T = 0.001"),
+        (["tensor-bound", "zn", "--kernel", "{nan_C}"], "TailModel: C must be a nonnegative number, got nan"),
+        (["tensor-bound", "zn", "--kernel", "{nan_psi}"], "TailModel: psi must be a nonnegative number, got nan"),
+        (["tensor-bound", "zn", "--kernel", "{norm_list}"], "LatticeKernel: unknown norm [1]"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):

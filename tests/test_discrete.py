@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rhomix import discrete
 from rhomix.discrete import FinitePair, FiniteSystem
-from rhomix.errors import CapExceededError, NonErgodicChainError, ValidationError
+from rhomix.errors import CapExceededError, ValidationError
 from rhomix.events import lambda_fn
 
 
@@ -93,16 +93,42 @@ class TestMaxcorrPair:
         if dev < 1e-15:
             assert rep.rho < 1e-10
 
-    def test_coarsening_never_increases(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            joint = random_joint(rng, 4, 4)
-            p = pair(joint)
-            rho = discrete.maxcorr_pair(p).rho
-            merged = discrete.coarsen_pair(p, groups_x=[(0, 1), (2,), (3,)])
-            assert discrete.maxcorr_pair(merged).rho <= rho + 1e-10
-            merged2 = discrete.coarsen_pair(p, groups_y=[(0, 3), (1, 2)])
-            assert discrete.maxcorr_pair(merged2).rho <= rho + 1e-10
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 5), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_coarsening_never_increases(self, n, m, k, seed):
+        # merging states is the Markov step by a 0/1 kernel
+        assert_markov_step_never_increases(n, m, k, seed, merge=True)
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 5), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_markov_step_never_increases(self, n, m, k, seed):
+        assert_markov_step_never_increases(n, m, k, seed, merge=False)
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.6), (0.1, 0.1), (0.9, 0.2)])
+    def test_reversible_chain_power_law(self, a, b):
+        # every 2-state chain is reversible, and {X_0 : X_k} = |1 - a - b|^k
+        P = np.array([[1 - a, a], [b, 1 - b]])
+        pi = np.array([b, a]) / (a + b)
+        for k in range(1, 9):
+            joint = pi[:, None] * np.linalg.matrix_power(P, k)
+            assert discrete.maxcorr_pair(pair(joint)).rho == pytest.approx(abs(1 - a - b) ** k, abs=1e-12)
+
+
+def random_kernel(rng, rows, k, merge):
+    """A row-stochastic kernel onto k states: a 0/1 merge of states, or Dirichlet rows."""
+    if merge:
+        return np.eye(k)[rng.integers(k, size=rows)]
+    return rng.dirichlet(np.full(k, 0.5), size=rows)
+
+
+def assert_markov_step_never_increases(n, m, k, seed, merge):
+    """Data processing: a Markov step on either side, {X : Y K} or {K^T X : Y},
+    is at most {X : Y}."""
+    rng = np.random.default_rng(seed)
+    joint = random_joint(rng, n, m)
+    rho = discrete.maxcorr_pair(pair(joint)).rho
+    for stepped in (joint @ random_kernel(rng, m, k, merge), random_kernel(rng, n, k, merge).T @ joint):
+        assert discrete.maxcorr_pair(pair(stepped)).rho <= rho + 1e-10
 
 
 class TestBlocks:
@@ -372,60 +398,6 @@ def block_loop_event_extremes(p):
     wa = tuple(p.labels_x[t] for t in range(n) if (best_ab[0] >> t) & 1)
     wbl = tuple(p.labels_y[t] for t in range(m) if (best_ab[1] >> t) & 1)
     return discrete.EventExtremes(float(best), wa, wbl)
-
-
-class TestMarkovChain:
-    def test_nonreversible_three_state(self):
-        P = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])  # column-stochastic
-        rep = discrete.markov_chain_checks(P, steps=10)
-        assert rep.transposed_input
-        assert rep.stationary == pytest.approx([0.4, 0.4, 0.2], abs=1e-12)
-        assert not rep.reversible
-        assert rep.rho_step == pytest.approx(1.0, abs=1e-12)
-        # O(2^{-t/2}) decay: the scaled sequence stays bounded and returns under 1
-        scaled = rep.rho_k * 2 ** (np.arange(1, 11) / 2.0)
-        assert scaled.max() < 2.0
-        assert rep.rho_k[-1] < 0.2
-
-    def test_reversible_two_state_power_law(self):
-        for a, b in ((0.3, 0.6), (0.1, 0.1), (0.9, 0.2)):
-            P = np.array([[1 - a, a], [b, 1 - b]])
-            rep = discrete.markov_chain_checks(P, steps=8)
-            assert rep.reversible
-            assert rep.rho_step == pytest.approx(abs(1 - a - b), abs=1e-12)
-            assert np.abs(rep.rho_k - rep.product_bound).max() < 1e-9
-
-    @pytest.mark.parametrize("P, stationary", [
-        (np.roll(np.eye(5), 1, axis=1), [0.2] * 5),  # 5-cycle, period 5
-        (np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), [0.5, 0.25, 0.25]),  # period 2
-    ])
-    def test_periodic_chain(self, P, stationary):
-        rep = discrete.markov_chain_checks(P, steps=6)
-        assert rep.stationary == pytest.approx(stationary, abs=1e-15)
-        assert rep.rho_step == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(rep.rho_k - 1.0).max() < 1e-12
-
-    def test_transient_state_gets_no_mass(self):
-        # state 2 is left for good; the stationary chain lives on {0, 1}
-        P = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]])
-        rep = discrete.markov_chain_checks(P, steps=4)
-        assert rep.stationary[2] == 0.0
-        assert rep.stationary == pytest.approx([0.375, 0.625, 0.0], abs=1e-15)
-        assert rep.rho_step == pytest.approx(0.2, abs=1e-12)
-
-    def test_slowly_mixing_birth_death_chain(self):
-        # reflecting walk with up/down rates 0.011/0.01: pi_i is proportional to 1.1^i
-        n = 60
-        P = np.diag(np.full(n - 1, 0.011), 1) + np.diag(np.full(n - 1, 0.01), -1)
-        P += np.diag(1.0 - P.sum(axis=1))
-        exact = 1.1 ** np.arange(n)
-        rep = discrete.markov_chain_checks(P, steps=1)
-        # an eigenvector is good to about machine epsilon over the spectral gap (~5e-5)
-        assert np.abs(rep.stationary - exact / exact.sum()).max() < 1e-10
-
-    def test_non_ergodic_error(self):
-        with pytest.raises(NonErgodicChainError):
-            discrete.markov_chain_checks(np.eye(3))
 
 
 class TestDensityBound:

@@ -3,12 +3,29 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate
 
 from rhomix import discrete, events
 from rhomix.discrete import FinitePair
 from rhomix.errors import CapExceededError, ValidationError
 from rhomix.events import ChogosovModel, NuModel
+
+
+def chogosov_interior_density(model, p, q):
+    """Density of the Chogosov law in the interior of zone 2: 1 + eps p~ q~ / sqrt(p p̄ q q̄)."""
+    return 1.0 + model.eps * (p - 0.5) * (q - 0.5) / np.sqrt(p * (1 - p) * q * (1 - q))
+
+
+def curve_atom_fraction(model):
+    """P(sample lies on the lower curve) = int_0^1 q_D(p)/(2p) dp = eps^2 |ln eps| / (1 - eps^2)."""
+    e2 = model.eps**2
+    return e2 * abs(math.log(model.eps)) / (1.0 - e2)
+
+
+def mu_star_rect_mass(eps, p1, p2, q1, q2):
+    """Mass of the corner measure on the rectangle (p1, p2] x (q1, q2]."""
+    f = events.mu_star_cdf
+    return float(f(eps, p2, q2) - f(eps, p1, q2) - f(eps, p2, q1) + f(eps, p1, q1))
 
 
 class TestLambda:
@@ -52,60 +69,6 @@ def bisection_quantile(model, p, w):
             hi = mid
 
 
-class TestWeakBound:
-    def test_parabola_norm(self):
-        res = events.weak_bound(lambda p: p * (1 - p), lambda p: p * (1 - p))
-        assert not res.diverged
-        assert res.norm_zeta**2 == pytest.approx(1 / 3, abs=1e-4)
-        assert res.value == pytest.approx(1 / 3, abs=1e-4)
-
-    def test_zero(self):
-        res = events.weak_bound(lambda p: 0.0, lambda p: p * (1 - p))
-        assert res.value == 0.0
-
-    def test_square_root_envelope_diverges(self):
-        res = events.weak_bound(lambda p: math.sqrt(p * (1 - p)), lambda p: p * (1 - p))
-        assert res.diverged and res.value == math.inf
-
-    def test_boundary_violation(self):
-        with pytest.raises(ValidationError):
-            events.weak_bound(lambda p: 1.0, lambda p: p * (1 - p))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_envelope_is_rejected(self, bad):
-        # a NaN everywhere passes the boundary test, since NaN > 1e-6 is false
-        with pytest.raises(ValidationError, match="finite"):
-            events.weak_bound(lambda p: bad, lambda p: 0.0)
-        with pytest.raises(ValidationError, match="finite"):
-            events.weak_bound(lambda p: p * (1 - p), lambda p: bad if 0 < p < 0.5 else 0.0)
-
-    def test_soundness_on_gaussian_copula_pairs(self):
-        # discretized correlated-normal pairs: measure the weak envelope
-        # constant c with zeta = theta = sqrt(c) p(1-p), then maxcorr <= c/3
-        rng = np.random.default_rng(5)
-        grid = 8
-        for r in (0.2, 0.5, 0.8):
-            n = 200_000
-            z = rng.multivariate_normal([0, 0], [[1, r], [r, 1]], size=n)
-            u = stats.norm.cdf(z)
-            H, _, _ = np.histogram2d(u[:, 0], u[:, 1], bins=grid, range=[[0, 1], [0, 1]])
-            joint = H / H.sum()
-            pair = FinitePair.from_joint(joint)
-            rho = discrete.maxcorr_pair(pair).rho
-            # exact scan of |P[A n B] - P[A]P[B]| / (pa pa_bar qb qb_bar)
-            best = 0.0
-            px, py = pair.marginal_x, pair.marginal_y
-            for am in range(1, 2**grid - 1):
-                sa = np.array([(am >> t) & 1 for t in range(grid)], dtype=float)
-                pa = float(sa @ px)
-                dev = sa @ joint - pa * py
-                for bm in range(1, 2**grid - 1):
-                    sb = np.array([(bm >> t) & 1 for t in range(grid)], dtype=float)
-                    qb = float(sb @ py)
-                    best = max(best, abs(float(dev @ sb)) / (pa * (1 - pa) * qb * (1 - qb)))
-            assert rho <= best / 3 + 1e-9
-
-
 class TestChogosovLaw:
     def test_cdf_edges_and_symmetry(self):
         m = ChogosovModel(0.5)
@@ -129,7 +92,7 @@ class TestChogosovLaw:
 
     def test_interior_density_center(self):
         m = ChogosovModel(0.5)
-        assert float(events.chogosov_interior_density(m, 0.5, 0.5)) == pytest.approx(1.0, abs=1e-15)
+        assert float(chogosov_interior_density(m, 0.5, 0.5)) == pytest.approx(1.0, abs=1e-15)
 
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     @settings(max_examples=80, deadline=None)
@@ -182,7 +145,7 @@ class TestChogosovLaw:
     def test_curve_atom_fraction_matches_quadrature(self, eps):
         m = ChogosovModel(eps)
         ref, _ = integrate.quad(lambda p: float(m.q_lower(p)) / (2 * p), 0.0, 1.0, limit=200)
-        assert events.curve_atom_fraction(m) == pytest.approx(ref, abs=1e-13)
+        assert curve_atom_fraction(m) == pytest.approx(ref, abs=1e-13)
 
     def test_quantile_inverts_cdf_slope(self):
         # on the interior branch the quantile solves dZ/dp = omega
@@ -221,7 +184,7 @@ class TestChogosovLaw:
         assert worst < 2 * crit
         # curve-atom fraction against its closed form
         frac = np.mean(cloud[:, 2] == -1.0)
-        assert frac == pytest.approx(events.curve_atom_fraction(m), abs=4 / math.sqrt(n))
+        assert frac == pytest.approx(curve_atom_fraction(m), abs=4 / math.sqrt(n))
 
     def test_sampler_deterministic(self):
         m = ChogosovModel(0.3)
@@ -409,7 +372,7 @@ class TestNuMeasure:
             eps = rng.uniform(0.1, 0.9)
             p1, p2 = np.sort(rng.uniform(0, 5, size=2))
             q1, q2 = np.sort(rng.uniform(0, 5, size=2))
-            mass = events.mu_star_rect_mass(eps, p1, p2, q1, q2)
+            mass = mu_star_rect_mass(eps, p1, p2, q1, q2)
             assert mass <= eps * math.sqrt((p2 - p1) * (q2 - q1)) + 1e-12
 
     def test_mu_star_union_bound(self):
@@ -419,10 +382,10 @@ class TestNuMeasure:
             a = np.sort(rng.uniform(0, 3, size=4))
             b = np.sort(rng.uniform(0, 3, size=4))
             mass = (
-                events.mu_star_rect_mass(eps, a[0], a[1], b[0], b[1])
-                + events.mu_star_rect_mass(eps, a[0], a[1], b[2], b[3])
-                + events.mu_star_rect_mass(eps, a[2], a[3], b[0], b[1])
-                + events.mu_star_rect_mass(eps, a[2], a[3], b[2], b[3])
+                mu_star_rect_mass(eps, a[0], a[1], b[0], b[1])
+                + mu_star_rect_mass(eps, a[0], a[1], b[2], b[3])
+                + mu_star_rect_mass(eps, a[2], a[3], b[0], b[1])
+                + mu_star_rect_mass(eps, a[2], a[3], b[2], b[3])
             )
             la = (a[1] - a[0]) + (a[3] - a[2])
             lb = (b[1] - b[0]) + (b[3] - b[2])

@@ -10,6 +10,12 @@ from rhomix.errors import CapExceededError, ValidationError
 from rhomix.tensor_bounds import LatticeKernel, TailModel, sublattice_k
 
 
+def ising_transfer_correlation(T, L, d):
+    """E[w_0 w_d] on the 1-d cycle: (th^d + th^{L-d}) / (1 + th^L), th = tanh(1/T)."""
+    th = math.tanh(1.0 / T)
+    return (th**d + th ** (L - d)) / (1.0 + th**L)
+
+
 def spin_system(joint):
     joint = np.asarray(joint, dtype=float)
     names = tuple((f"s{k}", joint.shape[k]) for k in range(joint.ndim))
@@ -433,7 +439,7 @@ class TestSublatticeGap:
         # high-temperature L = 64 ring: sublattice gap bound from the exact
         # ring kernel at every distance of the window (so no tail is
         # needed), fitted rate of the simulator above it
-        from rhomix.lattice import IsingTorus, ising_epsilon, ising_transfer_correlation
+        from rhomix.lattice import IsingTorus, ising_epsilon
 
         T = 3.0
         small = ising_epsilon(IsingTorus(1, 10, T))  # subjective suprema over clamped contexts

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from rhomix import convdecay, discrete, lattice
+from rhomix import convdecay, lattice
 from rhomix.convdecay import ToeplitzKernel, decay_fit
-from rhomix.discrete import FiniteSystem
 from rhomix.errors import CapExceededError, ValidationError
 from rhomix.lattice import IsingTorus, QuadraticModel
+
+
+def ising_transfer_correlation(T, L, d):
+    """E[w_0 w_d] on the 1-d cycle: (th^d + th^{L-d}) / (1 + th^L), th = tanh(1/T)."""
+    th = math.tanh(1.0 / T)
+    return (th**d + th ** (L - d)) / (1.0 + th**L)
 
 
 def nn_model(gamma_value, beta=1.0):
@@ -100,7 +105,7 @@ class TestIsingExact:
         spins = np.indices(sys.joint.shape) * 2 - 1
         for d in (1, 3, 5):
             got = float((sys.joint * spins[0] * spins[d]).sum())
-            assert got == pytest.approx(lattice.ising_transfer_correlation(T, L, d), abs=1e-12)
+            assert got == pytest.approx(ising_transfer_correlation(T, L, d), abs=1e-12)
 
     def test_pair_correlation_equals_moment_on_the_ring(self):
         # two-state variables: maximal correlation of a symmetric pair is E[w_i w_j]
@@ -108,7 +113,7 @@ class TestIsingExact:
         rep = lattice.ising_epsilon(IsingTorus(1, L, T))
         # subjective values dominate the plain pair moments
         for d in (1, 2, 3):
-            moment = lattice.ising_transfer_correlation(T, L, d)
+            moment = ising_transfer_correlation(T, L, d)
             assert rep.kernel.value_at((d,)) >= moment - 1e-12
 
     def test_monotone_decay_and_k0(self):
@@ -122,14 +127,6 @@ class TestIsingExact:
         v1 = rep.kernel.value_at((1, 0))
         v2 = rep.kernel.value_at((1, 1))
         assert v1 >= v2 - 1e-12
-
-    def test_user_supplied_decay_envelope(self):
-        rep = lattice.ising_epsilon(IsingTorus(1, 8, 2.5))
-        assert rep.envelope_holds is None  # constants are user inputs, never derived
-        generous = rep.check_envelope(C_prime=5.0, psi_prime=0.1)
-        assert generous.envelope_holds is True
-        stingy = rep.check_envelope(C_prime=0.01, psi_prime=3.0)
-        assert stingy.envelope_holds is False
 
     def test_site_cap(self):
         with pytest.raises(CapExceededError):
@@ -240,7 +237,7 @@ class TestIsingMcmc:
         T, L = 3.0, 16
         rep = lattice.ising_epsilon(IsingTorus(1, L, T), method="mcmc", seed=2,
                                     sweeps=4000, thin=2)
-        exact = lattice.ising_transfer_correlation(T, L, 1)
+        exact = ising_transfer_correlation(T, L, 1)
         assert rep.kernel.value_at((1,)) == pytest.approx(exact, abs=0.03)
         assert rep.stderr is not None
 
@@ -318,39 +315,3 @@ class TestSiteCap:
                 IsingTorus(n, L, 2.0)
 
 
-class TestPhaseProductBound:
-    def _paired_system(self, gamma, blocks=2):
-        # identically distributed correlated binary blocks
-        base = np.array([[0.25 + gamma / 4, 0.25 - gamma / 4],
-                         [0.25 - gamma / 4, 0.25 + gamma / 4]])
-        joint = base
-        for _ in range(blocks - 1):
-            joint = np.multiply.outer(joint, base)
-        names = tuple((f"v{k}", 2) for k in range(2 * blocks))
-        return FiniteSystem(names, joint)
-
-    def test_independent_blocks_have_zero_lhs(self):
-        sys = self._paired_system(0.0)
-        rep = lattice.phase_product_bound(sys, [["v0", "v1"], ["v2", "v3"]], lam=0.7)
-        assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-
-    def test_lambda_zero_is_trivial(self):
-        sys = self._paired_system(0.4)
-        rep = lattice.phase_product_bound(sys, [["v0", "v1"], ["v2", "v3"]], lam=0.0)
-        assert rep.lhs == 0.0 and rep.rhs == 0.0
-
-    def test_correlated_blocks_strict_inequality(self):
-        # two blocks sharing a spin-pair correlation, identical marginals
-        gamma = 0.5
-        base = np.array([[(1 + gamma) / 4, (1 - gamma) / 4],
-                         [(1 - gamma) / 4, (1 + gamma) / 4]])
-        sys = FiniteSystem((("a", 2), ("b", 2)), base)
-        rep = lattice.phase_product_bound(sys, [["a"], ["b"]], lam=0.9)
-        assert 0.0 < rep.lhs < rep.rhs
-
-    def test_mismatched_blocks_error(self):
-        joint = np.zeros((2, 3))
-        joint[0, 0] = joint[1, 1] = joint[1, 2] = 1 / 3
-        sys = FiniteSystem((("a", 2), ("b", 3)), joint)
-        with pytest.raises(ValidationError):
-            lattice.phase_product_bound(sys, [["a"], ["b"]], lam=0.3)

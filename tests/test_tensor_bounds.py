@@ -134,6 +134,26 @@ class TestLatticeKernel:
         with pytest.raises(ValidationError):
             tb.zn_bound(k)
 
+    @pytest.mark.parametrize("name", ["C", "psi", "alpha", "total"])
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_tail_rejects_nan_and_negative_parameters(self, name, bad):
+        # NaN >= 0 is False, so NaN must not slip past the sign test
+        with pytest.raises(ValidationError, match=f"{name} must be a nonnegative number"):
+            TailModel("exponential", **{name: bad})
+
+    @pytest.mark.parametrize("tail", [TailModel("exponential", C=math.inf, psi=1.0),
+                                      TailModel("polynomial", C=math.inf, alpha=3.0),
+                                      TailModel("mass", total=math.inf)])
+    def test_infinite_tail_gives_the_trivial_bound(self, tail):
+        k = kernel_1d({1: 0.25}, tail=tail)
+        assert tb.zn_bound(k).value == 1.0 and tb.distance_bound(k, 0.5) == 1.0
+
+    @pytest.mark.parametrize("norm", [[1], {"l1": 1}, 1])
+    def test_non_string_norm_is_rejected(self, norm):
+        # a kernel file may hold any JSON value there; a list or an object is unhashable
+        with pytest.raises(ValidationError, match="unknown norm"):
+            kernel_1d({1: 0.25}, norm=norm)
+
 
 class TestZnBound:
     def test_matches_zz_in_one_dimension(self):
@@ -250,56 +270,6 @@ class TestSublattice:
         vals[130] = 0.0
         with pytest.raises(ValidationError):
             tb.sublattice_k(LatticeKernel(1, 130, vals))
-
-
-class TestPFCertificate:
-    def test_nilpotent(self):
-        rho, u = tb.pf_certificate(np.array([[0.0, 1.0], [0.0, 0.0]]), delta=1e-3)
-        assert rho == 0.0
-        assert (u > 0).all()
-        assert (np.array([[0.0, 1.0], [0.0, 0.0]]) @ u <= (rho + 1e-3) * u + 1e-12).all()
-
-    def test_scalar(self):
-        rho, u = tb.pf_certificate(np.array([[0.7]]))
-        assert rho == pytest.approx(0.7, abs=1e-12)
-
-    def test_six_cycle(self):
-        # irreducible but periodic: every eigenvalue has modulus 1
-        A = np.roll(np.eye(6), 1, axis=1)
-        rho, u = tb.pf_certificate(A, delta=1e-9)
-        assert rho == pytest.approx(1.0, abs=1e-12)
-        assert (u > 0).all()
-        assert (A @ u <= (rho + 1e-9) * u).all()
-
-    def test_empty_matrix(self):
-        rho, u = tb.pf_certificate(np.zeros((0, 0)))
-        assert rho == 0.0 and u.shape == (0,)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
-    def test_rejects_non_finite_or_negative_entries(self, bad):
-        with pytest.raises(ValidationError, match="entrywise finite and nonnegative"):
-            tb.pf_certificate(np.array([[bad, 0.5], [0.5, 0.1]]))
-
-    def test_random_matches_eigen_oracle(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            A = rng.uniform(0, 1, size=(3, 3))
-            if rng.uniform() < 0.3:
-                A[rng.integers(3), :] = 0.0  # force reducibility sometimes
-            rho, u = tb.pf_certificate(A, delta=1e-7)
-            oracle = float(np.max(np.abs(np.linalg.eigvals(A))))
-            assert rho == pytest.approx(oracle, abs=1e-9)
-            assert (u > 0).all()
-            assert (A @ u <= (rho + 1e-7) * u * (1 + 1e-12) + 1e-12).all()
-
-    def test_norm_link(self):
-        rng = np.random.default_rng(3)
-        for _ in range(15):
-            eps = rng.uniform(0, 1, size=(3, 4))
-            rho, _ = tb.pf_certificate(eps @ eps.T)
-            assert math.sqrt(rho) == pytest.approx(
-                float(np.linalg.svd(eps, compute_uv=False)[0]), abs=1e-9
-            )
 
 
 class TestSoundness:
