@@ -30,7 +30,6 @@ from .gaussian import (
     OUChainParams,
     build_banded_zz,
     build_optimal_simple,
-    chained_maxcorr,
     condition,
     maxcorr_gaussian,
     ou_chain_joint,
@@ -48,11 +47,11 @@ from .lattice import (
     quadratic_rho_report,
 )
 from .tensor_bounds import (
-    EpsilonMatrix,
     LatticeKernel,
     TailModel,
     distance_bound,
     nm_bound,
+    operator_norm,
     simple_bound,
     sublattice_k,
     zn_bound,

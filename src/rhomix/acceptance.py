@@ -297,7 +297,7 @@ def check_08_glauber():
     n_events = 1_000_000
     horizon = n_events / 3.0
     sim = glauber.glauber_simulate(
-        sys3, horizon, seed=11, observable=lambda s: mode[s], sample_dt=0.1,
+        sys3, horizon, seed=11, observable=mode, sample_dt=0.1,
         keep_events=False,
     )
     sim_err = abs(sim.rate_estimate - gap3) / gap3

@@ -21,7 +21,9 @@ import numpy as np
 from . import acceptance, discrete, events, gaussian, glauber, lattice, tensor_bounds
 from . import io as rio
 from .convdecay import ToeplitzKernel, _check_neumann, conv_inverse, decay_fit
-from .errors import IntegratorError, ValidationError
+from .errors import CapExceededError, IntegratorError, ValidationError
+
+WINDOW_CAP = 1 << 16  # values (2R+1)^n of a kernel file's window
 
 
 def _load_json(path: str, **keys: type) -> dict:
@@ -87,6 +89,10 @@ def _window_file(path: str):
     n, R = _integer(path, "'n'", d["n"]), _integer(path, "'R'", d["R"])
     if n < 1 or R < 0:
         raise ValidationError(f"{path}: need 'n' >= 1 and 'R' >= 0")
+    # a window with R >= 1 holds at least 2^n values, so a large n is rejected before (2R+1)^n is formed
+    if n >= WINDOW_CAP.bit_length() or (2 * R + 1) ** n > WINDOW_CAP:
+        raise CapExceededError(f"{path}: need 'n' < {WINDOW_CAP.bit_length()} and a window of "
+                               f"(2R+1)^n <= cap {WINDOW_CAP} values")
     entries = {}
     for key, v in d["values"].items():
         z = tuple(_integer(path, f"offset key {key!r}", c) for c in key.strip("()").split(",") if c.strip())
@@ -274,8 +280,8 @@ def _tensor_bound(args):
         bound = tensor_bounds.simple_bound if args.kind == "simple" else tensor_bounds.zz_bound
         payload = {"value": bound(_numbers(_required(args, "eps")))}
     elif args.kind == "nm":
-        mat = tensor_bounds.EpsilonMatrix.from_array(_matrix_from_file(_required(args, "matrix")))
-        payload = {"value": tensor_bounds.nm_bound(mat), "raw_operator_norm": mat.operator_norm()}
+        mat = _matrix_from_file(_required(args, "matrix"))
+        payload = {"value": tensor_bounds.nm_bound(mat), "raw_operator_norm": tensor_bounds.operator_norm(mat)}
     else:
         kern = _kernel_from_file(_required(args, "kernel"))
         if args.kind == "zn":
@@ -358,7 +364,7 @@ def _glauber_sim(args):
 
     def run():
         sim = glauber.glauber_simulate(sys_, args.horizon, seed=args.seed,
-                                       observable=lambda s: float(s[site]))
+                                       observable=np.indices(sys_.joint.shape, sparse=True)[site])
         csv = rio.csv_lines("heat-bath trajectory", ["time", "site", "new_state"],
                             zip(sim.times, sim.sites, sim.new_states))
         return {**_fields(sim, "rate_estimate", "relaxation_time"), "events": len(sim.times)}, csv

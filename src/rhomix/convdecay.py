@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import convolve
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 SERIES_TOL = 1e-12
+NEUMANN_WORK_CAP = 1 << 30  # multiply-adds of conv_inverse's direct convolutions
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,21 @@ def _embed(values: np.ndarray, R_from: int, R_to: int, n: int) -> np.ndarray:
     return out
 
 
-def _check_neumann(a: ToeplitzKernel) -> float:
-    """||a||_1, which the Neumann series of conv_inverse needs below 1."""
+def _check_neumann(a: ToeplitzKernel) -> tuple:
+    """(||a||_1, K, R_out) of conv_inverse: ||a||_1 must be below 1, and its K Neumann terms,
+    each a direct convolution with a on the window of radius R_out, must take at most
+    NEUMANN_WORK_CAP multiply-adds K (2 R_out + 1)^n (2R + 1)^n."""
     s = a.l1_norm()
-    if s >= 1.0:
+    if not s < 1.0:  # nan too
         raise ValidationError(f"conv_inverse: ||a||_1 = {s!r} must be < 1")
-    return s
+    if s == 0.0:
+        return s, 0, a.R
+    n_terms = _neumann_terms(s)
+    R_out = max(a.R, 1) << (n_terms - 1).bit_length()  # doubled until it holds n_terms * max(R, 1)
+    if n_terms * (2 * R_out + 1) ** a.n * (2 * a.R + 1) ** a.n > NEUMANN_WORK_CAP:
+        raise CapExceededError(f"conv_inverse: {n_terms} Neumann terms on a window of radius {R_out} "
+                               f"(n = {a.n}) above the work cap {NEUMANN_WORK_CAP}")
+    return s, n_terms, R_out
 
 
 def _neumann_terms(s: float) -> int:
@@ -89,18 +99,14 @@ def _neumann_terms(s: float) -> int:
 def conv_inverse(a: ToeplitzKernel) -> ToeplitzKernel:
     """Neumann series B[a] on an auto-enlarged window.
 
-    Requires ||a||_1 < 1.  The window doubles from the support radius until
-    the geometric tail ||a||_1^{K+1} / (1 - ||a||_1) of the truncated series
-    is below SERIES_TOL; the defining identity is then verified on the window.
+    Requires ||a||_1 < 1 and at most NEUMANN_WORK_CAP multiply-adds.  The
+    window doubles from the support radius until it holds the K terms whose
+    geometric tail ||a||_1^{K+1} / (1 - ||a||_1) is below SERIES_TOL; the
+    defining identity is then verified on the window.
     """
-    s = _check_neumann(a)
+    s, n_terms, R_out = _check_neumann(a)
     if s == 0.0:
         return ToeplitzKernel(a.n, a.R, np.zeros_like(a.values))
-    n_terms = _neumann_terms(s)
-    R_need = n_terms * max(a.R, 1)  # support radius of the truncated series
-    R_out = max(a.R, 1)
-    while R_out < R_need:
-        R_out *= 2
     base = _embed(a.values, a.R, R_out, a.n)
     total = np.zeros_like(base)
     power = base.copy()
@@ -122,8 +128,6 @@ class DecayFitReport:
     classification: str  # "exponential" | "polynomial" | "inconclusive"
     rate: float          # exponential rate (if exponential)
     exponent: float      # polynomial exponent (if polynomial)
-    r2_exponential: float
-    r2_polynomial: float
 
 
 def _shell_maxima(values: np.ndarray, n: int, R: int) -> np.ndarray:
@@ -169,7 +173,7 @@ def decay_fit(kernel: ToeplitzKernel, max_shell: int | None = None) -> DecayFitR
         cls = "polynomial"
     else:
         cls = "inconclusive"
-    return DecayFitReport(cls, -slope_exp, -slope_pol, r2_exp, r2_pol)
+    return DecayFitReport(cls, -slope_exp, -slope_pol)
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,6 @@ class OpnormReport:
     rho_hat: float
     rayleigh_quotient: float  # of the truncated quasi-eigenvector
     m: int
-    eta: float
     iterations: int  # matvecs
 
 
@@ -235,8 +234,7 @@ def chogosov_opnorm(model: ChogosovModel, m: int) -> OpnormReport:
     m = int(m)
     _check_grid(m)
     apply = transfer_matvec(model, m)
-    eta = 4.0 / m
-    f = truncated_quasi_eigenvector(m, eta)
+    f = truncated_quasi_eigenvector(m, 4.0 / m)
     rq0 = float(f @ apply(f)[0] / (f @ f))
     calls = 2  # the quasi-eigenvector's product and the Ritz vector's
 
@@ -252,7 +250,7 @@ def chogosov_opnorm(model: ChogosovModel, m: int) -> OpnormReport:
     w, beta = apply(x)
     rq = float(x @ w)
     bound = np.abs(x).sum() * beta + 2.0 * m * np.finfo(float).eps * np.linalg.norm(w)
-    return OpnormReport(float(max(abs(rq) - bound, abs(rq0))), rq0, m, eta, calls)
+    return OpnormReport(float(max(abs(rq) - bound, abs(rq0))), rq0, m, calls)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +394,6 @@ class NuEventReport:
     worst_ratio: float
     factor: float
     witness_correlation: float
-    marginal_error: float
 
 
 def _nu_event_families(m: int, seed: int) -> dict:
@@ -444,4 +441,4 @@ def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     f = f - f.mean()
     var = float(f @ f) / m
     witness = float(f @ cells @ f) / var if var > 0 else 0.0
-    return NuEventReport(worst, model.factor, witness, marg_err)
+    return NuEventReport(worst, model.factor, witness)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import CapExceededError, IntegratorError, ValidationError
-from .tensor_bounds import l2_sum_bound, simple_bound
+from .tensor_bounds import l2_sum_bound
 
 OU_CHAIN_K_CAP = 512  # ou_chain_joint takes the exponential of a 4K x 4K matrix
 
@@ -106,29 +106,6 @@ def condition(sys: GaussianSystem, on_labels) -> GaussianSystem:
     return GaussianSystem(tuple(sys.labels[i] for i in A), Sc)
 
 
-def chained_maxcorr(sys: GaussianSystem, xs, y) -> tuple:
-    """Sequential conditional correlations e_i = corr(X_i; Y | X_{<i}).
-
-    Returns (value, e_list) with value = sqrt(1 - prod(1 - e_i^2)); for
-    Gaussian systems this equals the direct block correlation exactly, which
-    is asserted to 1e-10.
-    """
-    xs = list(xs)
-    current = sys
-    es = []
-    for k, x in enumerate(xs):
-        es.append(maxcorr_gaussian(current, [x], [y]))
-        if k < len(xs) - 1:
-            current = condition(current, [x])
-    value = float(np.sqrt(max(0.0, 1.0 - np.prod([1.0 - e**2 for e in es]))))
-    direct = maxcorr_gaussian(sys, xs, [y])
-    if abs(value - direct) > 1e-10:
-        raise ValidationError(
-            f"chained_maxcorr: chain value {value!r} disagrees with direct value {direct!r}"
-        )
-    return value, es
-
-
 def build_optimal_simple(epsilons) -> GaussianSystem:
     """Gaussian system X_i = sqrt(1-a_i) z_i + sqrt(a_i) xi, Y = xi whose
     conditional correlations e_i equal the requested epsilons.
@@ -157,9 +134,6 @@ def build_optimal_simple(epsilons) -> GaussianSystem:
 
 @dataclass(frozen=True)
 class BandedZZReport:
-    system: GaussianSystem
-    alpha: float
-    k: int
     e_half: float
     maxcorr: float
 
@@ -194,7 +168,7 @@ def build_banded_zz(alpha: float, k: int) -> BandedZZReport:
         reduced = condition(sys, past)
         e_half = maxcorr_gaussian(reduced, ["x0"], ["y0.5"])
     rho = maxcorr_gaussian(sys, [f"x{i}" for i in range(-k, k + 1)], [f"y{i + 0.5}" for i in range(-k, k)])
-    return BandedZZReport(sys, float(alpha), int(k), float(e_half), float(rho))
+    return BandedZZReport(float(e_half), float(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +198,11 @@ class OUChainParams:
 
 @dataclass(frozen=True)
 class OUChainReport:
-    system: GaussianSystem            # joint law of (eta, eta') over 4K coordinates
-    maxcorr: float                    # {eta : eta'}
+    maxcorr: float                    # {eta : eta'} under the joint law of (eta, eta')
     corr_pp: np.ndarray               # |corr(p_i, p'_j)| matrices, etc.
     corr_pq: np.ndarray
     corr_qp: np.ndarray
     corr_qq: np.ndarray
-    chat: np.ndarray                  # noise covariance over the horizon
-    phi: np.ndarray                   # deterministic flow over the horizon
     ceq: np.ndarray                   # equilibrium covariance of eta
     qbar_range: tuple                 # (r, R) for the rescaled joint precision
     stationarity_residual: float
@@ -305,14 +276,11 @@ def ou_chain_joint(params: OUChainParams) -> OUChainReport:
     qbar_scaled = qbar * np.outer(scale, scale)
     wq = np.linalg.eigvalsh(0.5 * (qbar_scaled + qbar_scaled.T))
     return OUChainReport(
-        system=sys,
         maxcorr=float(rho),
         corr_pp=corr[:K, :K],
         corr_pq=corr[:K, K:],
         corr_qp=corr[K:, :K],
         corr_qq=corr[K:, K:],
-        chat=chat,
-        phi=phi,
         ceq=ceq,
         qbar_range=(float(wq.min()), float(wq.max())),
         stationarity_residual=stat_res,
@@ -451,26 +419,16 @@ def vtable(mixing: np.ndarray) -> np.ndarray:
 
 
 def par411_report() -> dict:
-    """All quantities of the worked 3x3 mixing example in one place."""
+    """The worked 3x3 mixing example: its correlations, l2 sum bound and V table."""
     M = np.array([[4.0, 1, 1], [1, 4, 1], [1, 1, 4]])
     sys = GaussianSystem(("X1", "X2", "Y"), M @ M.T)
     x1y = maxcorr_gaussian(sys, ["X1"], ["Y"])
     x2y = maxcorr_gaussian(sys, ["X2"], ["Y"])
-    x1y_given_x2 = maxcorr_gaussian(condition(sys, ["X2"]), ["X1"], ["Y"])
-    direct = maxcorr_gaussian(sys, ["X1", "X2"], ["Y"])
-    chained, es = chained_maxcorr(sys, ["X1", "X2"], "Y")
     return {
         "x1_y": x1y,
         "x2_y": x2y,
-        "x1_y_given_x2": x1y_given_x2,
-        "vec_y": direct,
-        "chained": chained,
-        "conditional_es": es,
+        "x1_y_given_x2": maxcorr_gaussian(condition(sys, ["X2"]), ["X1"], ["Y"]),
+        "vec_y": maxcorr_gaussian(sys, ["X1", "X2"], ["Y"]),
         "l2_sum_bound": l2_sum_bound([x1y, x2y]),
-        "product_form_bound": simple_bound([x1y, x2y]),
-        # sharper variant mixing the chained conditional value into the L2 sum;
-        # reported for information, never asserted against
-        "minimal_hypothesis_bound": l2_sum_bound([x1y, x1y_given_x2]),
-        "minimal_hypothesis_bound_verified": False,
         "vtable": vtable(M),
     }

@@ -18,7 +18,7 @@ import numpy as np
 from .discrete import FiniteSystem
 from .errors import CapExceededError, ValidationError
 from .lattice import _heat_bath_updater, ising_mcmc_samples
-from .tensor_bounds import EpsilonMatrix, LatticeKernel, sublattice_k
+from .tensor_bounds import LatticeKernel, sublattice_k
 
 EXACT_GAP_STATE_CAP = 1 << 12
 SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
@@ -34,14 +34,10 @@ class GapBoundReport:
     bound_M: float
     bound_Mprime: float | None
     bound_simple: float
-    eps_opnorm: float
-    eps_spectral_radius: float
     mprime_defined: bool
 
 
 def _check_eps_matrix(eps) -> np.ndarray:
-    if isinstance(eps, EpsilonMatrix):
-        eps = eps.entries
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 2 or eps.shape[0] != eps.shape[1]:
         raise ValidationError("gap_lower_bounds: eps must be a square matrix")
@@ -86,7 +82,7 @@ def gap_lower_bounds(eps) -> GapBoundReport:
         defined = True
     else:
         Mp, bound_Mp, defined = None, None, False
-    return GapBoundReport(M, Mp, float(bound_M), bound_Mp, float(bound_simple), opnorm, rho, defined)
+    return GapBoundReport(M, Mp, float(bound_M), bound_Mp, float(bound_simple), defined)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,6 @@ class SimResult:
     new_states: np.ndarray
     rate_estimate: float
     relaxation_time: float
-    lags: np.ndarray
     autocorr: np.ndarray
 
 
@@ -245,8 +240,7 @@ def _result(samples: np.ndarray, sample_dt: float, times, sites, new_states) -> 
     c = _autocorrelation(samples, max(min(samples.size // 4, 8000), 1))
     rate, tau = _fit_rate(c, sample_dt)
     nlag = min(c.size, 400)
-    return SimResult(times, sites, new_states, float(rate), float(tau),
-                     np.arange(nlag) * sample_dt, c[:nlag])
+    return SimResult(times, sites, new_states, float(rate), float(tau), c[:nlag])
 
 
 def glauber_simulate(
@@ -266,17 +260,17 @@ def glauber_simulate(
     state, ``_schedule`` draws every ring up front, and one integer loop maps
     each uniform through the conditional CDF of its site given the current
     flat state.  Every ring is recorded in ``times``/``sites``/``new_states``,
-    same-state resamples included.  ``observable`` maps a state tuple to a
-    float (default: value of the first coordinate); it is evaluated once per
-    visited state and sampled every ``sample_dt`` (default 0.25 / N) on
-    [0, horizon].  The trajectory is deterministic per seed.
+    same-state resamples included.  ``observable`` holds the observable's
+    value at each state, in any shape that broadcasts to the joint's (default:
+    the value of the first coordinate); it is sampled every ``sample_dt``
+    (default 0.25 / N) on [0, horizon].  The trajectory is deterministic per seed.
     """
     sizes = [s for _, s in sys.variables]
     nsites = len(sizes)
     _check_horizon(nsites, horizon)
     strides = [math.prod(sizes[i + 1:]) for i in range(nsites)]
     if observable is None:
-        observable = lambda s: float(s[0])
+        observable = np.indices(sizes, sparse=True)[0]
     if sample_dt is None:
         sample_dt = 0.25 / nsites
     rng = np.random.default_rng(seed)
@@ -307,11 +301,7 @@ def glauber_simulate(
         x = nxt[bisect_right(cdf, u)]
         step(x)
     path = np.array(path)
-    visited = np.unique(path)
-    obs_table = np.zeros(total)
-    states = zip(*(d.tolist() for d in np.unravel_index(visited, sizes)))
-    obs_table[visited] = [observable(s) for s in states]
-    samples = obs_table[path[counts]]
+    samples = np.broadcast_to(np.asarray(observable, dtype=float), sys.joint.shape).ravel()[path[counts]]
     if not keep_events:
         return _result(samples, sample_dt, *_NO_EVENTS)
     new_states = path[1:] // np.array(strides)[sites] % np.array(sizes)[sites]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discrete
-from .convdecay import ToeplitzKernel, _neumann_terms, conv_inverse
+from .convdecay import ToeplitzKernel, _check_neumann, _neumann_terms, conv_inverse
 from .discrete import FinitePair, FiniteSystem
 from .errors import CapExceededError, ValidationError
 from .tensor_bounds import LatticeKernel, TailModel, distance_bound, sublattice_k
@@ -54,10 +54,16 @@ class QuadraticModel:
             raise ValidationError("QuadraticModel: gamma must be symmetric")
         if not 0 < self.beta < math.inf:
             raise ValidationError("QuadraticModel: beta must be finite and > 0")
+        _check_neumann(self._scaled)
 
     @property
     def Gamma(self) -> float:
         return self.gamma.l1_norm()
+
+    @property
+    def _scaled(self) -> ToeplitzKernel:
+        """gamma / (1 + Gamma), whose Neumann series gives the covariance kernel."""
+        return ToeplitzKernel(self.n, self.gamma.R, self.gamma.values / (1.0 + self.Gamma))
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,7 @@ def quadratic_covariance(model: QuadraticModel) -> QuadraticCovariance:
     a_inv(j-i)/beta and eps(z) = a_inv(z)/a_inv(0).
     """
     G = model.Gamma
-    scaled = ToeplitzKernel(model.n, model.gamma.R, model.gamma.values / (1.0 + G))
+    scaled = model._scaled
     series = conv_inverse(scaled)
     values = series.values.copy()
     center = (series.R,) * model.n
@@ -217,7 +223,6 @@ class IsingEpsilonReport:
     k0: float
     method: str
     subjective: bool
-    stderr: dict | None = None
 
 
 def _exp(x: float) -> float:
@@ -252,8 +257,8 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
 
     exact path (<= 16 sites): enumerates the Gibbs law; on <= 10 sites the
     values are subjective suprema over clamped contexts, otherwise plain pair
-    correlations.  mcmc path: heat-bath samples, thinned, pair tables, the
-    two-state formula, and Wilson half-widths for the cell probabilities.
+    correlations.  mcmc path: heat-bath samples, thinned, pair tables and the
+    two-state formula; the values are point estimates.
     """
     c0, k0 = ising_constants(torus.n, torus.T)
     nsite = torus.L**torus.n
@@ -273,9 +278,6 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
         raise ValidationError("ising_epsilon: method must be 'exact' or 'mcmc'")
     samples = ising_mcmc_samples(torus, sweeps=sweeps, thin=thin, seed=seed)
     values = {}
-    errs = {}
-    nobs = samples.shape[0]
-    zconf = 1.959963984540054  # 95% normal quantile for the Wilson interval
     for key, (ia, ib) in _displacement_classes(torus).items():
         sa = samples[:, ia]
         sb = samples[:, ib]
@@ -287,12 +289,8 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
         )
         cells = cells / cells.sum()
         values[key] = discrete.maxcorr_pair(FinitePair.from_joint(cells)).rho
-        phat = cells[1, 1]
-        denom = 1.0 + zconf**2 / nobs
-        half = zconf * math.sqrt(phat * (1 - phat) / nobs + zconf**2 / (4 * nobs**2)) / denom
-        errs[key] = half
     kern = LatticeKernel.from_dict(torus.n, torus.L // 2, values, norm="l1")
-    return IsingEpsilonReport(kern, c0, k0, "mcmc", False, errs)
+    return IsingEpsilonReport(kern, c0, k0, "mcmc", False)
 
 
 def _heat_bath_updater(torus: IsingTorus):
@@ -375,14 +373,6 @@ class CLTReport:
             raise ValidationError("CLTReport: sigma_hat2 must be >= 0")
 
 
-def _disk_offsets(n: int, ell: int) -> np.ndarray:
-    rng = np.arange(-ell, ell + 1)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    keep = (pts**2).sum(axis=1) <= (ell / 2) ** 2
-    return pts[keep]
-
-
 def _cf_distance(values: np.ndarray, sigma2: float, lam_grid: np.ndarray) -> float:
     phi = np.exp(1j * np.outer(lam_grid, values)).mean(axis=1)
     target = np.exp(-sigma2 * lam_grid**2 / 2.0)
@@ -397,7 +387,7 @@ def _ring_length(model, ell: int) -> int:
     return max(4 * ell, 4 * (model.gamma.R + 1))
 
 
-def _check_clt(model, ells, replicas: int, shape: str = "cube", dim: int = 1) -> tuple:
+def _check_clt(model, ells, replicas: int, shape: str = "cube") -> tuple:
     """The block sizes of a clt_experiment as ints, once its sizes are checked:
     ell >= 1, replicas >= 2 and at most CLT_SAMPLE_CAP sampled values."""
     ells = tuple(int(l) for l in ells)
@@ -410,26 +400,26 @@ def _check_clt(model, ells, replicas: int, shape: str = "cube", dim: int = 1) ->
     if isinstance(model, (IsingTorus, QuadraticModel)):
         width = _ring_length(model, ell)
     else:
-        width = (2 * ell + 1) ** dim if shape == "disk" else ell**dim
+        width = 2 * ell + 1 if shape == "disk" else ell
     if replicas * width > CLT_SAMPLE_CAP:
         raise CapExceededError(f"clt: {replicas} replicas x {width} sampled sites above cap {CLT_SAMPLE_CAP}")
     return ells
 
 
-def clt_experiment(model, ells, replicas: int, seed: int = 0,
-                   shape: str = "cube", dim: int = 1) -> CLTReport:
+def clt_experiment(model, ells, replicas: int, seed: int = 0, shape: str = "cube") -> CLTReport:
     """Block sums F(l) = sum X_i / sqrt(#block) against their Gaussian limit.
 
     model: IsingTorus with n = 1 (exact ring sampling), QuadraticModel with
     n = 1 (exact circulant Gaussian sampling), or the string "independent"
-    (i.i.d. +-1 spins; ``dim`` and ``shape`` pick the block geometry — for
-    the 1-d chain models cube and disk blocks coincide with consecutive
-    runs).  The empirical characteristic function is compared to
-    exp(-sigma_hat^2 lam^2 / 2) on lam in [-3, 3].
+    (i.i.d. +-1 spins on the line; a cube block is ell sites and a disk block
+    the 2 (ell // 2) + 1 sites within ell / 2 of its centre; for the chain
+    models both shapes are ell consecutive sites).  The empirical
+    characteristic function is compared to exp(-sigma_hat^2 lam^2 / 2) on
+    lam in [-3, 3].
     """
     if shape not in ("cube", "disk"):
         raise ValidationError("clt_experiment: shape must be 'cube' or 'disk'")
-    ells = _check_clt(model, ells, replicas, shape, dim)
+    ells = _check_clt(model, ells, replicas, shape)
     rng = np.random.default_rng(seed)
     lam_grid = np.linspace(-3.0, 3.0, 61)
     dists = []
@@ -456,7 +446,7 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0,
             field = np.fft.ifft(np.fft.fft(noise, axis=1) * np.sqrt(lam_eig), axis=1).real
             block = field[:, :ell].sum(axis=1) / math.sqrt(ell)
         elif model == "independent":
-            count = len(_disk_offsets(dim, ell)) if shape == "disk" else ell**dim
+            count = 2 * (ell // 2) + 1 if shape == "disk" else ell
             spins = rng.choice((-1.0, 1.0), size=(replicas, count))
             block = spins.sum(axis=1) / math.sqrt(count)
         else:

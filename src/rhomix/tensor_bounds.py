@@ -32,30 +32,12 @@ def _check_unit_interval(arr, what: str) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class EpsilonMatrix:
-    rows: tuple
-    cols: tuple
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = _check_unit_interval(self.entries, "EpsilonMatrix.entries")
-        if entries.shape != (len(self.rows), len(self.cols)):
-            raise ValidationError("EpsilonMatrix: shape does not match index sets")
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "cols", tuple(self.cols))
-        object.__setattr__(self, "entries", entries)
-
-    @staticmethod
-    def from_array(entries) -> "EpsilonMatrix":
-        entries = np.atleast_2d(np.asarray(entries, dtype=float))
-        return EpsilonMatrix(tuple(range(entries.shape[0])), tuple(range(entries.shape[1])), entries)
-
-    def operator_norm(self) -> float:
-        """Raw (unclamped) largest singular value."""
-        if self.entries.size == 0:
-            return 0.0
-        return float(np.linalg.svd(self.entries, compute_uv=False)[0])
+def operator_norm(eps) -> float:
+    """Raw (unclamped) largest singular value of the eps matrix; empty input gives 0."""
+    e = _check_unit_interval(np.atleast_2d(eps), "operator_norm")
+    if e.size == 0:
+        return 0.0
+    return float(np.linalg.svd(e, compute_uv=False)[0])
 
 
 def simple_bound(eps) -> float:
@@ -74,9 +56,7 @@ def l2_sum_bound(eps) -> float:
 
 def nm_bound(eps) -> float:
     """min(operator norm of the eps matrix, 1)."""
-    if not isinstance(eps, EpsilonMatrix):
-        eps = EpsilonMatrix.from_array(eps)
-    return float(min(eps.operator_norm(), 1.0))
+    return float(min(operator_norm(eps), 1.0))
 
 
 def zz_bound(values) -> float:
@@ -217,9 +197,11 @@ def tail_mass_bound(kernel: LatticeKernel, start_linf: int | None = None) -> flo
         return float(t.total)
     n = kernel.n
     if t.kind == "exponential":
-        if t.psi <= 0:
-            raise ValidationError("exponential tail needs psi > 0")
         x = math.exp(-t.psi)
+        if x == 1.0:  # psi = 0, or so small that every shell ratio rounds to >= 1
+            raise ValidationError(f"exponential tail needs exp(-psi) < 1, got psi = {t.psi!r}")
+        if t.C == math.inf:
+            return math.inf  # inf * x**d would be nan once x**d underflows
 
         def term(d):
             return _shell_count(n, d) * t.C * x**d

@@ -354,6 +354,12 @@ def input_files(tmp_path):
         "nan_C": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "tail": {"type": "polynomial", "C": "nan", "alpha": 3}},
         "nan_psi": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "tail": {"type": "exponential", "C": 0.1, "psi": "nan"}},
         "norm_list": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "norm": [1]},
+        "tiny_psi": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "tail": {"type": "exponential", "C": 1e-300, "psi": 1e-300}},
+        "inf_C": {"n": 1, "R": 1, "values": {"(1)": 0.3}, "tail": {"type": "exponential", "C": "inf", "psi": 1000}},
+        "n_30": {"n": 30, "R": 1, "values": {}},
+        **{f"nn2d_{name}": {"n": 2, "R": 1, "values": dict.fromkeys(("(1,0)", "(-1,0)", "(0,1)", "(0,-1)"), v)}
+           for name, v in (("090", 0.225), ("095", 0.2375), ("0999", 0.24975))},
+        "gamma_1000": {"n": 1, "R": 1, "values": {"(1)": 1000, "(-1)": 1000}},
     }
     return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
 
@@ -415,6 +421,17 @@ class TestHandlerTable:
         (["tensor-bound", "zn", "--kernel", "{nan_C}"], "TailModel: C must be a nonnegative number, got nan"),
         (["tensor-bound", "zn", "--kernel", "{nan_psi}"], "TailModel: psi must be a nonnegative number, got nan"),
         (["tensor-bound", "zn", "--kernel", "{norm_list}"], "LatticeKernel: unknown norm [1]"),
+        (["tensor-bound", "zn", "--kernel", "{tiny_psi}"], "exponential tail needs exp(-psi) < 1, got psi = 1e-300"),
+        (["tensor-bound", "distance", "--kernel", "{tiny_psi}"], "exp(-psi) < 1, got psi = 1e-300"),
+        (["tensor-bound", "zn", "--kernel", "{n_30}"], "need 'n' < 17 and a window of (2R+1)^n <= cap 65536 values"),
+        (["conv-inverse", "--kernel", "{n_30}"], "need 'n' < 17 and a window of (2R+1)^n <= cap 65536 values"),
+        (["conv-inverse", "--kernel", "{nn2d_090}"],
+         "285 Neumann terms on a window of radius 512 (n = 2) above the work cap 1073741824"),
+        (["conv-inverse", "--kernel", "{nn2d_095}"], "598 Neumann terms on a window of radius 1024 (n = 2)"),
+        (["conv-inverse", "--kernel", "{nn2d_0999}"], "34522 Neumann terms on a window of radius 65536 (n = 2)"),
+        (["quadratic", "--gamma", "{gamma_1000}"],
+         "70483 Neumann terms on a window of radius 131072 (n = 1) above the work cap 1073741824"),
+        (["clt", "--model", "quadratic", "--gamma", "{gamma_1000}"], "70483 Neumann terms"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):
@@ -422,6 +439,15 @@ class TestHandlerTable:
         assert code == 2
         assert captured.err.startswith("invariant violated: ") and message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["tensor-bound", "zn", "--kernel", "{inf_C}"],
+        ["tensor-bound", "distance", "--kernel", "{inf_C}", "--d", "1"],
+    ])
+    def test_infinite_exponential_tail_gives_the_trivial_bound(self, argv, input_files, capsys):
+        # C = inf with psi = 1000: inf * exp(-1000 d) would be nan once exp(-1000 d) underflows
+        code, captured = _main(argv, input_files, capsys)
+        assert code == 0 and json.loads(captured.out)["value"] == 1.0
 
     @pytest.mark.parametrize("argv", [
         ["maxcorr", "--pair", "{pair}"],

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.signal import convolve
 
+from rhomix import convdecay
 from rhomix.convdecay import (
     ToeplitzKernel,
+    _check_neumann,
     banded_inverse_constants,
     conv_inverse,
     decay_fit,
 )
-from rhomix.errors import ValidationError
+from rhomix.errors import CapExceededError, ValidationError
 
 
 class TestConvInverse:
@@ -173,3 +175,45 @@ class TestBandedInverse:
             banded_inverse_constants(-1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValidationError):
             banded_inverse_constants(0.5, 1.0, 1.0, -2.0)
+
+
+def nearest_neighbour_2d(s):
+    """The 2-d kernel with s / 4 at each of the four nearest neighbours."""
+    return ToeplitzKernel.from_dict(2, 1, {(1, 0): s / 4, (-1, 0): s / 4, (0, 1): s / 4, (0, -1): s / 4})
+
+
+class TestNeumannCap:
+    def test_work_at_the_cap_passes_and_one_above_refuses(self, monkeypatch):
+        a = ToeplitzKernel.from_dict(1, 1, {1: 0.3, -1: 0.3})
+        s, n_terms, R_out = _check_neumann(a)
+        work = n_terms * (2 * R_out + 1) * 3
+        monkeypatch.setattr(convdecay, "NEUMANN_WORK_CAP", work)
+        expect = conv_inverse(a).values
+        monkeypatch.setattr(convdecay, "NEUMANN_WORK_CAP", work - 1)
+        with pytest.raises(CapExceededError, match=f"above the work cap {work - 1}"):
+            conv_inverse(a)
+        monkeypatch.undo()
+        assert np.array_equal(conv_inverse(a).values, expect)
+
+    @pytest.mark.parametrize("R", [1, 2, 5])
+    @pytest.mark.parametrize("mass", [0.05, 0.5, 0.95])
+    def test_window_is_the_least_doubling_that_holds_every_term(self, R, mass):
+        a = ToeplitzKernel(1, R, np.full(2 * R + 1, mass / (2 * R + 1)))
+        s, n_terms, R_out = _check_neumann(a)
+        assert s == a.l1_norm() and n_terms >= 1
+        doublings = round(math.log2(R_out / R))
+        assert R_out == R << doublings and R_out >= n_terms * R
+        assert doublings == 0 or R_out // 2 < n_terms * R
+
+    @pytest.mark.parametrize("s, n_terms, R_out, passes", [
+        (0.8899, 256, 256, True),    # 256 * 513^2 * 9 = 6.1e8 multiply-adds
+        (0.89, 257, 512, False),     # 257 * 1025^2 * 9 = 2.4e9
+        (0.9, 285, 512, False),
+    ])
+    def test_two_dimensional_cap_boundary(self, s, n_terms, R_out, passes):
+        a = nearest_neighbour_2d(s)
+        if passes:
+            assert _check_neumann(a)[1:] == (n_terms, R_out)
+        else:
+            with pytest.raises(CapExceededError, match=f"{n_terms} Neumann terms on a window of radius {R_out} "):
+                _check_neumann(a)

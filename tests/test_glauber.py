@@ -251,9 +251,8 @@ class TestSimulator:
         sys = spin_system(joint)
         # seed-to-seed sd of the estimate is 3.2-3.8% at horizon 4e4; 10x the
         # horizon makes the 5% bound about 4 sd
-        sim = glauber.glauber_simulate(
-            sys, horizon=400_000.0, seed=4, observable=lambda s: float(s[0]), keep_events=False
-        )
+        first_spin = np.indices(joint.shape, sparse=True)[0]
+        sim = glauber.glauber_simulate(sys, horizon=400_000.0, seed=4, observable=first_spin, keep_events=False)
         assert sim.rate_estimate == pytest.approx(1.0, rel=0.05)
 
     def test_two_spin_rate_matches_exact_gap(self):
@@ -262,7 +261,7 @@ class TestSimulator:
         # seed-to-seed sd is ~2.8-3.5% at horizon 1e5; 2x the horizon makes
         # the 10% bound at least 4 sd
         sim = glauber.glauber_simulate(
-            sys, horizon=200_000.0, seed=5, observable=lambda s: mode[s], keep_events=False
+            sys, horizon=200_000.0, seed=5, observable=mode, keep_events=False
         )
         assert sim.rate_estimate == pytest.approx(gap, rel=0.10)
 
@@ -309,7 +308,7 @@ class TestSimulator:
         sys = three_state_system()
         sizes = sys.joint.shape
         weights = np.array([1.0, -2.0, 0.5])
-        observable = lambda s: float(weights @ s)
+        observable = sum(w * idx for w, idx in zip(weights, np.indices(sizes, sparse=True)))
         dt = 0.05
         sim = glauber.glauber_simulate(sys, horizon=400.0, seed=3, observable=observable, sample_dt=dt)
         # the initial state is the first draw of the seeded stream
@@ -321,7 +320,7 @@ class TestSimulator:
             while k < len(sim.times) and sim.times[k] <= j * dt:
                 state[sim.sites[k]] = sim.new_states[k]
                 k += 1
-            samples.append(observable(tuple(state)))
+            samples.append(observable[tuple(state)])
         replayed = glauber._autocorrelation(np.array(samples), len(sim.autocorr))
         assert np.abs(replayed - sim.autocorr).max() <= 1e-12
 

@@ -239,7 +239,6 @@ class TestIsingMcmc:
                                     sweeps=4000, thin=2)
         exact = ising_transfer_correlation(T, L, 1)
         assert rep.kernel.value_at((1,)) == pytest.approx(exact, abs=0.03)
-        assert rep.stderr is not None
 
 
 class TestRingSampler:
@@ -276,9 +275,12 @@ class TestCLT:
         assert rep.sigma_hat2 == pytest.approx(1.0, rel=0.05)
 
     def test_disk_shape_supported(self):
-        rep = lattice.clt_experiment("independent", (6,), replicas=2_000, seed=1,
-                                     shape="disk", dim=2)
-        assert rep.cf_distances[0] < 0.2
+        # a disk of radius ell / 2 on the line holds 2 (ell // 2) + 1 sites: 7 for ell = 6 and 7,
+        # so the same seed draws the same blocks
+        six, seven = (lattice.clt_experiment("independent", (ell,), replicas=2_000, seed=1, shape="disk")
+                      for ell in (6, 7))
+        assert six.cf_distances == seven.cf_distances
+        assert six.cf_distances[0] < 0.2
 
     def test_quadratic_model_is_exactly_gaussian(self):
         model = nn_model(0.2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rhomix import discrete, tensor_bounds as tb
 from rhomix.errors import ValidationError
-from rhomix.tensor_bounds import EpsilonMatrix, LatticeKernel, TailModel
+from rhomix.tensor_bounds import LatticeKernel, TailModel
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -62,9 +62,9 @@ class TestNmBound:
         assert tb.nm_bound(raised) >= tb.nm_bound(eps) - 1e-12
 
     def test_raw_norm_exposed_beyond_one(self):
-        mat = EpsilonMatrix.from_array(np.full((3, 3), 0.9))
+        mat = np.full((3, 3), 0.9)
         assert tb.nm_bound(mat) == 1.0
-        assert mat.operator_norm() == pytest.approx(2.7, abs=1e-12)
+        assert tb.operator_norm(mat) == pytest.approx(2.7, abs=1e-12)
 
 
 class TestZzBound:
@@ -100,6 +100,10 @@ class TestZzBound:
         assert tb.zz_bound(raised) >= tb.zz_bound(values) - 1e-12
 
 
+def no_shell_walk(*args):
+    raise AssertionError("the tail sum walked its shells")
+
+
 def kernel_1d(entries, R=None, tail=None, norm="l1"):
     R = R if R is not None else max(abs(z) for z in entries)
     return LatticeKernel.from_dict(1, R, entries, norm=norm, tail=tail)
@@ -114,7 +118,7 @@ class TestNonFinite:
             with pytest.raises(ValidationError, match="finite"):
                 bound(eps)
         with pytest.raises(ValidationError, match="finite"):
-            EpsilonMatrix.from_array([[0.1, bad], [0.2, 0.3]])
+            tb.operator_norm([[0.1, bad], [0.2, 0.3]])
 
 
 class TestLatticeKernel:
@@ -147,6 +151,21 @@ class TestLatticeKernel:
     def test_infinite_tail_gives_the_trivial_bound(self, tail):
         k = kernel_1d({1: 0.25}, tail=tail)
         assert tb.zn_bound(k).value == 1.0 and tb.distance_bound(k, 0.5) == 1.0
+
+    @pytest.mark.parametrize("psi", [0.5, 1000.0])
+    def test_infinite_exponential_tail_sums_to_inf_at_once(self, psi, monkeypatch):
+        # at psi = 1000 x^d underflows to 0 and inf * 0 is nan, which no shell walk can close
+        monkeypatch.setattr(tb, "_sum_decreasing_shells", no_shell_walk)
+        k = kernel_1d({1: 0.25}, tail=TailModel("exponential", C=math.inf, psi=psi))
+        assert tb.tail_mass_bound(k) == math.inf
+
+    @pytest.mark.parametrize("C", [math.inf, 1e-300])
+    def test_exponential_tail_refuses_psi_whose_exponential_rounds_to_one(self, C, monkeypatch):
+        # exp(-1e-300) == 1.0, so no shell ratio ever drops below 1
+        monkeypatch.setattr(tb, "_sum_decreasing_shells", no_shell_walk)
+        k = kernel_1d({1: 0.25}, tail=TailModel("exponential", C=C, psi=1e-300))
+        with pytest.raises(ValidationError, match=r"needs exp\(-psi\) < 1, got psi = 1e-300"):
+            tb.tail_mass_bound(k)
 
     @pytest.mark.parametrize("norm", [[1], {"l1": 1}, 1])
     def test_non_string_norm_is_rejected(self, norm):
