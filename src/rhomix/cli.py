@@ -352,6 +352,7 @@ def _glauber_gap(args):
                           "bound_M", "bound_Mprime", "bound_simple", "mprime_defined")
         return lambda: (payload, None)
     kern = _kernel_from_file(_required(args, "kernel"))
+    glauber._sublattice_classes(kern)
     return lambda: (_fields(glauber.sublattice_gap(kern), "value", "ell", "zeta"), None)
 
 

@@ -135,8 +135,7 @@ def _shell_maxima(values: np.ndarray, n: int, R: int) -> np.ndarray:
     grids = np.meshgrid(*([rng] * n), indexing="ij")
     d = np.max(np.abs(np.stack(grids)), axis=0)
     out = np.zeros(R + 1)
-    for k in range(R + 1):
-        out[k] = np.abs(values[d == k]).max()
+    np.maximum.at(out, d.ravel(), np.abs(values).ravel())
     return out
 
 

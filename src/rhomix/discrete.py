@@ -21,7 +21,7 @@ from .errors import CapExceededError, ValidationError
 PROB_TOL = 1e-12
 STATE_CAP = 1 << 20
 EVENT_SCAN_CAP = 20
-EVENT_BLOCK = 1 << 22  # ratios in one row block of _event_ratio_scan
+EVENT_BLOCK = 1 << 17  # ratios in one row block of _event_ratio_scan (1 MiB of floats)
 POOL_CAP = 12
 
 
@@ -296,14 +296,21 @@ def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
     step = max(1, EVENT_BLOCK // max(1, len(B)))
     for lo in range(0, len(A), step):
         rows = slice(lo, lo + step)
-        num = np.abs(A[rows] @ inner - np.outer(pa[rows], qb))
-        den = np.sqrt(np.maximum(np.outer(pa[rows] * (1 - pa[rows]), wb), 0.0))
-        valid = np.outer(valid_a[rows], valid_b) & (den > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(valid, num / den, -np.inf)
+        # at most two block-sized float arrays and two bool masks are live at once
+        ratio = A[rows] @ inner
+        ratio -= np.outer(pa[rows], qb)
+        np.abs(ratio, out=ratio)
+        den = np.outer(pa[rows] * (1 - pa[rows]), wb)
+        np.maximum(den, 0.0, out=den)
+        np.sqrt(den, out=den)
+        valid = np.outer(valid_a[rows], valid_b)
+        valid &= den > 0
+        np.divide(ratio, den, out=ratio, where=valid)
+        np.copyto(ratio, -np.inf, where=~valid)
         k = int(np.argmax(ratio))
         if ratio.flat[k] > best:
             best, at = float(ratio.flat[k]), (lo + k // len(B), k % len(B))
+        del ratio, den, valid  # before the next block is built
     return (best, *at)
 
 

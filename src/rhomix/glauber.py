@@ -18,10 +18,12 @@ import numpy as np
 from .discrete import FiniteSystem
 from .errors import CapExceededError, ValidationError
 from .lattice import _heat_bath_updater, ising_mcmc_samples
-from .tensor_bounds import LatticeKernel, sublattice_k
+from .tensor_bounds import LatticeKernel, SublatticeK, sublattice_k
 
 EXACT_GAP_STATE_CAP = 1 << 12
 SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
+_SIM_CHUNK = 1 << 16  # rings per pass of glauber_simulate's integer loop
+SUBLATTICE_BLOCK_CAP = 1 << 10  # classes of sublattice_gap's block system (eps_block is its square)
 ISING_BURN_SWEEPS = 200  # MCMC sweeps before glauber_simulate_ising's trajectory starts
 ISING_SAMPLE_DT = 0.25  # glauber_simulate_ising's sampling step
 _NO_EVENTS = (np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int))  # SimResult without events
@@ -174,14 +176,18 @@ class SimResult:
 
 def _autocorrelation(samples: np.ndarray, max_lag: int) -> np.ndarray:
     """Normalized autocorrelation c(k), k < max_lag, via FFT."""
-    x = samples - samples.mean()
-    n = x.size
-    var = float(x @ x) / n
+    n = samples.size
+    nfft = 1 << (n + max_lag - 1).bit_length()  # >= n + max_lag: no circular wrap
+    x = np.zeros(nfft)
+    np.subtract(samples, samples.mean(), out=x[:n])
+    var = float(x[:n] @ x[:n]) / n
     if var <= 0:
         return np.zeros(max_lag)
-    nfft = 1 << (n + max_lag - 1).bit_length()  # >= n + max_lag: no circular wrap
-    f = np.fft.rfft(x, nfft)
-    acf = np.fft.irfft(f * np.conj(f), nfft)[:max_lag]
+    f = np.fft.rfft(x)
+    del x
+    power = f * np.conj(f)  # out of place: f *= np.conj(f) rounds differently
+    del f
+    acf = np.fft.irfft(power, nfft)[:max_lag]
     counts = n - np.arange(max_lag)
     return acf / (counts * var)
 
@@ -259,7 +265,8 @@ def glauber_simulate(
     uniformization (Jensen 1953; Gillespie 1977): after a stationary initial
     state, ``_schedule`` draws every ring up front, and one integer loop maps
     each uniform through the conditional CDF of its site given the current
-    flat state.  Every ring is recorded in ``times``/``sites``/``new_states``,
+    flat state, _SIM_CHUNK rings at a time, so that only one chunk of the
+    path is held.  Every ring is recorded in ``times``/``sites``/``new_states``,
     same-state resamples included.  ``observable`` holds the observable's
     value at each state, in any shape that broadcasts to the joint's (default:
     the value of the first coordinate); it is sampled every ``sample_dt``
@@ -294,17 +301,31 @@ def glauber_simulate(
         table[row] = tuple((cum[:-1] / cum[-1]).tolist()), tuple(nxt)
         return table[row]
 
-    path = [x]
-    step = path.append
-    for row, u in zip((sites * total).tolist(), uniforms.tolist()):
-        cdf, nxt = table.get(row + x) or fill(row + x)
-        x = nxt[bisect_right(cdf, u)]
-        step(x)
-    path = np.array(path)
-    samples = np.broadcast_to(np.asarray(observable, dtype=float), sys.joint.shape).ravel()[path[counts]]
+    obs = np.broadcast_to(np.asarray(observable, dtype=float), sys.joint.shape).ravel()
+    samples = np.empty(counts.size)
+    new_states = np.empty(times.size, dtype=int) if keep_events else None
+    stride_of, size_of = np.array(strides), np.array(sizes)
+    done = 0
+    # rings lo..hi-1 take the chain from path[lo] to path[hi]; only seg = path[lo:hi + 1]
+    # of the path is ever held, and a sample taken after j rings reads path[j]
+    for lo in range(0, times.size + 1, _SIM_CHUNK):
+        hi = min(lo + _SIM_CHUNK, times.size)
+        seg = [x]
+        step = seg.append
+        for row, u in zip((sites[lo:hi] * total).tolist(), uniforms[lo:hi].tolist()):
+            cdf, nxt = table.get(row + x) or fill(row + x)
+            x = nxt[bisect_right(cdf, u)]
+            step(x)
+        seg = np.array(seg)
+        upto = int(np.searchsorted(counts, hi, side="right"))
+        samples[done:upto] = obs[seg[counts[done:upto] - lo]]
+        done = upto
+        if keep_events:
+            new_states[lo:hi] = seg[1:] // stride_of[sites[lo:hi]] % size_of[sites[lo:hi]]
+    del counts, uniforms
     if not keep_events:
+        del times, sites
         return _result(samples, sample_dt, *_NO_EVENTS)
-    new_states = path[1:] // np.array(strides)[sites] % np.array(sizes)[sites]
     return _result(samples, sample_dt, times, sites, new_states)
 
 
@@ -344,6 +365,15 @@ class SublatticeGap:
     norm_M: float
 
 
+def _sublattice_classes(kernel: LatticeKernel) -> SublatticeK:
+    """sublattice_k of the kernel; raise if its ell^n classes exceed SUBLATTICE_BLOCK_CAP."""
+    sub = sublattice_k(kernel)
+    if sub.class_sums.size > SUBLATTICE_BLOCK_CAP:
+        raise CapExceededError(f"sublattice_gap: spacing {sub.ell} gives a block system of "
+                               f"{sub.class_sums.size} classes, above cap {SUBLATTICE_BLOCK_CAP}")
+    return sub
+
+
 def sublattice_gap(kernel: LatticeKernel) -> SublatticeGap:
     """Positive gap bound ||M||^-2 (1 - zeta)^2 via sublattice block dynamics.
 
@@ -351,7 +381,7 @@ def sublattice_gap(kernel: LatticeKernel) -> SublatticeGap:
     sums are all < 1; zeta is the class sum of the zero class (the ell Z^n tail of the kernel)
     and M is the triangular-inverse matrix of the block system.
     """
-    sub = sublattice_k(kernel)
+    sub = _sublattice_classes(kernel)
     sums, ell = sub.class_sums, sub.ell
     zeta = float(sums[(0,) * kernel.n])
     # eps_block[u, v] = sums[(z_v - z_u) mod ell] over the flattened classes;

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 SUBLATTICE_SEARCH_CAP = 64
+SUBLATTICE_CLASS_CAP = 1 << 20  # congruence classes ell^n of one spacing sublattice_k tries
 SHELL_SUM_REL_TOL = 1e-15  # the geometric remainder that ends a tail sum, relative to the total
 
 
@@ -296,7 +297,8 @@ def sublattice_k(kernel: LatticeKernel) -> SublatticeK:
 
     Searches spacings ell in increasing order; the first ell whose congruence
     class sums are all < 1 certifies the bound via two nested simple-bound
-    passes over the ell^n sublattices.
+    passes over the ell^n sublattices.  The search stops at SUBLATTICE_SEARCH_CAP
+    spacings, or before a class grid of more than SUBLATTICE_CLASS_CAP classes.
     """
     offs = kernel.offsets()
     nonzero = ~np.all(offs == 0, axis=1)
@@ -305,6 +307,9 @@ def sublattice_k(kernel: LatticeKernel) -> SublatticeK:
     if _tail_max_value(kernel) >= 1.0:
         raise ValidationError("sublattice_k: tail values not certified < 1")
     for ell in range(1, SUBLATTICE_SEARCH_CAP + 1):
+        if ell ** kernel.n > SUBLATTICE_CLASS_CAP:
+            raise CapExceededError(f"sublattice_k: spacing {ell} has {ell}^{kernel.n} congruence classes, "
+                                   f"above cap {SUBLATTICE_CLASS_CAP}, and no smaller spacing has all class sums < 1")
         sums = _class_sums(kernel, ell)
         if sums.max() < 1.0:
             per_sublattice = simple_bound(sums.ravel())

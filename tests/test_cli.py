@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -360,6 +361,13 @@ def input_files(tmp_path):
         **{f"nn2d_{name}": {"n": 2, "R": 1, "values": dict.fromkeys(("(1,0)", "(-1,0)", "(0,1)", "(0,-1)"), v)}
            for name, v in (("090", 0.225), ("095", 0.2375), ("0999", 0.24975))},
         "gamma_1000": {"n": 1, "R": 1, "values": {"(1)": 1000, "(-1)": 1000}},
+        # every class sum stays >= 1 up to spacing 32, whose 32^4 classes fill the cap
+        "heavy_4d": {"n": 4, "R": 1, "values": {str(z).replace(" ", ""): 0.5
+                                                for z in itertools.product((-1, 0, 1), repeat=4) if any(z)},
+                     "tail": {"type": "mass", "total": 0.6}},
+        # spacing 33 is the first with class sums < 1: 33^2 classes
+        "wide_2d": {"n": 2, "R": 16, "values": {f"({a},{b})": 0.9 for a in range(-16, 17)
+                                                for b in range(-16, 17) if (a, b) != (0, 0)}},
     }
     return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
 
@@ -432,6 +440,11 @@ class TestHandlerTable:
         (["quadratic", "--gamma", "{gamma_1000}"],
          "70483 Neumann terms on a window of radius 131072 (n = 1) above the work cap 1073741824"),
         (["clt", "--model", "quadratic", "--gamma", "{gamma_1000}"], "70483 Neumann terms"),
+        (["tensor-bound", "sublattice", "--kernel", "{heavy_4d}"],
+         "sublattice_k: spacing 33 has 33^4 congruence classes, above cap 1048576"),
+        (["glauber-gap", "sublattice", "--kernel", "{heavy_4d}"], "spacing 33 has 33^4 congruence classes"),
+        (["glauber-gap", "sublattice", "--kernel", "{wide_2d}"],
+         "sublattice_gap: spacing 33 gives a block system of 1089 classes, above cap 1024"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):

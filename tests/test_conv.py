@@ -113,6 +113,14 @@ class TestDecayFit:
             ToeplitzKernel(1, 40, np.exp(-np.abs(zs), dtype=float), decay_class="polynomial")
 
 
+    @pytest.mark.parametrize("n, R", [(1, 0), (1, 12), (1, 1 << 12), (2, 9), (3, 4)])
+    def test_shell_maxima_match_the_mask_loop(self, n, R):
+        values = np.random.default_rng(R + n).standard_normal((2 * R + 1,) * n)
+        d = np.max(np.abs(np.indices(values.shape) - R), axis=0)
+        want = [np.abs(values[d == k]).max() for k in range(R + 1)]
+        assert convdecay._shell_maxima(values, n, R).tolist() == want
+
+
 class TestSubInvariantEnvelope:
     def test_polynomial_envelope_is_contracted(self):
         # for a summable kernel with ||a||_1 < 1 there are rho < 1 and d with

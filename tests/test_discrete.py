@@ -1,14 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhomix import discrete
+from rhomix import discrete, events
 from rhomix.discrete import FinitePair, FiniteSystem
 from rhomix.errors import CapExceededError, ValidationError
-from rhomix.events import lambda_fn
+from rhomix.events import NuModel, lambda_fn
 
 
 def pair(joint):
@@ -357,6 +358,73 @@ class TestEventExtremes:
                 joint[0, 0] = 1.0
             p = pair(joint / joint.sum())
             assert discrete.event_extremes(p) == block_loop_event_extremes(p)
+
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 10])
+    def test_scan_matches_one_block_at_every_block_size(self, block, monkeypatch):
+        # ratio and (row, col) must not depend on where the blocks end: ties
+        # (a diagonal pair, many pairs at ratio 1), a zero-mass row and column,
+        # a plain random pair and nu's three families at m = 64.  BLAS rounds
+        # A[rows] @ inner differently for different row counts (gemv for one
+        # row, other kernels for small products), so the masses are rounded to
+        # multiples of 2^-40: then every sum is exact in any order and only the
+        # block bookkeeping is under test.
+        def dyadic(joint):
+            return np.round(joint / joint.sum() * 2.0**40) / 2.0**40
+
+        rng = np.random.default_rng(12)
+        zero_mass = random_joint(rng, 5, 6)
+        zero_mass[1], zero_mass[:, 3] = 0.0, 0.0
+        cases = [(dyadic(j), discrete._masks(j.shape[0]), discrete._masks(j.shape[1]))
+                 for j in (np.diag(np.full(4, 0.25)), zero_mass, random_joint(rng, 7, 5))]
+        cells = dyadic(events.nu_cell_masses(NuModel(0.5, 0.02, 64)))
+        cases += [(cells, A, B) for A, B in events._nu_event_families(64, 0).values()]
+        expected = [one_block_event_scan(*case) for case in cases]
+        assert expected[0][0] == 1.0 and expected[1][0] > 0
+        monkeypatch.setattr(discrete, "EVENT_BLOCK", block)
+        for case, want in zip(cases, expected):
+            assert discrete._event_ratio_scan(*case) == want
+
+    def test_scan_memory_is_bounded_by_the_block(self):
+        # 2^23 ratios in 64 blocks: the block work stays within two and a half
+        # block-sized float arrays on top of the inputs (measured: 2.0 at 2^17,
+        # 3.0 when a block's arrays outlive it; the one-expression block of
+        # 2^22 ratios took 5.1)
+        joint = random_joint(np.random.default_rng(3), 12, 11)
+        A, B = discrete._masks(12), discrete._masks(11)
+        peak = traced_peak(lambda: discrete._event_ratio_scan(joint, A, B))
+        assert peak <= 2.5 * 8 * discrete.EVENT_BLOCK + joint.nbytes + A.nbytes + B.nbytes
+
+
+def traced_peak(fn) -> int:
+    """Bytes that fn() allocates on top of what is live when it starts, at its peak (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def one_block_event_scan(joint, A, B):
+    """The event-ratio scan as one expression over all of A (the scan's form
+    before it was split into row blocks and computed in place): the reference
+    for every block size."""
+    px, py = joint.sum(axis=1), joint.sum(axis=0)
+    pa, qb = A @ px, B @ py
+    pos_x, pos_y = (px > 0).astype(float), (py > 0).astype(float)
+    hit_a, hit_b = A @ pos_x, B @ pos_y
+    valid_a = (hit_a > 0) & (hit_a < pos_x.sum())
+    valid_b = (hit_b > 0) & (hit_b < pos_y.sum())
+    num = np.abs(A @ (joint @ B.T) - np.outer(pa, qb))
+    den = np.sqrt(np.maximum(np.outer(pa * (1 - pa), qb * (1 - qb)), 0.0))
+    valid = np.outer(valid_a, valid_b) & (den > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(valid, num / den, -np.inf)
+    k = int(np.argmax(ratio))
+    return float(ratio.flat[k]), k // len(B), k % len(B)
 
 
 def block_loop_event_extremes(p):

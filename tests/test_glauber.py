@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,35 @@ class TestSimulator:
         replayed = glauber._autocorrelation(np.array(samples), len(sim.autocorr))
         assert np.abs(replayed - sim.autocorr).max() <= 1e-12
 
+    @pytest.mark.parametrize("keep_events", [True, False])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_does_not_change_the_run(self, chunk, keep_events, monkeypatch):
+        # the default chunk holds all ~1,200 rings; chunks of 1 and 7 rings
+        # end on every ring and between samples
+        sys = three_state_system()
+        ref = glauber.glauber_simulate(sys, horizon=400.0, seed=6, sample_dt=0.07, keep_events=keep_events)
+        monkeypatch.setattr(glauber, "_SIM_CHUNK", chunk)
+        got = glauber.glauber_simulate(sys, horizon=400.0, seed=6, sample_dt=0.07, keep_events=keep_events)
+        for name in ("times", "sites", "new_states", "autocorr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert (got.rate_estimate, got.relaxation_time) == (ref.rate_estimate, ref.relaxation_time)
+        assert len(ref.times) > 1000 or not keep_events
+
+    def test_memory_per_ring_is_bounded(self):
+        # 3 sites, 10^5 expected rings, 4 samples per ring, no events: at most
+        # 200 traced bytes per ring (measured: 141; 263 when the whole path
+        # was held as a list, an index array and a sample gather)
+        sys = spin_system(np.random.default_rng(1).dirichlet(np.ones(8)).reshape(2, 2, 2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            glauber.glauber_simulate(sys, horizon=1e5 / 3, seed=1, keep_events=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * 1e5
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 1000, 4097])
     def test_autocorrelation_matches_the_2n_padded_fft(self, n):
         def padded_2n(samples, max_lag):
@@ -406,6 +436,19 @@ class TestSublatticeGap:
         rep = glauber.sublattice_gap(kernel)
         assert (rep.value, rep.ell, rep.zeta, rep.norm_M) == (bound_M * (1 - zeta) ** 2, sub.ell, zeta, bound_M**-0.5)
         assert sub.class_sums.size >= 3  # a block matrix with off-diagonal entries
+
+    def test_block_cap(self):
+        # a spacing of 2R + 1 gives every class one window value: 31^2 classes
+        # fit under the cap, 33^2 do not
+        def window(R):
+            values = np.full((2 * R + 1,) * 2, 0.9)
+            values[R, R] = 0.0
+            return LatticeKernel(2, R, values, "l1", TailModel())
+
+        assert glauber._sublattice_classes(window(15)).ell == 31
+        assert 31**2 <= glauber.SUBLATTICE_BLOCK_CAP < 33**2
+        with pytest.raises(CapExceededError, match="spacing 33 gives a block system of 1089 classes, above cap 1024"):
+            glauber.sublattice_gap(window(16))
 
     def test_zero_kernel(self):
         k = LatticeKernel.from_dict(1, 1, {1: 0.0})

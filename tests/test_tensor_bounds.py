@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhomix import discrete, tensor_bounds as tb
-from rhomix.errors import ValidationError
+from rhomix.errors import CapExceededError, ValidationError
 from rhomix.tensor_bounds import LatticeKernel, TailModel
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -245,6 +245,21 @@ class TestSublattice:
         assert rep.ell == 1
         assert rep.k == pytest.approx(0.6, abs=1e-12)
         assert rep.k < 1.0
+
+    @pytest.mark.parametrize("n, last", [(4, 32), (5, 16)])
+    def test_class_cap_stops_the_search(self, n, last, monkeypatch):
+        # class sums stay >= 1 at every spacing: the search stops before the
+        # first class grid above the cap, and never builds it
+        values = np.full((3,) * n, 0.5)
+        values[(1,) * n] = 0.0
+        kernel = LatticeKernel(n, 1, values, "l1", TailModel("mass", total=0.6))
+        built = []
+        class_sums = tb._class_sums
+        monkeypatch.setattr(tb, "_class_sums", lambda k, ell: built.append(ell) or class_sums(k, ell))
+        with pytest.raises(CapExceededError, match=f"spacing {last + 1} has {last + 1}\\^{n} congruence classes, "
+                                                   f"above cap {tb.SUBLATTICE_CLASS_CAP}"):
+            tb.sublattice_k(kernel)
+        assert built == list(range(1, last + 1)) and last**n <= tb.SUBLATTICE_CLASS_CAP
 
     def test_nearest_neighbor_above_critical_mass(self):
         rep = tb.sublattice_k(kernel_1d({1: 0.6}))
