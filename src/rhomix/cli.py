@@ -519,7 +519,7 @@ def main(argv=None) -> int:
         _sys.stderr.write(f"invariant violated: {exc}\n")
         return 2
     except IntegratorError as exc:
-        _sys.stderr.write(f"numerical integration failed: {exc}\n")
+        _sys.stderr.write(f"numerical routine failed: {exc}\n")
         return 2
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve
 
 from .errors import CapExceededError, ValidationError
 
@@ -104,6 +103,8 @@ def conv_inverse(a: ToeplitzKernel) -> ToeplitzKernel:
     geometric tail ||a||_1^{K+1} / (1 - ||a||_1) is below SERIES_TOL; the
     defining identity is then verified on the window.
     """
+    from scipy.signal import convolve
+
     s, n_terms, R_out = _check_neumann(a)
     if s == 0.0:
         return ToeplitzKernel(a.n, a.R, np.zeros_like(a.values))

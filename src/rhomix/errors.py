@@ -13,4 +13,5 @@ class CapExceededError(ValidationError):
 
 
 class IntegratorError(RuntimeError):
-    """A numerical integration produced non-finite output."""
+    """A numerical routine (an integrator, a matrix exponential or inverse, an SVD) failed
+    or produced non-finite output."""

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .discrete import _event_ratio_scan
 from .errors import CapExceededError, ValidationError
@@ -73,14 +72,17 @@ def chogosov_zone(model: ChogosovModel, p: float, q: float) -> str:
     if not (0 < p < 1 and 0 < q < 1):
         raise ValidationError("chogosov_zone: p, q must lie in (0, 1)")
     e2 = model.eps**2
-    r = (p * (1 - q)) / (q * (1 - p))
+    # eps^2 (for eps below about 1.6e-162) and q (1 - p) may underflow to 0
+    inv_e2 = 1.0 / e2 if e2 > 0 else math.inf
+    den = q * (1 - p)
+    r = p * (1 - q) / den if den > 0 else math.inf
     if abs(r - e2) < 1e-12:
         return "U"
-    if abs(r - 1.0 / e2) < 1e-12:
+    if abs(r - inv_e2) < 1e-12:
         return "D"
     if r < e2:
         return "1"
-    if r > 1.0 / e2:
+    if r > inv_e2:
         return "3"
     return "2"
 
@@ -294,6 +296,8 @@ def lambda_integral_identity(model: ChogosovModel, p: float) -> LambdaIntegral:
     quadrature in w of the closed-form quantile Q.  The result is Lambda(eps)
     independently of p (asserted by the caller to 1e-8).
     """
+    from scipy.integrate import quad
+
     if not (0 < p < 1):
         raise ValidationError("lambda_integral_identity: p must lie in (0, 1)")
     eps = model.eps

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import CapExceededError, IntegratorError, ValidationError
 from .tensor_bounds import l2_sum_bound
@@ -223,6 +222,8 @@ def ou_noise_covariance(params: OUChainParams) -> tuple:
     """(Chat, phi): the Lyapunov integral int_0^t e^{sA} B e^{sA^T} ds with
     B = 2 T lam m I_p, solved in closed form by a block matrix exponential,
     and the flow phi = e^{tA}."""
+    import scipy.linalg as sla
+
     K = params.K
     A = _ou_drift(params)
     B = np.zeros((2 * K, 2 * K))
@@ -264,10 +265,16 @@ def ou_chain_joint(params: OUChainParams) -> OUChainReport:
     sd = np.sqrt(np.diag(cbar))
     corr = np.abs(cross) / np.outer(sd[: 2 * K], sd[2 * K :])
     # joint precision, momentum coordinates rescaled by chi = m*omega
-    qhat = params.T * np.linalg.inv(chat)
-    qbar = np.block(
-        [[qcheck + phi.T @ qhat @ phi, -phi.T @ qhat], [-qhat @ phi, qhat]]
-    )
+    try:
+        qhat = params.T * np.linalg.inv(chat)
+    except np.linalg.LinAlgError:
+        raise IntegratorError("ou_chain_joint: noise covariance is singular at this horizon") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        qbar = np.block(
+            [[qcheck + phi.T @ qhat @ phi, -phi.T @ qhat], [-qhat @ phi, qhat]]
+        )
+    if not np.all(np.isfinite(qbar)):
+        raise IntegratorError("ou_chain_joint: joint precision is not finite at this horizon")
     chi = params.m * params.omega
     scale = np.ones(4 * K)
     for blk_i in range(4):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import FiniteSystem
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, IntegratorError, ValidationError
 from .lattice import _heat_bath_updater, ising_mcmc_samples
 from .tensor_bounds import LatticeKernel, SublatticeK, sublattice_k
 
@@ -54,8 +54,22 @@ def _check_eps_matrix(eps) -> np.ndarray:
     return eps
 
 
+def _top_singular_value(a: np.ndarray, name: str) -> float:
+    """Largest singular value of a; an SVD that does not converge is an IntegratorError."""
+    try:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise IntegratorError(f"gap_lower_bounds: SVD of {name} did not converge ({exc})") from None
+
+
 def gap_lower_bounds(eps) -> GapBoundReport:
-    """Three nested spectral-gap lower bounds from pairwise correlation bounds."""
+    """Three nested spectral-gap lower bounds from pairwise correlation bounds.
+
+    Every entry of eps~ and ones~ is non-negative, so M = U^-1 diag(ones~) =
+    sum_k eps~^k diag(ones~) is a sum of non-negative terms.  An entry of M
+    that is not finite has therefore overflowed: ||M|| > 1e308, ||M||^-2
+    rounds to 0, and bound_M is 0 without an SVD.
+    """
     e = _check_eps_matrix(eps)
     n = e.shape[0]
     off = e[~np.eye(n, dtype=bool)]
@@ -64,22 +78,26 @@ def gap_lower_bounds(eps) -> GapBoundReport:
     # ones~_i = 1 / prod_{j > i} (1 - eps_ij^2); eps~_ij = eps_ij / prod_{i<j'<=j} (1 - eps_ij'^2)
     ones_t = np.ones(n)
     eps_t = np.zeros((n, n))
-    for i in range(n):
-        prod = 1.0
-        for j in range(i + 1, n):
-            prod *= 1.0 - e[i, j] ** 2
-            eps_t[i, j] = e[i, j] / prod
-        ones_t[i] = 1.0 / prod
-    U = np.eye(n) - eps_t  # unit upper triangular with -eps~ above the diagonal
-    M = np.linalg.solve(U, np.diag(ones_t))
-    norm_M = float(np.linalg.svd(M, compute_uv=False)[0]) if n else 0.0
-    bound_M = norm_M**-2 if norm_M > 0 else 1.0
-    opnorm = float(np.linalg.svd(e, compute_uv=False)[0]) if n else 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflow gives bound_M = 0
+        for i in range(n):
+            prod = 1.0
+            for j in range(i + 1, n):
+                prod *= 1.0 - e[i, j] ** 2
+                eps_t[i, j] = e[i, j] / prod
+            ones_t[i] = 1.0 / prod
+        U = np.eye(n) - eps_t  # unit upper triangular with -eps~ above the diagonal
+        M = np.linalg.solve(U, np.diag(ones_t))
+    if np.isfinite(M).all():
+        norm_M = _top_singular_value(M, "M")
+        bound_M = norm_M**-2 if norm_M > 0 else 1.0
+    else:
+        bound_M = 0.0
+    opnorm = _top_singular_value(e, "eps")
     rho = float(np.max(np.abs(np.linalg.eigvals(e)))) if n else 0.0
     bound_simple = max(0.0, 1.0 - opnorm) ** 2
     if rho < 1.0:
         Mp = np.linalg.inv(np.eye(n) - e)
-        norm_Mp = float(np.linalg.svd(Mp, compute_uv=False)[0])
+        norm_Mp = _top_singular_value(Mp, "M'")
         bound_Mp = norm_Mp**-2
         defined = True
     else:
@@ -390,4 +408,5 @@ def sublattice_gap(kernel: LatticeKernel) -> SublatticeGap:
     eps_block = sums[tuple((z[:, None, :] - z[:, :, None]) % ell)]
     report = gap_lower_bounds(eps_block)
     value = report.bound_M * (1.0 - zeta) ** 2
-    return SublatticeGap(float(value), ell, zeta, float(report.bound_M ** -0.5))
+    norm_M = report.bound_M ** -0.5 if report.bound_M > 0 else math.inf
+    return SublatticeGap(float(value), ell, zeta, float(norm_M))

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rhomix import acceptance, cli
+from rhomix import acceptance, cli, glauber
 
 
 def run_cli(args, tmp_path=None):
@@ -490,3 +494,238 @@ class TestHandlerTable:
         assert ("expected one of: maxcorr, subjective, mixing, tensor-bound, event-bound, chogosov, "
                 "glauber-gap, glauber-sim, ising, quadratic, conv-inverse, clt, ou-chain, three-lines, "
                 "verify-all\n") in capsys.readouterr().err
+
+
+# 343 classes of one window value each: every off-diagonal entry of the block system is 0.9,
+# so prod_j (1 - 0.81) underflows and the triangular-inverse matrix M overflows
+OVERFLOW_KERNEL = {"n": 3, "R": 3, "values": {str(z).replace(" ", ""): 0.9
+                                              for z in itertools.product(range(-3, 4), repeat=3) if any(z)}}
+
+
+class TestGapOverflow:
+    def test_sublattice_gives_zero(self, tmp_path, capsys):
+        kernel = write_json(tmp_path, "kernel.json", OVERFLOW_KERNEL)
+        assert cli.main(["glauber-gap", "sublattice", "--kernel", kernel]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["value"], out["ell"], out["zeta"]) == (0.0, 7, 0.0)
+
+    def test_bounds_give_zero(self, tmp_path, capsys):
+        eps = np.full((343, 343), 0.9)  # the block system of OVERFLOW_KERNEL
+        np.fill_diagonal(eps, 0.0)
+        matrix = write_json(tmp_path, "matrix.json", {"entries": eps.tolist()})
+        assert cli.main(["glauber-gap", "bounds", "--matrix", matrix]) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert (out["bound_M"], out["bound_simple"], out["mprime_defined"]) == (0.0, 0.0, False)
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_failed_svd_is_exit_2(self, dry_run, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(glauber.np.linalg, "svd", no_convergence)
+        matrix = write_json(tmp_path, "matrix.json", {"entries": [[0.0, 0.5], [0.5, 0.0]]})
+        assert cli.main(["glauber-gap", "bounds", "--matrix", matrix] + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "numerical routine failed: gap_lower_bounds: SVD of M did not converge " \
+                               "(SVD did not converge)\n"
+        assert captured.out == ""
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def _fresh_interpreter(code: str, cwd) -> str:
+    """stdout of ``python -c code`` run in ``cwd``, with this rhomix first on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportPath:
+    """Commands that call no SciPy routine load no SciPy module; each probe is a fresh interpreter."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        out = _fresh_interpreter(f"import sys, rhomix, rhomix.cli; print({SCIPY_MODULES})", tmp_path)
+        assert out == "[]\n"
+
+    def test_calls_load_no_scipy(self, tmp_path):
+        # the two dry runs and three invalid inputs of the benchmark's table, on its input files
+        code = f"""
+import contextlib, io, json, sys
+import numpy as np
+sys.path.insert(0, {PERFBENCH!r})
+import clicalls
+from rhomix import cli
+calls = clicalls.write_inputs(np.random.default_rng(1), ".", full=True)
+cases = [(["tensor-bound", "simple", "--eps", "0.5,0.5"], 0), (["verify-all", "--only", "01"], 0)]
+cases += [(c.argv, c.expect) for c in calls if c.kind != "compute"]
+loaded = []
+for argv, expect in cases:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append((argv, code, expect, {SCIPY_MODULES}))
+print(json.dumps(loaded))
+"""
+        loaded = json.loads(_fresh_interpreter(code, tmp_path))
+        assert len(loaded) == 7
+        for argv, code, expect, scipy_modules in loaded:
+            assert code == expect, argv
+            assert scipy_modules == [], argv
+
+
+def _exit_and_stdout(argv):
+    """(exit code, stdout) of one in-process call; argparse's exit on a bad flag value counts."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"output holds {name}")
+
+
+def _check_outcome(argv):
+    code, out = _exit_and_stdout(argv)
+    command = next((a for a in argv if not a.startswith("-")), None)  # as cli.main finds it
+    assert code in ((0, 2) if command in cli.HANDLERS else (64,)), (argv, code)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)  # strict JSON: no NaN or Infinity
+
+
+# a number flag as typed: the edge values, any float, a float in [0, 1], or junk text
+NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "-1e308", "1e-308", "5e-324"]),
+    st.floats().map(repr),
+    st.floats(0, 1).map(repr),
+    st.text(max_size=6),
+)
+# an integer flag: small values, values past every cap, or any number flag; valid sizes stay
+# small so that a call costs milliseconds, and the caps are tested by the large values
+INTEGER = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from([str(2**31), str(2**63), str(-(2**63)), str(10**400)]),
+    NUMBER,
+)
+
+
+def _numbers(element, min_size=0, max_size=4):
+    return st.lists(element, min_size=min_size, max_size=max_size).map(",".join)
+
+
+# a 3-vector flag: three numbers, or a list of any length
+VECTOR = _numbers(NUMBER, 3, 3) | _numbers(NUMBER)
+# a valid value of each number flag, and what may replace it
+NUMBER_FLAGS = {
+    ("tensor-bound", "simple"): {"eps": ("0.5,0.3", _numbers(NUMBER))},
+    ("event-bound", "lambda"): {"eps": ("0.5", NUMBER)},
+    ("event-bound", "nu"): {"eps": ("0.5", NUMBER), "x": ("0.02", NUMBER), "m": ("16", INTEGER)},
+    ("chogosov", "quantile"): {"eps": ("0.5", NUMBER), "p": ("0.3", NUMBER), "omega": ("0.6", NUMBER)},
+    ("chogosov", "cdf"): {"eps": ("0.5", NUMBER), "p": ("0.3", NUMBER), "q": ("0.6", NUMBER)},
+    ("three-lines",): {"u1": ("1,0,0", VECTOR), "u2": ("0,1,0", VECTOR), "u3": ("1,1,1", VECTOR)},
+    ("ou-chain",): {"t": ("1.0", NUMBER), "K": ("8", INTEGER)},
+    ("ising",): {"L": ("4", INTEGER), "T": ("2.0", NUMBER), "n": ("1", INTEGER)},
+    ("clt",): {"T": ("3.0", NUMBER), "L": ("8", INTEGER), "ells": ("4,8", _numbers(INTEGER)),
+               "replicas": ("200", INTEGER)},
+}
+
+
+@st.composite
+def number_argv(draw):
+    """A command of NUMBER_FLAGS with each flag's valid value, or, for each with even odds, a fuzzed one."""
+    command = draw(st.sampled_from(sorted(NUMBER_FLAGS)))
+    argv = list(command)
+    for flag, (valid, fuzzed) in NUMBER_FLAGS[command].items():
+        argv.append(f"--{flag}={draw(fuzzed) if draw(st.booleans()) else valid}")
+    return argv
+
+
+VALID_FILES = {
+    "pair": {"labels_x": [0, 1], "labels_y": [0, 1, 2], "joint": [[0.2, 0.1, 0.1], [0.1, 0.3, 0.2]]},
+    "system": {"variables": [{"name": f"X{k}", "size": 2} for k in range(3)],
+               "joint_flat": [0.05, 0.1, 0.15, 0.2, 0.2, 0.15, 0.1, 0.05]},
+    "kernel": {"n": 1, "R": 2, "values": {"(1)": 0.2, "(-1)": 0.2, "(2)": 0.05},
+               "tail": {"type": "exponential", "C": 0.01, "psi": 1.0}},
+}
+FILE_COMMANDS = {
+    "pair": [["maxcorr", "--witness", "--pair"], ["mixing", "--pair"], ["event-bound", "extremes", "--pair"],
+             ["event-bound", "density", "--pair"]],
+    "system": [["subjective", "--i", "X0", "--j", "X1", "--system"], ["glauber-gap", "exact", "--system"],
+               ["glauber-sim", "--horizon", "20", "--system"], ["maxcorr", "--x", "X0", "--y", "X2", "--system"]],
+    "kernel": [["tensor-bound", "zn", "--kernel"], ["tensor-bound", "distance", "--d", "2", "--kernel"],
+               ["tensor-bound", "sublattice", "--kernel"], ["glauber-gap", "sublattice", "--kernel"],
+               ["conv-inverse", "--kernel"], ["quadratic", "--gamma"]],
+}
+JSON_VALUE = st.one_of(
+    st.sampled_from(["nan", "inf", "-1", "", "0", "(1)", "X0"]),
+    st.floats(), st.integers(-10, 10**20), st.none(), st.booleans(), st.just([]), st.just({}),
+)
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value below ``doc``, parents before children."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def broken_file(draw, doc):
+    """The text of ``doc`` after 0-3 edits (drop, replace or wrap a value), maybe truncated."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in parents:
+            parent = parent[k]
+        edit = draw(st.sampled_from(["drop", "replace", "wrap"]))
+        if edit == "drop":
+            del parent[key]
+        elif edit == "replace":
+            parent[key] = draw(JSON_VALUE)
+        else:
+            parent[key] = [parent[key]]
+    text = json.dumps(doc)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@st.composite
+def file_argv(draw):
+    kind = draw(st.sampled_from(sorted(FILE_COMMANDS)))
+    return kind, draw(st.sampled_from(FILE_COMMANDS[kind])), draw(broken_file(VALID_FILES[kind]))
+
+
+class TestFuzz:
+    """Any flag value or input file gives exit 0 with strict JSON, exit 2, or 64 for an unknown command."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(argv=st.one_of(number_argv(), st.lists(st.text(max_size=8), max_size=3)))
+    # once uncaught: eps^2 and q (1 - p) underflowing in chogosov_zone, and a horizon whose
+    # noise covariance is singular or whose joint precision overflows
+    @example(argv=["chogosov", "cdf", "--eps=1e-308", "--p=0.5", "--q=1e-308"])
+    @example(argv=["chogosov", "cdf", "--eps=0.5", "--p=0.9999999999999999", "--q=5e-324"])
+    @example(argv=["ou-chain", "--t=1e-110", "--K=8"])
+    @example(argv=["ou-chain", "--t=1e-103", "--K=8"])
+    def test_number_flags(self, argv):
+        _check_outcome(argv)
+
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=file_argv())
+    def test_input_files(self, case, tmp_path):
+        kind, argv, text = case
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        _check_outcome([*argv, str(path)])

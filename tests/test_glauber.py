@@ -7,7 +7,7 @@ from scipy.stats import chi2
 
 from rhomix import discrete, glauber
 from rhomix.discrete import FiniteSystem
-from rhomix.errors import CapExceededError, ValidationError
+from rhomix.errors import CapExceededError, IntegratorError, ValidationError
 from rhomix.tensor_bounds import LatticeKernel, TailModel, sublattice_k
 
 
@@ -116,6 +116,28 @@ class TestGapLowerBounds:
     def test_non_finite_entry_is_rejected(self, bad):
         with pytest.raises(ValidationError, match="eps entries must be finite"):
             glauber.gap_lower_bounds(np.array([[0.0, bad], [bad, 0.0]]))
+
+    def test_overflowed_M_gives_zero(self):
+        # prod_j (1 - 0.81) underflows in the first rows, so ones~ and M overflow
+        eps = np.full((343, 343), 0.9)
+        np.fill_diagonal(eps, 0.0)
+        rep = glauber.gap_lower_bounds(eps)
+        assert not np.isfinite(rep.M_matrix).all()
+        assert (rep.bound_M, rep.bound_simple, rep.mprime_defined) == (0.0, 0.0, False)
+
+    @pytest.mark.parametrize("failing, name", [(0, "M"), (1, "eps"), (2, "M'")])
+    def test_failed_svd_is_an_integrator_error(self, failing, name, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == failing + 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(glauber.np.linalg, "svd", flaky)
+        with pytest.raises(IntegratorError, match=f"gap_lower_bounds: SVD of {name} did not converge"):
+            glauber.gap_lower_bounds(np.array([[0.0, 0.5], [0.5, 0.0]]))
 
     def test_mprime_flag_when_radius_reaches_one(self):
         eps = np.full((4, 4), 0.4)
@@ -449,6 +471,13 @@ class TestSublatticeGap:
         assert 31**2 <= glauber.SUBLATTICE_BLOCK_CAP < 33**2
         with pytest.raises(CapExceededError, match="spacing 33 gives a block system of 1089 classes, above cap 1024"):
             glauber.sublattice_gap(window(16))
+
+    def test_overflowed_block_system_gives_zero(self):
+        # every window value 0.9 on the 3-d, R = 3 window: 343 classes, and M overflows
+        values = np.full((7, 7, 7), 0.9)
+        values[3, 3, 3] = 0.0
+        rep = glauber.sublattice_gap(LatticeKernel(3, 3, values, "l1", TailModel()))
+        assert (rep.value, rep.ell, rep.zeta, rep.norm_M) == (0.0, 7, 0.0, math.inf)
 
     def test_zero_kernel(self):
         k = LatticeKernel.from_dict(1, 1, {1: 0.0})
