@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acceptance, discrete, events, gaussian, glauber, lattice, tensor_bounds
 from . import io as rio
-from .convdecay import ToeplitzKernel, _check_neumann, conv_inverse, decay_fit
+from .convdecay import ToeplitzKernel, _check_neumann, _decay_fit, conv_inverse
 from .errors import CapExceededError, IntegratorError, ValidationError
 
 WINDOW_CAP = 1 << 16  # values (2R+1)^n of a kernel file's window
@@ -413,15 +413,10 @@ def _conv_inverse(args):
 
     def run():
         b = conv_inverse(kern)
-        out_vals = {}
-        if b.n == 1:
-            for z in range(-b.R, b.R + 1):
-                v = b.value_at((z,))
-                if v != 0.0:
-                    out_vals[f"({z})"] = v
+        out_vals = {f"({z})": v for z, v in enumerate(b.values.tolist(), -b.R) if v != 0.0} if b.n == 1 else {}
         result = {"n": b.n, "R": b.R, "l1_norm": b.l1_norm(), "values": out_vals}
-        if b.R >= 14:
-            fit = decay_fit(b)
+        fit = _decay_fit(b)
+        if fit is not None:
             result["decay"] = _fields(fit, "classification", "rate", "exponent")
         return result, None
     return run

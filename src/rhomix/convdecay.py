@@ -1,10 +1,10 @@
 """Convolution-algebra kernel: Neumann-series inverses and decay preservation.
 
 B[a] = a + a*a + a*a*a + ... is the l1 convolution inverse remainder, i.e.
-(delta_0 - a) * (delta_0 + B[a]) = delta_0.  Exponential decay of a gives
-exponential decay of B[a] (with a possibly smaller rate), polynomial decay
-O(|z|^-alpha) is preserved with the same exponent; decay classes are
-estimated by shell regressions.
+(delta_0 - a) * (delta_0 + B[a]) = delta_0, and B^ = a^ / (1 - a^) in Fourier
+space.  Exponential decay of a gives exponential decay of B[a] (with a possibly
+smaller rate), polynomial decay O(|z|^-alpha) is preserved with the same
+exponent; decay classes are estimated by shell regressions.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ import numpy as np
 from .errors import CapExceededError, ValidationError
 
 SERIES_TOL = 1e-12
-NEUMANN_WORK_CAP = 1 << 30  # multiply-adds of conv_inverse's direct convolutions
+CONV_WINDOW_CAP = 1 << 20  # points (2 R_out + 1)^n of conv_inverse's periodic window
+FIT_FLOOR = 64  # decay_fit's rounding floor, in units of u ||values||_1
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,9 @@ class ToeplitzKernel:
         if self.decay_class not in ("none", "exponential", "polynomial"):
             raise ValidationError(f"ToeplitzKernel: unknown decay class {self.decay_class!r}")
         object.__setattr__(self, "values", values)
-        if self.decay_class != "none" and self.R >= 14:
-            fit = decay_fit(self)
-            if fit.classification not in (self.decay_class, "inconclusive"):
+        if self.decay_class != "none":
+            fit = _decay_fit(self)
+            if fit is not None and fit.classification not in (self.decay_class, "inconclusive"):
                 raise ValidationError(
                     f"ToeplitzKernel: declared decay {self.decay_class!r} contradicts the "
                     f"fit ({fit.classification!r})"
@@ -65,17 +66,9 @@ class ToeplitzKernel:
         return float(self.values[tuple(c + self.R for c in z)])
 
 
-def _embed(values: np.ndarray, R_from: int, R_to: int, n: int) -> np.ndarray:
-    out = np.zeros((2 * R_to + 1,) * n)
-    sl = tuple(slice(R_to - R_from, R_to + R_from + 1) for _ in range(n))
-    out[sl] = values
-    return out
-
-
 def _check_neumann(a: ToeplitzKernel) -> tuple:
-    """(||a||_1, K, R_out) of conv_inverse: ||a||_1 must be below 1, and its K Neumann terms,
-    each a direct convolution with a on the window of radius R_out, must take at most
-    NEUMANN_WORK_CAP multiply-adds K (2 R_out + 1)^n (2R + 1)^n."""
+    """(||a||_1, K, R_out) of conv_inverse: ||a||_1 must be below 1, and the window of radius
+    R_out that holds its first K Neumann terms at most CONV_WINDOW_CAP points (2 R_out + 1)^n."""
     s = a.l1_norm()
     if not s < 1.0:  # nan too
         raise ValidationError(f"conv_inverse: ||a||_1 = {s!r} must be < 1")
@@ -83,9 +76,9 @@ def _check_neumann(a: ToeplitzKernel) -> tuple:
         return s, 0, a.R
     n_terms = _neumann_terms(s)
     R_out = max(a.R, 1) << (n_terms - 1).bit_length()  # doubled until it holds n_terms * max(R, 1)
-    if n_terms * (2 * R_out + 1) ** a.n * (2 * a.R + 1) ** a.n > NEUMANN_WORK_CAP:
-        raise CapExceededError(f"conv_inverse: {n_terms} Neumann terms on a window of radius {R_out} "
-                               f"(n = {a.n}) above the work cap {NEUMANN_WORK_CAP}")
+    if (2 * R_out + 1) ** a.n > CONV_WINDOW_CAP:
+        raise CapExceededError(f"conv_inverse: {n_terms} Neumann terms need a window of radius {R_out} "
+                               f"(n = {a.n}) of more than the cap {CONV_WINDOW_CAP} points")
     return s, n_terms, R_out
 
 
@@ -95,33 +88,37 @@ def _neumann_terms(s: float) -> int:
     return max(1, int(math.ceil(math.log(SERIES_TOL * (1.0 - s)) / math.log(s))))
 
 
+def _tail_bound(a: ToeplitzKernel, R_out: int) -> float:
+    """2 s^(k+1) / (1 - s), s = ||a||_1 and k = R_out // R: conv_inverse's l1 error on its window of
+    radius R_out plus the l1 mass of B[a] outside it.  The terms a^(*j), j <= k, fit in the window; each
+    later one folds its mass outside back in, counted once as error and once as mass missing outside."""
+    s = a.l1_norm()
+    return 2.0 * s ** (R_out // a.R + 1) / (1.0 - s) if s > 0 and a.R > 0 else 0.0
+
+
 def conv_inverse(a: ToeplitzKernel) -> ToeplitzKernel:
-    """Neumann series B[a] on an auto-enlarged window.
+    """B[a] = a^ / (1 - a^) by FFT on an auto-enlarged periodic window.
 
-    Requires ||a||_1 < 1 and at most NEUMANN_WORK_CAP multiply-adds.  The
+    Requires ||a||_1 < 1 and at most CONV_WINDOW_CAP window points.  The
     window doubles from the support radius until it holds the K terms whose
-    geometric tail ||a||_1^{K+1} / (1 - ||a||_1) is below SERIES_TOL; the
-    defining identity is then verified on the window.
+    geometric tail ||a||_1^{K+1} / (1 - ||a||_1) is below SERIES_TOL; the later
+    terms fold into the window within _tail_bound.  The defining identity is
+    then verified as a linear convolution, which the folding would break.
     """
-    from scipy.signal import convolve
-
-    s, n_terms, R_out = _check_neumann(a)
+    s, _, R_out = _check_neumann(a)
     if s == 0.0:
         return ToeplitzKernel(a.n, a.R, np.zeros_like(a.values))
-    base = _embed(a.values, a.R, R_out, a.n)
-    total = np.zeros_like(base)
-    power = base.copy()
-    for _ in range(n_terms):
-        total += power
-        power = convolve(power, a.values, mode="same", method="direct")
-    b = ToeplitzKernel(a.n, R_out, total)
-    # verify (delta_0 - a) * (delta_0 + b) = delta_0 on the window: exactly, the
-    # residual is -a^(K+1), below SERIES_TOL; the factor 100 leaves room for rounding
-    conv_ab = convolve(total, a.values, mode="same", method="direct")
-    residual = total - base - conv_ab
+    axes = tuple(range(a.n))
+    a_hat = np.fft.rfftn(np.fft.ifftshift(np.pad(a.values, R_out - a.R)), axes=axes)
+    total = np.fft.fftshift(np.fft.irfftn(a_hat / (1.0 - a_hat), s=(2 * R_out + 1,) * a.n, axes=axes))
+    # (delta_0 - a) * (delta_0 + B) - delta_0 = B - a - a * B zero-padded, where the cyclic product would
+    # vanish by construction: it is at most 2 _tail_bound <= 4 SERIES_TOL; 100 leaves room for rounding
+    full = (2 * (R_out + a.R) + 1,) * a.n
+    conv_ab = np.fft.irfftn(np.fft.rfftn(a.values, full, axes) * np.fft.rfftn(total, full, axes), full, axes)
+    residual = np.pad(total, a.R) - np.pad(a.values, R_out) - conv_ab
     if np.abs(residual).max() > 100 * SERIES_TOL:
         raise ValidationError(f"conv_inverse: defining identity failed beyond {100 * SERIES_TOL:g}")
-    return b
+    return ToeplitzKernel(a.n, R_out, total)
 
 
 @dataclass(frozen=True)
@@ -148,23 +145,15 @@ def _r2(x: np.ndarray, y: np.ndarray) -> tuple:
     return float(slope), (1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
 
 
-def decay_fit(kernel: ToeplitzKernel, max_shell: int | None = None) -> DecayFitReport:
-    """Classify the decay of a kernel by shell regressions.
-
-    log-linear fit (exponential) and log-log fit (polynomial) over the shell
-    maxima, discarding the innermost two shells; the better R^2 wins if it
-    clears 0.98, otherwise the fit is inconclusive.  ``max_shell`` restricts
-    the fit window (useful when the kernel carries far-field truncation dust).
-    """
-    shells = _shell_maxima(kernel.values, kernel.n, kernel.R)
-    if max_shell is not None:
-        shells = shells[: max_shell + 1]
-    d = np.arange(len(shells))
-    keep = (d >= 3) & (shells > 0)  # discard shells 0..2: preasymptotic + log(0) guards
-    if keep.sum() < 10:
-        raise ValidationError("decay_fit: need at least 12 shells of data")
-    d = d[keep].astype(float)
-    v = np.log(shells[keep])
+def _decay_fit(kernel: ToeplitzKernel, max_shell: int | None = None) -> DecayFitReport | None:
+    """decay_fit's report, or None when fewer than 10 shells are left to fit."""
+    shells = _shell_maxima(kernel.values, kernel.n, kernel.R)[3 : None if max_shell is None else max_shell + 1]
+    floor = FIT_FLOOR * np.finfo(float).eps * kernel.l1_norm()
+    shells = shells[: np.logical_and.accumulate(shells > floor).sum()]
+    if len(shells) < 10:
+        return None
+    d = np.arange(3.0, 3.0 + len(shells))
+    v = np.log(shells)
     slope_exp, r2_exp = _r2(d, v)
     slope_pol, r2_pol = _r2(np.log(d), v)
     if r2_exp >= 0.98 and r2_exp >= r2_pol:
@@ -174,6 +163,22 @@ def decay_fit(kernel: ToeplitzKernel, max_shell: int | None = None) -> DecayFitR
     else:
         cls = "inconclusive"
     return DecayFitReport(cls, -slope_exp, -slope_pol)
+
+
+def decay_fit(kernel: ToeplitzKernel, max_shell: int | None = None) -> DecayFitReport:
+    """Classify the decay of a kernel by shell regressions.
+
+    log-linear fit (exponential) and log-log fit (polynomial) over the shell
+    maxima from shell 3 (0..2 are preasymptotic) up to ``max_shell`` and
+    before the first one at or below c u ||values||_1, c = FIT_FLOOR = 64 and
+    u = 2^-52: conv_inverse is accurate to about u ||B||_1 in each entry, not
+    relative to it.  The better R^2 wins if it clears 0.98, otherwise the fit
+    is inconclusive.  Fewer than 10 shells to fit is a ValidationError.
+    """
+    fit = _decay_fit(kernel, max_shell)
+    if fit is None:
+        raise ValidationError("decay_fit: need at least 10 shells from shell 3 on above the rounding floor")
+    return fit
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discrete
-from .convdecay import ToeplitzKernel, _check_neumann, _neumann_terms, conv_inverse
+from .convdecay import ToeplitzKernel, _check_neumann, _tail_bound, conv_inverse
 from .discrete import FinitePair, FiniteSystem
 from .errors import CapExceededError, ValidationError
 from .tensor_bounds import LatticeKernel, TailModel, distance_bound, sublattice_k
@@ -72,7 +72,7 @@ class QuadraticCovariance:
     eps_kernel: LatticeKernel     # eps(z) = a_inv(z)/a_inv(0), certified tail
     a_inv_center: float
     window_sum: float
-    truncation_mass: float        # certified l1 mass of a_inv outside the window
+    truncation_mass: float        # certified l1 error of a_inv on the window plus mass outside
 
 
 def quadratic_covariance(model: QuadraticModel) -> QuadraticCovariance:
@@ -91,8 +91,7 @@ def quadratic_covariance(model: QuadraticModel) -> QuadraticCovariance:
     values[center] += 1.0
     values /= 1.0 + G
     a_inv = ToeplitzKernel(model.n, series.R, values)
-    s = scaled.l1_norm()
-    trunc = (s ** (_neumann_terms(s) + 1)) / (1.0 - s) / (1.0 + G) if s > 0 else 0.0
+    trunc = _tail_bound(scaled, series.R) / (1.0 + G)
     a0 = float(values[center])
     eps_vals = np.clip(values / a0, 0.0, 1.0)
     tail = TailModel(kind="mass", total=min(1.0, trunc / a0)) if trunc > 0 else TailModel()

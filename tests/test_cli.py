@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rhomix import acceptance, cli, glauber
+from rhomix import acceptance, cli, convdecay, glauber
 
 
 def run_cli(args, tmp_path=None):
@@ -364,7 +364,7 @@ def input_files(tmp_path):
         "n_30": {"n": 30, "R": 1, "values": {}},
         **{f"nn2d_{name}": {"n": 2, "R": 1, "values": dict.fromkeys(("(1,0)", "(-1,0)", "(0,1)", "(0,-1)"), v)}
            for name, v in (("090", 0.225), ("095", 0.2375), ("0999", 0.24975))},
-        "gamma_1000": {"n": 1, "R": 1, "values": {"(1)": 1000, "(-1)": 1000}},
+        "gamma_1000": {"n": 2, "R": 1, "values": dict.fromkeys(("(1,0)", "(-1,0)", "(0,1)", "(0,-1)"), 500)},
         # every class sum stays >= 1 up to spacing 32, whose 32^4 classes fill the cap
         "heavy_4d": {"n": 4, "R": 1, "values": {str(z).replace(" ", ""): 0.5
                                                 for z in itertools.product((-1, 0, 1), repeat=4) if any(z)},
@@ -438,11 +438,11 @@ class TestHandlerTable:
         (["tensor-bound", "zn", "--kernel", "{n_30}"], "need 'n' < 17 and a window of (2R+1)^n <= cap 65536 values"),
         (["conv-inverse", "--kernel", "{n_30}"], "need 'n' < 17 and a window of (2R+1)^n <= cap 65536 values"),
         (["conv-inverse", "--kernel", "{nn2d_090}"],
-         "285 Neumann terms on a window of radius 512 (n = 2) above the work cap 1073741824"),
-        (["conv-inverse", "--kernel", "{nn2d_095}"], "598 Neumann terms on a window of radius 1024 (n = 2)"),
-        (["conv-inverse", "--kernel", "{nn2d_0999}"], "34522 Neumann terms on a window of radius 65536 (n = 2)"),
+         "285 Neumann terms need a window of radius 512 (n = 2) of more than the cap 1048576 points"),
+        (["conv-inverse", "--kernel", "{nn2d_095}"], "598 Neumann terms need a window of radius 1024 (n = 2)"),
+        (["conv-inverse", "--kernel", "{nn2d_0999}"], "34522 Neumann terms need a window of radius 65536 (n = 2)"),
         (["quadratic", "--gamma", "{gamma_1000}"],
-         "70483 Neumann terms on a window of radius 131072 (n = 1) above the work cap 1073741824"),
+         "70483 Neumann terms need a window of radius 131072 (n = 2) of more than the cap 1048576 points"),
         (["clt", "--model", "quadratic", "--gamma", "{gamma_1000}"], "70483 Neumann terms"),
         (["tensor-bound", "sublattice", "--kernel", "{heavy_4d}"],
          "sublattice_k: spacing 33 has 33^4 congruence classes, above cap 1048576"),
@@ -555,7 +555,8 @@ class TestImportPath:
         assert out == "[]\n"
 
     def test_calls_load_no_scipy(self, tmp_path):
-        # the two dry runs and three invalid inputs of the benchmark's table, on its input files
+        # the two dry runs and three invalid inputs of the benchmark's table, on its input files,
+        # and the calls that reach conv_inverse
         code = f"""
 import contextlib, io, json, sys
 import numpy as np
@@ -565,6 +566,8 @@ from rhomix import cli
 calls = clicalls.write_inputs(np.random.default_rng(1), ".", full=True)
 cases = [(["tensor-bound", "simple", "--eps", "0.5,0.5"], 0), (["verify-all", "--only", "01"], 0)]
 cases += [(c.argv, c.expect) for c in calls if c.kind != "compute"]
+cases += [(c.argv, c.expect) for c in calls if c.name in ("cli.quadratic", "cli.conv-inverse")]
+cases += [(["clt", "--model", "quadratic", "--gamma", "gamma.json", "--ells", "4,8", "--replicas", "200"], 0)]
 loaded = []
 for argv, expect in cases:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -573,10 +576,48 @@ for argv, expect in cases:
 print(json.dumps(loaded))
 """
         loaded = json.loads(_fresh_interpreter(code, tmp_path))
-        assert len(loaded) == 7
+        assert len(loaded) == 10
         for argv, code, expect, scipy_modules in loaded:
             assert code == expect, argv
             assert scipy_modules == [], argv
+
+
+class TestConvInverse:
+    @pytest.mark.parametrize("values", [{"(1)": 0.025, "(-1)": 0.025}, {"(1)": 0.05}])
+    def test_kernel_too_short_to_fit_exits_0(self, values, tmp_path):
+        # the inverse falls below the rounding floor within a few shells: no decay fit, no error
+        kern = write_json(tmp_path, "k.json", {"n": 1, "R": 1, "values": values})
+        code, out = _exit_and_stdout(["conv-inverse", "--kernel", kern])
+        assert code == 0
+        result = json.loads(out, parse_constant=_reject_constant)
+        assert result["R"] == 16 and "decay" not in result
+
+    def test_nearest_neighbour_rate(self, tmp_path):
+        kern = write_json(tmp_path, "k.json", {"n": 1, "R": 1, "values": {"(1)": 0.3, "(-1)": 0.3}})
+        code, out = _exit_and_stdout(["conv-inverse", "--kernel", kern])
+        decay = json.loads(out)["decay"]
+        assert code == 0 and decay["classification"] == "exponential"
+        assert decay["rate"] == pytest.approx(math.log(3.0), abs=1e-3)  # arccosh(1 / 0.6)
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("argv", [["conv-inverse", "--kernel"], ["quadratic", "--gamma"],
+                                      ["clt", "--model", "quadratic", "--ells", "4", "--replicas", "10", "--gamma"]])
+    def test_window_at_the_cap_passes_and_one_above_refuses(self, argv, dry_run, tmp_path, monkeypatch):
+        # {+-1: 0.2} has 31 terms and, scaled by the quadratic model to 0.4 / 1.4, 23: radius 32 both
+        kern = write_json(tmp_path, "k.json", {"n": 1, "R": 1, "values": {"(1)": 0.2, "(-1)": 0.2}})
+        monkeypatch.setattr(convdecay, "CONV_WINDOW_CAP", 65)
+        assert _exit_and_stdout(argv + [kern] + ["--dry-run"] * dry_run)[0] == 0
+        monkeypatch.setattr(convdecay, "CONV_WINDOW_CAP", 64)
+        assert _exit_and_stdout(argv + [kern] + ["--dry-run"] * dry_run) == (2, "")
+
+    @pytest.mark.parametrize("n, values, code", [
+        (2, dict.fromkeys(("(1,0)", "(-1,0)", "(0,1)", "(0,-1)"), 0.8899 / 4), 0),  # 256 terms, 513^2 points
+        (2, dict.fromkeys(("(1,0)", "(-1,0)", "(0,1)", "(0,-1)"), 0.89 / 4), 2),    # 257 terms, 1025^2 points
+        (16, {"(" + ",".join("0" * 16) + ")": 1e-13}, 2),  # R = 0 doubles to radius 1: 3^16 points
+    ])
+    def test_default_window_cap_in_a_dry_run(self, n, values, code, tmp_path):
+        kern = write_json(tmp_path, "k.json", {"n": n, "R": 1 if n == 2 else 0, "values": values})
+        assert _exit_and_stdout(["conv-inverse", "--kernel", kern, "--dry-run"])[0] == code
 
 
 def _exit_and_stdout(argv):

@@ -8,6 +8,7 @@ from rhomix import convdecay
 from rhomix.convdecay import (
     ToeplitzKernel,
     _check_neumann,
+    _tail_bound,
     banded_inverse_constants,
     conv_inverse,
     decay_fit,
@@ -63,6 +64,55 @@ class TestConvInverse:
         assert b.l1_norm() == pytest.approx(0.4 / (1 - 0.4), abs=1e-10)
 
 
+def neumann_reference(a: ToeplitzKernel) -> np.ndarray:
+    """The K Neumann terms of a summed by direct convolution on conv_inverse's window."""
+    _, n_terms, R_out = _check_neumann(a)
+    power = np.zeros((2 * R_out + 1,) * a.n)
+    power[(slice(R_out - a.R, R_out + a.R + 1),) * a.n] = a.values
+    total = np.zeros_like(power)
+    for _ in range(n_terms):
+        total += power
+        power = convolve(power, a.values, mode="same", method="direct")
+    return total
+
+
+def random_kernel(n, R, s, signed, seed=0):
+    vals = np.random.default_rng(seed).uniform(-1.0 if signed else 0.0, 1.0, size=(2 * R + 1,) * n)
+    return ToeplitzKernel(n, R, vals * (s / np.abs(vals).sum()))
+
+
+class TestAgainstDirectSum:
+    @pytest.mark.parametrize("n, R, s, signed", [
+        (1, 1, 0.3, False), (1, 3, 0.7, True), (1, 1, 0.9, False), (1, 2, 0.95, True), (1, 1, 0.95, False),
+        (2, 1, 0.3, False), (2, 2, 0.5, True), (3, 1, 0.1, False), (3, 1, 0.15, True),
+    ])
+    def test_matches_the_neumann_sum(self, n, R, s, signed):
+        a = random_kernel(n, R, s, signed)
+        got, want = conv_inverse(a).values, neumann_reference(a)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(got - want).sum() <= 1e-11
+
+    def test_identity_check_sees_the_fold(self, monkeypatch):
+        # a window of one term: the cyclic product still holds, the linear one does not
+        monkeypatch.setattr(convdecay, "_neumann_terms", lambda s: 1)
+        with pytest.raises(ValidationError, match="defining identity failed"):
+            conv_inverse(ToeplitzKernel.from_dict(1, 1, {1: 0.45, -1: 0.45}))
+
+    def test_tail_bound_is_reached_by_a_shift(self, monkeypatch):
+        # a = q delta_1 puts every term at the far edge: B = q^z for z >= 1, so the folded
+        # mass and the mass outside the window are each sum_{z > R_out} q^z
+        monkeypatch.setattr(convdecay, "SERIES_TOL", 1e-3)
+        q = 0.5
+        a = ToeplitzKernel.from_dict(1, 1, {1: q})
+        b = conv_inverse(a)
+        z = np.arange(-b.R, b.R + 1)
+        exact = np.where(z > 0, q ** z.astype(float), 0.0)
+        error = np.abs(b.values - exact).sum() + q ** (b.R + 1) / (1 - q)
+        assert error == pytest.approx(_tail_bound(a, b.R), rel=1e-9)
+        assert error > 1e-5  # the window of radius 16 really cuts the series
+
+
 class TestDecayFit:
     def test_exponential(self):
         zs = np.arange(-40, 41)
@@ -102,6 +152,13 @@ class TestDecayFit:
         vals = 0.5 * (vals + vals[::-1])
         fit = decay_fit(ToeplitzKernel(1, 20, vals))
         assert fit.classification == "inconclusive"
+
+    @pytest.mark.parametrize("s", [0.2, 0.6, 0.9, 0.95])
+    def test_nearest_neighbour_rate_is_analytic(self, s):
+        # B(z) is proportional to lam^|z| with lam + 1/lam = 2/s, a rate of arccosh(1/s)
+        fit = decay_fit(conv_inverse(ToeplitzKernel.from_dict(1, 1, {1: s / 2, -1: s / 2})))
+        assert fit.classification == "exponential"
+        assert fit.rate == pytest.approx(math.acosh(1 / s), abs=1e-3)
 
     def test_needs_enough_shells(self):
         with pytest.raises(ValidationError):
@@ -191,14 +248,13 @@ def nearest_neighbour_2d(s):
 
 
 class TestNeumannCap:
-    def test_work_at_the_cap_passes_and_one_above_refuses(self, monkeypatch):
+    def test_window_at_the_cap_passes_and_one_above_refuses(self, monkeypatch):
         a = ToeplitzKernel.from_dict(1, 1, {1: 0.3, -1: 0.3})
-        s, n_terms, R_out = _check_neumann(a)
-        work = n_terms * (2 * R_out + 1) * 3
-        monkeypatch.setattr(convdecay, "NEUMANN_WORK_CAP", work)
+        points = 2 * _check_neumann(a)[2] + 1
+        monkeypatch.setattr(convdecay, "CONV_WINDOW_CAP", points)
         expect = conv_inverse(a).values
-        monkeypatch.setattr(convdecay, "NEUMANN_WORK_CAP", work - 1)
-        with pytest.raises(CapExceededError, match=f"above the work cap {work - 1}"):
+        monkeypatch.setattr(convdecay, "CONV_WINDOW_CAP", points - 1)
+        with pytest.raises(CapExceededError, match=f"more than the cap {points - 1} points"):
             conv_inverse(a)
         monkeypatch.undo()
         assert np.array_equal(conv_inverse(a).values, expect)
@@ -214,8 +270,8 @@ class TestNeumannCap:
         assert doublings == 0 or R_out // 2 < n_terms * R
 
     @pytest.mark.parametrize("s, n_terms, R_out, passes", [
-        (0.8899, 256, 256, True),    # 256 * 513^2 * 9 = 6.1e8 multiply-adds
-        (0.89, 257, 512, False),     # 257 * 1025^2 * 9 = 2.4e9
+        (0.8899, 256, 256, True),    # 513^2 points
+        (0.89, 257, 512, False),     # 1025^2 = 1050625 points
         (0.9, 285, 512, False),
     ])
     def test_two_dimensional_cap_boundary(self, s, n_terms, R_out, passes):
@@ -223,5 +279,11 @@ class TestNeumannCap:
         if passes:
             assert _check_neumann(a)[1:] == (n_terms, R_out)
         else:
-            with pytest.raises(CapExceededError, match=f"{n_terms} Neumann terms on a window of radius {R_out} "):
+            with pytest.raises(CapExceededError, match=f"{n_terms} Neumann terms need a window of radius {R_out} \\(n = 2\\)"):
                 _check_neumann(a)
+
+    def test_sixteen_dimensions_refused_before_allocation(self):
+        # R = 0 doubles to a window of radius 1: 3^16 points, refused before any array exists
+        a = ToeplitzKernel(16, 0, np.full((1,) * 16, 1e-13))
+        with pytest.raises(CapExceededError, match="1 Neumann terms need a window of radius 1 \\(n = 16\\)"):
+            _check_neumann(a)

@@ -21,10 +21,8 @@ def nn_model(gamma_value, beta=1.0):
 
 class TestQuadratic:
     def test_truncation_mass_bounds_the_remainder_at_any_series_tol(self, monkeypatch):
-        monkeypatch.setattr(convdecay, "SERIES_TOL", 1e-6)
         model = nn_model(0.3)
-        cov = lattice.quadratic_covariance(model)
-        # reference: 401 Neumann terms of a_inv, on the window they fill
+        # reference: 401 Neumann terms of a_inv by direct convolution on a window they fill
         R, G = 400, model.Gamma
         power, ref = np.zeros(2 * R + 1), np.zeros(2 * R + 1)
         power[R] = 1.0
@@ -32,12 +30,13 @@ class TestQuadratic:
             ref += power
             power = np.convolve(power, model.gamma.values / (1.0 + G), mode="same")
         ref /= 1.0 + G
-        got = np.zeros(2 * R + 1)
-        got[R - cov.a_inv.R:R + cov.a_inv.R + 1] = cov.a_inv.values
-        remainder = np.abs(ref - got).sum()
-        assert remainder > 1e-8  # the series really is cut at the patched tolerance
-        # for a nonnegative kernel the bound is an equality, up to rounding
-        assert remainder <= cov.truncation_mass + 1e-12
+        for tol in (1e-3, 1e-6, 1e-12):
+            monkeypatch.setattr(convdecay, "SERIES_TOL", tol)
+            cov = lattice.quadratic_covariance(model)
+            got = np.zeros(2 * R + 1)
+            got[R - cov.a_inv.R:R + cov.a_inv.R + 1] = cov.a_inv.values
+            # l1 error on the periodic window, where later terms fold back, plus the mass outside it
+            assert np.abs(ref - got).sum() <= cov.truncation_mass + 1e-15, tol
 
     def test_zero_coupling_is_delta(self):
         cov = lattice.quadratic_covariance(nn_model(0.0))
