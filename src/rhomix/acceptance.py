@@ -315,9 +315,9 @@ def check_08_glauber():
 def check_09_quadratic():
     gam = ToeplitzKernel.from_dict(1, 1, {1: 0.2, -1: 0.2})
     model = lattice.QuadraticModel(1, gam)
-    cov = lattice.quadratic_covariance(model)
-    sum_err = abs(cov.window_sum - 1.0) + cov.truncation_mass
     rep = lattice.quadratic_rho_report(model)
+    cov = rep.covariance
+    sum_err = abs(cov.window_sum - 1.0) + cov.truncation_mass
     eps_ok = rep.eps_sum_offcenter <= model.Gamma + TOL
     a0_ok = cov.a_inv_center >= 1.0 / (1.0 + model.Gamma) - 1e-12
     # decay-class preservation

@@ -398,9 +398,8 @@ def _quadratic(args):
     model = lattice.QuadraticModel(gam.n, gam, beta=args.beta)
 
     def run():
-        cov = lattice.quadratic_covariance(model)
         rep = lattice.quadratic_rho_report(model)
-        return {"Gamma": model.Gamma, **_fields(cov, "a_inv_center", "window_sum", "truncation_mass"),
+        return {"Gamma": model.Gamma, **_fields(rep.covariance, "a_inv_center", "window_sum", "truncation_mass"),
                 **_fields(rep, "eps_sum_offcenter", "gamma_bound_applies"),
                 "distance_profile": {str(k): v for k, v in rep.distance_profile.items()},
                 "sublattice_k": rep.sublattice.k if rep.sublattice else None}, None

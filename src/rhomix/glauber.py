@@ -23,6 +23,7 @@ from .tensor_bounds import LatticeKernel, SublatticeK, sublattice_k
 EXACT_GAP_STATE_CAP = 1 << 12
 SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
 _SIM_CHUNK = 1 << 16  # rings per pass of glauber_simulate's integer loop
+_ACF_BLOCK = (1 << 18) - 8192  # samples per FFT block of _autocorrelation: 2^18-point FFTs at 8000 lags
 SUBLATTICE_BLOCK_CAP = 1 << 10  # classes of sublattice_gap's block system (eps_block is its square)
 ISING_BURN_SWEEPS = 200  # MCMC sweeps before glauber_simulate_ising's trajectory starts
 ISING_SAMPLE_DT = 0.25  # glauber_simulate_ising's sampling step
@@ -193,21 +194,31 @@ class SimResult:
 
 
 def _autocorrelation(samples: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized autocorrelation c(k), k < max_lag, via FFT."""
+    """Normalized autocorrelation c(k), k < max_lag, by blocked (overlap-save) FFT.
+
+    Each block of _ACF_BLOCK samples is correlated with itself plus the next
+    max_lag - 1 samples, by FFTs padded to the next power of two at or above
+    block + max_lag, and the blocks' sums are added: no lag wraps, and the work
+    space does not grow with n.  A series of at most one block takes one
+    forward FFT, of the whole series.
+    """
     n = samples.size
-    nfft = 1 << (n + max_lag - 1).bit_length()  # >= n + max_lag: no circular wrap
-    x = np.zeros(nfft)
-    np.subtract(samples, samples.mean(), out=x[:n])
-    var = float(x[:n] @ x[:n]) / n
+    mean = samples.mean()
+    acf = np.full(max_lag, -0.0)  # -0.0 + x is x bit for bit, so one block adds nothing
+    sumsq = 0.0
+    for lo in range(0, n, _ACF_BLOCK):
+        hi = min(lo + _ACF_BLOCK, n)
+        x = samples[lo:hi + max_lag - 1] - mean
+        nfft = 1 << (hi - lo + max_lag - 1).bit_length()  # >= block + max_lag: no circular wrap
+        sumsq += float(x[:hi - lo] @ x[:hi - lo])
+        f = np.fft.rfft(x, nfft)
+        g = f if x.size == hi - lo else np.fft.rfft(x[:hi - lo], nfft)
+        del x
+        acf += np.fft.irfft(f * np.conj(g), nfft)[:max_lag]  # out of place: in place rounds differently
+    var = sumsq / n
     if var <= 0:
         return np.zeros(max_lag)
-    f = np.fft.rfft(x)
-    del x
-    power = f * np.conj(f)  # out of place: f *= np.conj(f) rounds differently
-    del f
-    acf = np.fft.irfft(power, nfft)[:max_lag]
-    counts = n - np.arange(max_lag)
-    return acf / (counts * var)
+    return acf / ((n - np.arange(max_lag)) * var)
 
 
 def _fit_rate(c: np.ndarray, dt: float) -> tuple:
@@ -247,16 +258,34 @@ def _check_horizon(nsites: int, horizon: float) -> None:
                                f"expected events above cap {SIM_EVENT_CAP}")
 
 
-def _schedule(rng, nsites: int, horizon: float, sample_dt: float) -> tuple:
+def _schedule(rng, nsites: int, horizon: float) -> tuple:
     """Uniformized rings of N site clocks on (0, horizon]: K ~ Poisson(N horizon), then K sorted
-    times, K sites and K uniforms, in that order, and counts[k], the number of rings at or
-    before the sample time k * sample_dt.  Returns (times, sites, uniforms, counts)."""
+    times, K sites and K uniforms, in that order.  Returns (times, sites, uniforms)."""
     n_events = int(rng.poisson(nsites * horizon))
     times = np.sort(horizon * (1.0 - rng.random(n_events)))
     sites = rng.integers(nsites, size=n_events)
     uniforms = rng.random(n_events)
-    grid = np.arange(int(horizon / sample_dt) + 1) * sample_dt
-    return times, sites, uniforms, np.searchsorted(times, grid, side="right")
+    return times, sites, uniforms
+
+
+def _sample_counts(times: np.ndarray, sample_dt: float, n_samples: int):
+    """Split the rings into chunks lo..hi-1 of _SIM_CHUNK rings and yield (lo, hi, counts) for
+    each.  The sample times k * sample_dt, k < n_samples, are taken in order, a chunk taking
+    those before times[hi] (all that are left, for the last chunk), and counts[j] is the
+    number of rings of times[lo:hi] at or before the chunk's j-th sample time.  Only
+    times[lo:hi] is searched: a sample left over from the chunk before is at or after times[lo]."""
+    done = 0
+    for lo in range(0, times.size + 1, _SIM_CHUNK):
+        hi = min(lo + _SIM_CHUNK, times.size)
+        # k * sample_dt < times[hi] holds for no k above times[hi] / sample_dt + 1, rounding included
+        stop = min(n_samples, int(times[hi] / sample_dt) + 2) if hi < times.size else n_samples
+        grid = np.arange(done, stop) * sample_dt
+        if hi < times.size:  # the samples before times[hi]
+            grid = grid[:np.searchsorted(grid, times[hi])]
+        done += grid.size
+        counts = np.searchsorted(times[lo:hi], grid, side="right")
+        del grid  # not held while the caller runs the chunk
+        yield lo, hi, counts
 
 
 def _result(samples: np.ndarray, sample_dt: float, times, sites, new_states) -> SimResult:
@@ -302,7 +331,7 @@ def glauber_simulate(
     flat = sys.joint.ravel()
     total = flat.size
     x = int(rng.choice(total, p=flat / flat.sum()))
-    times, sites, uniforms, counts = _schedule(rng, nsites, horizon, sample_dt)
+    times, sites, uniforms = _schedule(rng, nsites, horizon)
     # row i * total + y -> (conditional CDF of site i given the rest of y
     # without its last entry, flat states of y with site i set to 0, 1, ...),
     # filled from an axis slice of the joint when the chain first needs it.
@@ -320,14 +349,13 @@ def glauber_simulate(
         return table[row]
 
     obs = np.broadcast_to(np.asarray(observable, dtype=float), sys.joint.shape).ravel()
-    samples = np.empty(counts.size)
+    samples = np.empty(int(horizon / sample_dt) + 1)
     new_states = np.empty(times.size, dtype=int) if keep_events else None
     stride_of, size_of = np.array(strides), np.array(sizes)
     done = 0
     # rings lo..hi-1 take the chain from path[lo] to path[hi]; only seg = path[lo:hi + 1]
-    # of the path is ever held, and a sample taken after j rings reads path[j]
-    for lo in range(0, times.size + 1, _SIM_CHUNK):
-        hi = min(lo + _SIM_CHUNK, times.size)
+    # of the path is ever held, and a sample taken after lo + j rings reads seg[j]
+    for lo, hi, counts in _sample_counts(times, sample_dt, samples.size):
         seg = [x]
         step = seg.append
         for row, u in zip((sites[lo:hi] * total).tolist(), uniforms[lo:hi].tolist()):
@@ -335,12 +363,11 @@ def glauber_simulate(
             x = nxt[bisect_right(cdf, u)]
             step(x)
         seg = np.array(seg)
-        upto = int(np.searchsorted(counts, hi, side="right"))
-        samples[done:upto] = obs[seg[counts[done:upto] - lo]]
-        done = upto
+        np.take(obs[seg], counts, out=samples[done:done + counts.size])
+        done += counts.size
         if keep_events:
             new_states[lo:hi] = seg[1:] // stride_of[sites[lo:hi]] % size_of[sites[lo:hi]]
-    del counts, uniforms
+    del uniforms
     if not keep_events:
         del times, sites
         return _result(samples, sample_dt, *_NO_EVENTS)
@@ -361,13 +388,14 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
     rng = np.random.default_rng(seed)
     burned = ising_mcmc_samples(torus, sweeps=1, thin=1, seed=rng, burn=ISING_BURN_SWEEPS)
     state = burned[-1].astype(int).tolist()
-    _, sites, uniforms, counts = _schedule(rng, nsite, horizon, ISING_SAMPLE_DT)
+    times, sites, uniforms = _schedule(rng, nsite, horizon)
     update = _heat_bath_updater(torus)
     samples, done = [], 0
-    for upto in counts.tolist():
-        update(state, sites[done:upto].tolist(), uniforms[done:upto].tolist())
-        samples.append(observable(np.array(state, dtype=float)))
-        done = upto
+    for lo, _, counts in _sample_counts(times, ISING_SAMPLE_DT, int(horizon / ISING_SAMPLE_DT) + 1):
+        for upto in (lo + counts).tolist():
+            update(state, sites[done:upto].tolist(), uniforms[done:upto].tolist())
+            samples.append(observable(np.array(state, dtype=float)))
+            done = upto
     return _result(np.array(samples), ISING_SAMPLE_DT, *_NO_EVENTS)
 
 

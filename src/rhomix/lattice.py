@@ -101,6 +101,7 @@ def quadratic_covariance(model: QuadraticModel) -> QuadraticCovariance:
 
 @dataclass(frozen=True)
 class QuadraticRhoReport:
+    covariance: QuadraticCovariance  # the quadratic_covariance the report is built from
     Gamma: float
     eps_sum_offcenter: float
     gamma_bound_applies: bool
@@ -120,7 +121,7 @@ def quadratic_rho_report(model: QuadraticModel) -> QuadraticRhoReport:
         raise ValidationError("quadratic_rho_report: eps mass exceeds Gamma")
     profile = {d: distance_bound(k, d) for d in QUADRATIC_PROFILE_DISTANCES}
     sub = sublattice_k(k) if vals.max() < 1 else None
-    return QuadraticRhoReport(model.Gamma, eps_sum, model.Gamma < 1.0, profile, sub)
+    return QuadraticRhoReport(cov, model.Gamma, eps_sum, model.Gamma < 1.0, profile, sub)
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,16 @@ class TestConvInverse:
         assert code == 0 and decay["classification"] == "exponential"
         assert decay["rate"] == pytest.approx(math.log(3.0), abs=1e-3)  # arccosh(1 / 0.6)
 
+    def test_quadratic_computes_the_convolution_inverse_once(self, tmp_path, monkeypatch):
+        from rhomix import lattice
+
+        calls = []
+        inverse = lattice.conv_inverse
+        monkeypatch.setattr(lattice, "conv_inverse", lambda kernel: calls.append(kernel) or inverse(kernel))
+        gam = write_json(tmp_path, "g.json", {"n": 1, "R": 1, "values": {"(1)": 0.2, "(-1)": 0.2}})
+        assert _exit_and_stdout(["quadratic", "--gamma", gam])[0] == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize("argv", [["conv-inverse", "--kernel"], ["quadratic", "--gamma"],
                                       ["clt", "--model", "quadratic", "--ells", "4", "--replicas", "10", "--gamma"]])

@@ -31,6 +31,34 @@ def three_state_system():
     return spin_system(joint / joint.sum())
 
 
+def padded_2n(samples, max_lag):
+    """Reference autocorrelation: one FFT of the mean-free series padded to 2n or more."""
+    n = samples.size
+    x = samples - samples.mean()
+    var = float(x @ x) / n
+    if var <= 0:
+        return np.zeros(max_lag)
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(x, nfft)
+    return np.fft.irfft(f * np.conj(f), nfft)[:max_lag] / ((n - np.arange(max_lag)) * var)
+
+
+def snap_rings_to_samples(monkeypatch, sample_dt):
+    """Make _schedule move every other ring back onto the sample time at or before it, so that
+    rings tie with each other and with sample times; returns the list of schedules drawn."""
+    schedule, drawn = glauber._schedule, []
+
+    def snapped(rng, nsites, horizon):
+        times, sites, uniforms = schedule(rng, nsites, horizon)
+        times[::2] = np.floor(times[::2] / sample_dt) * sample_dt
+        times.sort()
+        drawn.append(times)
+        return times, sites, uniforms
+
+    monkeypatch.setattr(glauber, "_schedule", snapped)
+    return drawn
+
+
 def two_spin_ferromagnet(gamma):
     p_eq = (1 + gamma) / 4
     p_ne = (1 - gamma) / 4
@@ -363,8 +391,9 @@ class TestSimulator:
 
     def test_memory_per_ring_is_bounded(self):
         # 3 sites, 10^5 expected rings, 4 samples per ring, no events: at most
-        # 200 traced bytes per ring (measured: 141; 263 when the whole path
-        # was held as a list, an index array and a sample gather)
+        # 160 traced bytes per ring (measured: 134; 141 with a whole-grid array
+        # of sample counts, 263 when the whole path was held as a list, an
+        # index array and a sample gather)
         sys = spin_system(np.random.default_rng(1).dirichlet(np.ones(8)).reshape(2, 2, 2))
         tracemalloc.start()
         try:
@@ -374,25 +403,93 @@ class TestSimulator:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 200 * 1e5
+        assert peak <= 160 * 1e5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 1000, 4097])
     def test_autocorrelation_matches_the_2n_padded_fft(self, n):
-        def padded_2n(samples, max_lag):
-            x = samples - samples.mean()
-            var = float(x @ x) / n
-            if var <= 0:
-                return np.zeros(max_lag)
-            nfft = 1 << int(np.ceil(np.log2(2 * n)))
-            f = np.fft.rfft(x, nfft)
-            return np.fft.irfft(f * np.conj(f), nfft)[:max_lag] / ((n - np.arange(max_lag)) * var)
-
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n).cumsum()  # a correlated series
         for max_lag in sorted({1, max(n // 4, 1), n}):
             got = glauber._autocorrelation(x, max_lag)
             assert got.shape == (max_lag,)
             assert np.abs(got - padded_2n(x, max_lag)).max() <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocked_autocorrelation_matches_the_2n_padded_fft(self, block, monkeypatch):
+        monkeypatch.setattr(glauber, "_ACF_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in sorted({1, block, block + 1, 3 * block - 1, 4 * block}):  # one to four blocks
+            x = rng.standard_normal(n).cumsum()
+            for max_lag in sorted({m for m in (1, 2, block, max(n // 4, 1), n) if m <= n}):
+                got = glauber._autocorrelation(x, max_lag)
+                assert got.shape == (max_lag,)
+                assert np.abs(got - padded_2n(x, max_lag)).max() <= 1e-12, (n, max_lag)
+
+    def test_autocorrelation_memory_does_not_grow_with_the_run(self):
+        # 2^21 samples at criterion 8's 8000 lags: blocks of 2^18 - 8192 samples take
+        # about 8 MiB of traced memory (one 2^22-point FFT of the whole run took 64 MiB)
+        x = np.random.default_rng(2).standard_normal(1 << 21).cumsum()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            glauber._autocorrelation(x, 8000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
+    @pytest.mark.parametrize("chunk", [1, 5, glauber._SIM_CHUNK])
+    def test_samples_count_the_rings_at_or_before_each_sample_time(self, chunk, monkeypatch):
+        sys, dt = three_state_system(), 0.2
+        drawn = snap_rings_to_samples(monkeypatch, dt)
+        kept = []
+        result = glauber._result
+        monkeypatch.setattr(glauber, "_result", lambda samples, *rest: kept.append(samples) or result(samples, *rest))
+        monkeypatch.setattr(glauber, "_SIM_CHUNK", chunk)
+        flat_state = np.arange(sys.joint.size).reshape(sys.joint.shape)
+        sim = glauber.glauber_simulate(sys, horizon=300.0, seed=8, observable=flat_state, sample_dt=dt)
+        times = drawn[0]
+        grid = np.arange(int(300.0 / dt) + 1) * dt
+        on_grid = np.isin(times, grid)
+        assert on_grid.sum() >= times.size // 2 and np.any(times[1:] == times[:-1])
+        assert chunk > times.size or on_grid[chunk::chunk].any()  # a chunk ends on a sample time
+        # replay the recorded events from the first draw of the seeded stream
+        flat = sys.joint.ravel()
+        path = [int(np.random.default_rng(8).choice(flat.size, p=flat / flat.sum()))]
+        for site, new in zip(sim.sites.tolist(), sim.new_states.tolist()):
+            digits = list(np.unravel_index(path[-1], sys.joint.shape))
+            digits[site] = new
+            path.append(int(np.ravel_multi_index(digits, sys.joint.shape)))
+        expected = np.array(path)[np.searchsorted(times, grid, side="right")]
+        assert np.array_equal(kept[0], expected)
+
+    @pytest.mark.parametrize("chunk", [1, 5, glauber._SIM_CHUNK])
+    def test_ising_samples_count_the_rings_at_or_before_each_sample_time(self, chunk, monkeypatch):
+        from rhomix.lattice import IsingTorus
+
+        dt = glauber.ISING_SAMPLE_DT
+        drawn = snap_rings_to_samples(monkeypatch, dt)
+        rung = [0]
+        updater = glauber._heat_bath_updater
+
+        def counting(torus):
+            update = updater(torus)
+
+            def counted(state, sites, uniforms):
+                rung[0] += len(sites)
+                update(state, sites, uniforms)
+            return counted
+
+        monkeypatch.setattr(glauber, "_heat_bath_updater", counting)
+        monkeypatch.setattr(glauber, "_SIM_CHUNK", chunk)
+        seen = []
+        glauber.glauber_simulate_ising(IsingTorus(1, 5, 2.0), 60.0, seed=3,
+                                       observable=lambda spins: seen.append(rung[0]) or 0.0)
+        times = drawn[0]
+        grid = np.arange(int(60.0 / dt) + 1) * dt
+        assert np.isin(times, grid).sum() >= times.size // 2
+        assert np.array_equal(seen, np.searchsorted(times, grid, side="right"))
 
     def test_ising_simulator_keeps_clamped_spins(self):
         from rhomix.lattice import IsingTorus
