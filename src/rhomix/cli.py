@@ -5,13 +5,15 @@ invariant) or non-finite numerical integration, 64 unknown command.
 Identical inputs and seed produce byte-identical outputs.
 
 Each command has one handler in ``HANDLERS``: it makes every check of the
-command and returns a ``run`` that computes ``(payload, csv)``.  ``main``
-alone decides between ``--dry-run`` and ``run``.
+command and returns a ``run`` that computes ``(payload, csv)``, where ``csv``
+is None or a function that builds the CSV text, called only under
+``--format csv``.  ``main`` alone decides between ``--dry-run`` and ``run``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys as _sys
@@ -134,8 +136,8 @@ def _open_output(path: str):
         raise ValidationError(f"{path}: output file must be writable ({exc.strerror or exc})") from exc
 
 
-def _emit(args, payload, csv_text=None):
-    text = csv_text if args.format == "csv" and csv_text is not None else rio.dumps(payload)
+def _emit(args, payload, csv=None):
+    text = csv() if args.format == "csv" and csv is not None else rio.dumps(payload)
     if args.output:
         with _open_output(args.output) as fh:
             fh.write(text)
@@ -316,9 +318,9 @@ def _chogosov(args):
 
         def run():
             cloud = events.chogosov_sample(model, args.n, args.seed)
-            csv = rio.csv_lines("chogosov sample cloud: p, q, branch (-1 lower curve, 0 interior, +1 upper curve)",
-                                ["p", "q", "branch"],
-                                [(row[0], row[1], int(row[2])) for row in cloud])
+            csv = functools.partial(
+                rio.csv_lines, "chogosov sample cloud: p, q, branch (-1 lower curve, 0 interior, +1 upper curve)",
+                ["p", "q", "branch"], ((row[0], row[1], int(row[2])) for row in cloud))
             return {"n": args.n, "eps": args.eps, "seed": args.seed}, csv
         return run
     if args.kind == "opnorm":
@@ -366,8 +368,8 @@ def _glauber_sim(args):
     def run():
         sim = glauber.glauber_simulate(sys_, args.horizon, seed=args.seed,
                                        observable=np.indices(sys_.joint.shape, sparse=True)[site])
-        csv = rio.csv_lines("heat-bath trajectory", ["time", "site", "new_state"],
-                            zip(sim.times, sim.sites, sim.new_states))
+        csv = functools.partial(rio.csv_lines, "heat-bath trajectory", ["time", "site", "new_state"],
+                                zip(sim.times, sim.sites, sim.new_states))
         return {**_fields(sim, "rate_estimate", "relaxation_time"), "events": len(sim.times)}, csv
     return run
 
@@ -433,9 +435,9 @@ def _clt(args):
 
     def run():
         rep = lattice.clt_experiment(model, ells, replicas=args.replicas, seed=args.seed, shape=args.shape)
-        rows = list(zip(rep.block_sizes, rep.sigma_hat2_by_block, rep.cf_distances))
-        csv = rio.csv_lines("block-sum clt: ell, sigma_hat2, cf_distance",
-                            ["ell", "sigma_hat2", "cf_distance"], rows)
+        csv = functools.partial(rio.csv_lines, "block-sum clt: ell, sigma_hat2, cf_distance",
+                                ["ell", "sigma_hat2", "cf_distance"],
+                                zip(rep.block_sizes, rep.sigma_hat2_by_block, rep.cf_distances))
         return _fields(rep, "block_sizes", "sigma_hat2", "sigma2_limit", "cf_distances"), csv
     return run
 

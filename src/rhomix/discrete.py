@@ -182,7 +182,12 @@ def maxcorr_pair(pair: FinitePair) -> PairCorrelationReport:
 
 def _batch_maxcorr(tables: np.ndarray) -> float:
     """Max of maximal correlations over a stack of (unnormalized) tables; a state of zero
-    mass gets a zero row or column of Pi, which leaves its singular values unchanged."""
+    mass gets a zero row or column of Pi, which leaves its singular values unchanged.
+
+    Pi sqrt(b) = 0 and sqrt(a)^T Pi = 0 for the marginals a, b (Renyi 1959), so Pi has
+    rank at most min(n, m) - 1.  A stack with a two-state side is therefore rank one, and
+    its largest singular value is the Frobenius norm sqrt(sum Pi^2): no SVD is needed.
+    """
     mass = tables.sum(axis=(1, 2))
     keep = mass > 0
     if not keep.any():
@@ -190,8 +195,11 @@ def _batch_maxcorr(tables: np.ndarray) -> float:
     t = tables[keep] / mass[keep, None, None]
     outer = t.sum(axis=2)[:, :, None] * t.sum(axis=1)[:, None, :]
     pi = np.divide(t - outer, np.sqrt(outer), out=np.zeros_like(t), where=outer > 0)
-    s = np.linalg.svd(pi, compute_uv=False)
-    return float(min(s[:, 0].max(), 1.0))
+    if min(pi.shape[1:]) <= 2:
+        s1 = np.sqrt(np.einsum("kab,kab->k", pi, pi))
+    else:
+        s1 = np.linalg.svd(pi, compute_uv=False)[:, 0]
+    return float(min(s1.max(), 1.0))
 
 
 def maxcorr_blocks(sys: FiniteSystem, block_x, block_y) -> float:
@@ -261,6 +269,12 @@ def _masks(n: int) -> np.ndarray:
     return ((ks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
+def _half_masks(n: int) -> np.ndarray:
+    """The 2^(n-1) rows of _masks(n) with the last state clear: one event of each
+    complement pair {E, Ē}, the empty event included."""
+    return _masks(n)[: 1 << (n - 1)]
+
+
 @dataclass(frozen=True)
 class EventExtremes:
     max_ratio: float
@@ -317,13 +331,18 @@ def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
 def event_extremes(pair: FinitePair) -> EventExtremes:
     """Exhaustive scan of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]).
 
-    The maximum runs over nontrivial events A, B; the witness is the first
-    maximizer in mask order (deterministic).  Alphabets are capped at
-    EVENT_SCAN_CAP states per side.
+    The maximum runs over nontrivial events A, B.  The ratio is the same for
+    A and Ā, and for B and B̄, so only events without the last state of their
+    side are scanned, a quarter of all pairs.  The witness is the first
+    maximizer in mask order among those (deterministic); neither witness holds
+    the last state.  In exact arithmetic it is also the first maximizer of the
+    full scan, since that of a set closed under complements has both last
+    states clear; E and Ē may round differently in the last bits.  Alphabets
+    are capped at EVENT_SCAN_CAP states per side.
     """
     n, m = pair.joint.shape
     _check_event_scan(n, m)
-    best, a, b = _event_ratio_scan(pair.joint / pair.joint.sum(), _masks(n), _masks(m))
+    best, a, b = _event_ratio_scan(pair.joint / pair.joint.sum(), _half_masks(n), _half_masks(m))
     if best < 0:
         return EventExtremes(0.0, (), ())
     wa = tuple(pair.labels_x[t] for t in range(n) if (a >> t) & 1)
@@ -351,11 +370,8 @@ def mixing_coefficients(pair: FinitePair) -> MixingReport:
     # signed deviation is positive, so only the A side needs enumeration.
     n = joint.shape[0]
     _check_event_scan(n)
-    alpha = 0.0
-    ua = _masks(n)[1 : max(1, 1 << (n - 1))]  # one of each complement pair, nonempty
-    if len(ua):
-        nu = ua @ dev  # (masks, m) signed deviation measures
-        alpha = float(np.max(np.where(nu > 0, nu, 0.0).sum(axis=1)))
+    nu = _half_masks(n) @ dev  # (masks, m) signed deviation measures; the empty event gives 0
+    alpha = float(np.max(np.where(nu > 0, nu, 0.0).sum(axis=1)))
     return MixingReport(alpha, beta, max(mi, 0.0))
 
 

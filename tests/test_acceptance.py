@@ -32,6 +32,31 @@ def test_check_12_pins_contraction_law(monkeypatch, law_factor, passes):
     assert result.passed == passes, result.detail
 
 
+@pytest.mark.parametrize("error, passes", [(1e-7, False), (0.0, True)])
+def test_check_03_catches_a_low_maxcorr_kernel(monkeypatch, error, passes):
+    # every measured eps scaled by 1 - error: the tightest bounds drop below
+    # the exact block maxcorr (passes at error 1e-9, the tolerance)
+    batch_maxcorr = acceptance.discrete._batch_maxcorr
+    monkeypatch.setattr(acceptance.discrete, "_batch_maxcorr", lambda tables: batch_maxcorr(tables) * (1 - error))
+    result = acceptance.check_03_tensor_sweep()
+    assert result.passed == passes, result.detail
+
+
+@pytest.mark.parametrize("error, passes", [(1e-7, False), (0.0, True)])
+def test_check_07_catches_a_high_event_scan(monkeypatch, error, passes):
+    # every scanned event ratio scaled by 1 + error: two-state pairs, whose
+    # ratio equals rho, breach ratio <= rho (passes at error 1e-9, the tolerance)
+    ratio_scan = acceptance.discrete._event_ratio_scan
+
+    def scaled(*args):
+        ratio, row, col = ratio_scan(*args)
+        return ratio * (1 + error), row, col
+
+    monkeypatch.setattr(acceptance.discrete, "_event_ratio_scan", scaled)
+    result = acceptance.check_07_event_criteria()
+    assert result.passed == passes, result.detail
+
+
 def test_check_13_reports_a_broken_identity(monkeypatch):
     # the middle apparent-sine column off by 1e-9 of its geometric sine moves
     # every sine ratio spread to 1e-9: the check must fail and say so, not raise

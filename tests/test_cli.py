@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -494,6 +495,37 @@ class TestHandlerTable:
         assert ("expected one of: maxcorr, subjective, mixing, tensor-bound, event-bound, chogosov, "
                 "glauber-gap, glauber-sim, ising, quadratic, conv-inverse, clt, ou-chain, three-lines, "
                 "verify-all\n") in capsys.readouterr().err
+
+
+# SHA-256 of the seeded output bytes, (json, csv), as written when the CSV text was built on every call
+CSV_COMMANDS = {
+    "glauber-sim": (["glauber-sim", "--system", "{system}", "--horizon", "5", "--seed", "3"],
+                    "3e582fdc0fd78021ccb229d2820c91160339d8c72be891bd86de58f19faea04f",
+                    "fccabb39d07ef1ed22ba203923306d6dceaf2bc10ca3c0030b81792d0b49d4b4"),
+    "chogosov sample": (["chogosov", "sample", "--eps", "0.5", "--n", "200", "--seed", "7"],
+                        "9a674e35b54c40e1f10e9a321a076b0dd5c65caa446488c177a0d1b321d287fc",
+                        "2d608adf07f57686431cce78935de6db9633361a39dff211629c70838c1a3602"),
+    "clt": (["clt", "--model", "independent", "--ells", "4,8", "--replicas", "50", "--seed", "2"],
+            "4280f251696b9c36a80f24e33ad4cece1e28792a5c513c3c753285c29f327458",
+            "f0dbbb1d4f42ce2329ebff28babd9cedb69919f6be7fe68f05f2d6038f0dbf62"),
+}
+
+
+class TestCsvOnDemand:
+    @pytest.mark.parametrize("command", list(CSV_COMMANDS))
+    @pytest.mark.parametrize("fmt, builds", [("json", 0), ("csv", 1)])
+    def test_csv_text_is_built_only_for_csv(self, command, fmt, builds, input_files, capsys, monkeypatch):
+        argv, *digests = CSV_COMMANDS[command]
+        csv_lines, calls = cli.rio.csv_lines, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return csv_lines(*args)
+
+        monkeypatch.setattr(cli.rio, "csv_lines", counted)
+        code, captured = _main(argv + ["--format", fmt], input_files, capsys)
+        assert code == 0 and len(calls) == builds
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digests[builds], captured.out[:200]
 
 
 # 343 classes of one window value each: every off-diagonal entry of the block system is 0.9,

@@ -215,6 +215,23 @@ def _subjective_cases(count=200, seed=29):
     return cases
 
 
+class TestBatchMaxcorr:
+    @given(st.sampled_from(["1xm", "2xm", "nx2"]), st.integers(1, 6), st.integers(1, 5), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_two_state_closed_form_is_the_largest_singular_value(self, shape, size, count, seed):
+        # a stack of tables with a side of at most two states, with zero-mass
+        # tables, rows and columns: the Frobenius norm of Pi must be the SVD's
+        # sigma_1 of each table, maximized over the stack
+        rng = np.random.default_rng(seed)
+        n, m = {"1xm": (1, size), "2xm": (2, size), "nx2": (size, 2)}[shape]
+        tables = rng.dirichlet(np.ones(n * m), size=count).reshape(count, n, m)
+        tables *= rng.uniform(size=tables.shape) > 0.3
+        tables *= (rng.uniform(size=(count, n)) > 0.2)[:, :, None]
+        tables *= (rng.uniform(size=(count, m)) > 0.2)[:, None, :]
+        want = max((discrete.maxcorr_pair(pair(t / t.sum())).rho for t in tables if t.sum() > 0), default=0.0)
+        assert abs(discrete._batch_maxcorr(tables) - want) <= 1e-14
+
+
 class TestSubjective:
     def _encoded_common_bit_system(self):
         # X = (g, a), Y = (g, b), Z = g for three independent fair bits
@@ -359,6 +376,47 @@ class TestEventExtremes:
             p = pair(joint / joint.sum())
             assert discrete.event_extremes(p) == block_loop_event_extremes(p)
 
+    def test_half_scan_is_the_full_scans_first_maximizer_on_dyadic_tables(self):
+        # masses on multiples of 2^-20 make every sum, product and difference
+        # in the scan exact up to the denominator, which is the same for E and
+        # its complement: the four members of a complement class tie bit for
+        # bit, and the full scan's first maximizer has both last states clear
+        def dyadic(joint):
+            q = np.round(joint / joint.sum() * 2.0**20) / 2.0**20
+            q.flat[np.argmax(q)] += 1.0 - q.sum()  # exact: the total is 1 to the bit
+            return pair(q)
+
+        rng = np.random.default_rng(41)
+        zero_mass = random_joint(rng, 5, 6)
+        zero_mass[1], zero_mass[:, 3] = 0.0, 0.0
+        cases = [np.diag(np.full(4, 0.25)), zero_mass, random_joint(rng, 7, 5)]
+        cases += [random_joint(rng, *(int(v) for v in rng.integers(1, 8, size=2))) for _ in range(40)]
+        for joint in cases:
+            p = dyadic(joint)
+            got = discrete.event_extremes(p)
+            assert got == full_scan_event_extremes(p)
+            assert p.labels_x[-1] not in got.witness_a and p.labels_y[-1] not in got.witness_b
+        assert discrete.event_extremes(dyadic(cases[0])) == discrete.EventExtremes(1.0, (0,), (0,))
+
+    def test_half_scan_matches_the_full_scan_on_random_tables(self):
+        # random pairs with zero-mass states and size-1 alphabets.  E and its
+        # complement round differently, by up to about 1e-12 relative where
+        # P[A∩B] - P[A]P[B] cancels or an event has small mass, so each side
+        # may be off by the rounding bound of the class it picked
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n, m = (int(v) for v in rng.integers(1, 8, size=2))
+            joint = random_joint(rng, n, m) * (rng.uniform(size=(n, m)) > 0.3)
+            joint[rng.uniform(size=n) < 0.2] = 0.0
+            joint[:, rng.uniform(size=m) < 0.2] = 0.0
+            if joint.sum() == 0:
+                joint[0, 0] = 1.0
+            p = pair(joint / joint.sum())
+            got, want = discrete.event_extremes(p), full_scan_event_extremes(p)
+            bound = 2 * max(ratio_rounding_bound(p, got), ratio_rounding_bound(p, want))
+            assert abs(got.max_ratio - want.max_ratio) <= bound, (got, want, bound)
+            assert p.labels_x[-1] not in got.witness_a and p.labels_y[-1] not in got.witness_b
+
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 10])
     def test_scan_matches_one_block_at_every_block_size(self, block, monkeypatch):
@@ -427,13 +485,40 @@ def one_block_event_scan(joint, A, B):
     return float(ratio.flat[k]), k // len(B), k % len(B)
 
 
+def ratio_rounding_bound(p, rep):
+    """First-order bound on the rounding error of the scan's ratio at the events of ``rep``:
+    P[A∩B] - P[A]P[B] carries at most 4 (n + m) u, and P[E] (1 - P[E]) a relative error of
+    at most (n + m) u / min(P[E], 1 - P[E]).  The bound is the same for an event and its
+    complement."""
+    if not rep.max_ratio:
+        return 0.0
+    u, (n, m) = 2.0**-53, p.joint.shape
+    joint = p.joint / p.joint.sum()
+    a, b = list(rep.witness_a), list(rep.witness_b)
+    pa, qb = joint.sum(axis=1)[a].sum(), joint.sum(axis=0)[b].sum()
+    num = abs(joint[np.ix_(a, b)].sum() - pa * qb)
+    rel = 4 * (n + m) * u / num + (n + m) * u * (1 / min(pa, 1 - pa) + 1 / min(qb, 1 - qb)) / 2 + 8 * u
+    return rep.max_ratio * rel
+
+
+def full_scan_event_extremes(p):
+    """event_extremes by one expression over every pair of events, both
+    members of each complement pair included: the reference for the half scan."""
+    n, m = p.joint.shape
+    best, a, b = one_block_event_scan(p.joint / p.joint.sum(), discrete._masks(n), discrete._masks(m))
+    if best < 0:
+        return discrete.EventExtremes(0.0, (), ())
+    return discrete.EventExtremes(best, tuple(p.labels_x[t] for t in range(n) if (a >> t) & 1),
+                                  tuple(p.labels_y[t] for t in range(m) if (b >> t) & 1))
+
+
 def block_loop_event_extremes(p):
-    """The event scan as an inline row-block loop over 0/1 masks: the reference
-    for the shared event-ratio scan."""
+    """The event scan as an inline row-block loop over the 0/1 masks without
+    the last state of their side: the reference for the shared event-ratio scan."""
     n, m = p.joint.shape
     joint = p.joint / p.joint.sum()
     px, py = joint.sum(axis=1), joint.sum(axis=0)
-    vb = discrete._masks(m)
+    vb = discrete._masks(m)[: 1 << (m - 1)]
     qb = vb @ py
     wb = qb * (1 - qb)
     pos_y = (py > 0).astype(float)
@@ -441,15 +526,15 @@ def block_loop_event_extremes(p):
     valid_b = (hit_y > 0) & (hit_y < pos_y.sum())
     best = -1.0
     best_ab = (0, 0)
-    chunk = max(1, (1 << 22) // (1 << m))
-    ua_all = discrete._masks(n)
+    chunk = max(1, (1 << 22) // len(vb))
+    ua_all = discrete._masks(n)[: 1 << (n - 1)]
     pa_all = ua_all @ px
     pos_x = (px > 0).astype(float)
     hit_x_all = ua_all @ pos_x
     valid_a_all = (hit_x_all > 0) & (hit_x_all < pos_x.sum())
     inner = joint @ vb.T
-    for lo in range(0, 1 << n, chunk):
-        hi = min(lo + chunk, 1 << n)
+    for lo in range(0, len(ua_all), chunk):
+        hi = min(lo + chunk, len(ua_all))
         pa = pa_all[lo:hi]
         num = np.abs(ua_all[lo:hi] @ inner - np.outer(pa, qb))
         den = np.sqrt(np.maximum(np.outer(pa * (1 - pa), wb), 0.0))
@@ -460,7 +545,7 @@ def block_loop_event_extremes(p):
         v = float(ratio.flat[k])
         if v > best:
             best = v
-            best_ab = (lo + k // (1 << m), k % (1 << m))
+            best_ab = (lo + k // len(vb), k % len(vb))
     if best < 0:
         return discrete.EventExtremes(0.0, (), ())
     wa = tuple(p.labels_x[t] for t in range(n) if (best_ab[0] >> t) & 1)
