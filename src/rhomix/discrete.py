@@ -22,6 +22,7 @@ PROB_TOL = 1e-12
 STATE_CAP = 1 << 20
 EVENT_SCAN_CAP = 20
 EVENT_BLOCK = 1 << 17  # ratios in one row block of _event_ratio_scan (1 MiB of floats)
+EVENT_SEED = 64  # events per side in event_extremes' seed scan
 POOL_CAP = 12
 
 
@@ -180,14 +181,56 @@ def maxcorr_pair(pair: FinitePair) -> PairCorrelationReport:
     return PairCorrelationReport(rho, pi_full, f_full, g_full)
 
 
+def _two_state_rho2(t: np.ndarray) -> np.ndarray:
+    """Squared maximal correlation of each table of a (K, 2, m) stack of unnormalized tables.
+
+    Pi sqrt(b) = 0 and sqrt(a)^T Pi = 0 for the marginals a, b (Renyi 1959), so Pi has rank
+    at most min(n, m) - 1: a table with a two-state side has rank-one Pi, and its largest
+    singular value is the Frobenius norm.  With row masses A_1, A_2, column masses B_j and
+    total M of a table T, that is
+
+        rho^2 = sum_j C_j^2 / B_j / (A_1 A_2 M),   C_j = A_2 T_1j - A_1 T_2j,
+
+    and for a 2x2 table, where C_1 = -C_2 = det T, det(T)^2 / (A_1 A_2 B_1 B_2).  Both are
+    evaluated with the row fractions a_i = A_i / M in place of A_i, one divide per table
+    and none per entry: then c_j = C_j / M scales like the table's mass and not its
+    square, so a table of mass 1e-170 does not underflow to 0.  No table is normalized.
+    A zero-mass column (c_j = 0) is skipped, and a zero-mass row or table gives 0.
+    Rounding: c_j cancels where rho is small, so the computed rho carries an absolute
+    error of about 2 (m + 4) u to first order (u = 2^-53), in either direction.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where the answer is 0
+        if t.shape[2] == 2:
+            (t11, t12), (t21, t22) = t[:, 0].T, t[:, 1].T
+            a1, a2 = t11 + t12, t21 + t22
+            mass = a1 + a2
+            f1, f2 = a1 / mass, a2 / mass
+            b1, b2 = t11 + t21, t12 + t22
+            c = f2 * t11 - f1 * t21
+            rho2 = np.where(np.minimum(b1, b2) > 0, (c / b1) * (c / b2) / (f1 * f2), 0.0)
+        else:
+            a, b = t.sum(axis=2), t.sum(axis=1)
+            mass = a[:, 0] + a[:, 1]
+            f1, f2 = a[:, 0] / mass, a[:, 1] / mass
+            c = f2[:, None] * t[:, 0] - f1[:, None] * t[:, 1]
+            num = np.sum(np.divide(c, b, out=np.zeros_like(c), where=b > 0) * c, axis=1)
+            rho2 = num / (f1 * f2 * mass)
+    return np.fmax(rho2, 0.0)
+
+
 def _batch_maxcorr(tables: np.ndarray) -> float:
     """Max of maximal correlations over a stack of (unnormalized) tables; a state of zero
     mass gets a zero row or column of Pi, which leaves its singular values unchanged.
 
-    Pi sqrt(b) = 0 and sqrt(a)^T Pi = 0 for the marginals a, b (Renyi 1959), so Pi has
-    rank at most min(n, m) - 1.  A stack with a two-state side is therefore rank one, and
-    its largest singular value is the Frobenius norm sqrt(sum Pi^2): no SVD is needed.
+    A one-state side gives 0, a two-state side the closed form of _two_state_rho2; only
+    tables with both sides of at least three states take the batched SVD of Pi.
     """
+    n, m = tables.shape[1:]
+    if min(n, m) == 1:
+        return 0.0
+    if min(n, m) == 2:
+        rho2 = _two_state_rho2(tables if n == 2 else tables.transpose(0, 2, 1))
+        return float(min(math.sqrt(rho2.max(initial=0.0)), 1.0))
     mass = tables.sum(axis=(1, 2))
     keep = mass > 0
     if not keep.any():
@@ -195,11 +238,7 @@ def _batch_maxcorr(tables: np.ndarray) -> float:
     t = tables[keep] / mass[keep, None, None]
     outer = t.sum(axis=2)[:, :, None] * t.sum(axis=1)[:, None, :]
     pi = np.divide(t - outer, np.sqrt(outer), out=np.zeros_like(t), where=outer > 0)
-    if min(pi.shape[1:]) <= 2:
-        s1 = np.sqrt(np.einsum("kab,kab->k", pi, pi))
-    else:
-        s1 = np.linalg.svd(pi, compute_uv=False)[:, 0]
-    return float(min(s1.max(), 1.0))
+    return float(min(np.linalg.svd(pi, compute_uv=False)[:, 0].max(), 1.0))
 
 
 def maxcorr_blocks(sys: FiniteSystem, block_x, block_y) -> float:
@@ -234,14 +273,31 @@ def subjective_maxcorr(sys: FiniteSystem, i, j, conditioning_pool=None) -> float
 
 
 def _metalgebra_maxcorr(marg: np.ndarray) -> float:
-    """Each pool axis of ``marg`` (pool axes, then X_i, X_j) gains an index holding it summed out, so
-    one table stands for each (subset, assignment); above STATE_CAP entries the leading axis is split."""
+    """Sup of maxcorr over _metalgebra_stack(marg); above STATE_CAP entries the leading axis is split."""
     *pool_shape, ni, nj = marg.shape
     if pool_shape and math.prod(s + 1 for s in pool_shape) * ni * nj > STATE_CAP:
         return max(_metalgebra_maxcorr(t) for t in [*marg, marg.sum(axis=0)])
-    for k in range(len(pool_shape)):
-        marg = np.concatenate([marg, marg.sum(axis=k, keepdims=True)], axis=k)
-    return _batch_maxcorr(marg.reshape(-1, ni, nj))
+    return _batch_maxcorr(_metalgebra_stack(marg))
+
+
+def _metalgebra_stack(marg: np.ndarray) -> np.ndarray:
+    """Each pool axis k of ``marg`` (pool axes, then X_i, X_j) gains a slot s_k holding the axis
+    summed out, so the (prod(s_k + 1), ni, nj) stack holds one table per (subset, assignment).
+
+    The stack is allocated once and filled in place, last pool axis first: slot s_k of axis
+    k is the sum of its slices 0..s_k-1 in order, over the plain entries of the earlier
+    axes and every entry, slots included, of the later ones, which are contiguous.
+    """
+    *pool_shape, ni, nj = marg.shape
+    stack = np.empty([s + 1 for s in pool_shape] + [ni, nj])
+    stack[tuple(slice(s) for s in pool_shape)] = marg
+    for k in reversed(range(len(pool_shape))):
+        head = tuple(slice(s) for s in pool_shape[:k])
+        slot = stack[(*head, pool_shape[k])]
+        slot[...] = stack[(*head, 0)]
+        for v in range(1, pool_shape[k]):
+            slot += stack[(*head, v)]
+    return stack.reshape(-1, ni, nj)
 
 
 def conditional_maxcorr(sys: FiniteSystem, i, j, conditioning) -> float:
@@ -263,16 +319,16 @@ def conditional_maxcorr(sys: FiniteSystem, i, j, conditioning) -> float:
 # event scans
 
 
-def _masks(n: int) -> np.ndarray:
-    """(2^n, n) 0/1 matrix; row k is the binary expansion of k."""
-    ks = np.arange(1 << n, dtype=np.uint32)
-    return ((ks[:, None] >> np.arange(n)) & 1).astype(float)
+def _masks(n: int, count: int | None = None) -> np.ndarray:
+    """(count, n) 0/1 matrix, 2^n rows by default; row k is the binary expansion of k."""
+    ks = np.arange(1 << n if count is None else count, dtype=np.uint32)
+    return ((ks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
 
 
 def _half_masks(n: int) -> np.ndarray:
     """The 2^(n-1) rows of _masks(n) with the last state clear: one event of each
     complement pair {E, Ē}, the empty event included."""
-    return _masks(n)[: 1 << (n - 1)]
+    return _masks(n, 1 << (n - 1))
 
 
 @dataclass(frozen=True)
@@ -291,20 +347,17 @@ def _check_event_scan(*alphabets: int) -> None:
 def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
     """Max of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]) over rows of A and B.
 
-    A and B are 0/1 state indicators of the two sides, one event per row.  A
-    is scanned in row blocks of at most EVENT_BLOCK ratios.  Returns
-    (ratio, row, col) of the first maximizer in row-major order, with ratio
-    -inf when no pair is valid.
+    A and B are 0/1 state indicators of the two sides, one event per row.  An
+    event and its complement are each summed over their own states, so both
+    round alike.  Only nontrivial events count: both the event and its
+    complement must hold a state of positive probability, which is where the
+    denominator is positive.  A is scanned in row blocks of at most EVENT_BLOCK
+    ratios.  Returns (ratio, row, col) of the first maximizer in row-major
+    order, with ratio -inf when no pair is valid.
     """
     px, py = joint.sum(axis=1), joint.sum(axis=0)
     pa, qb = A @ px, B @ py
-    wb = qb * (1 - qb)
-    # nontrivial events only: both the event and its complement must contain
-    # a state of positive probability (anything else is a roundoff artifact)
-    pos_x, pos_y = (px > 0).astype(float), (py > 0).astype(float)
-    hit_a, hit_b = A @ pos_x, B @ pos_y
-    valid_a = (hit_a > 0) & (hit_a < pos_x.sum())
-    valid_b = (hit_b > 0) & (hit_b < pos_y.sum())
+    wa, wb = pa * ((1 - A) @ px), qb * ((1 - B) @ py)
     inner = joint @ B.T
     best, at = -np.inf, (0, 0)
     step = max(1, EVENT_BLOCK // max(1, len(B)))
@@ -314,11 +367,9 @@ def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
         ratio = A[rows] @ inner
         ratio -= np.outer(pa[rows], qb)
         np.abs(ratio, out=ratio)
-        den = np.outer(pa[rows] * (1 - pa[rows]), wb)
-        np.maximum(den, 0.0, out=den)
+        den = np.outer(wa[rows], wb)
         np.sqrt(den, out=den)
-        valid = np.outer(valid_a[rows], valid_b)
-        valid &= den > 0
+        valid = den > 0
         np.divide(ratio, den, out=ratio, where=valid)
         np.copyto(ratio, -np.inf, where=~valid)
         k = int(np.argmax(ratio))
@@ -328,23 +379,62 @@ def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
     return (best, *at)
 
 
+def _event_bounds(joint: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """u(E) = maxcorr(1_E, Y) for each row E of ``masks``, a 0/1 indicator over the rows of ``joint``.
+
+    (1_E, Y) has a two-state side, so u(E) has the closed form of _two_state_rho2,
+    here on a normalized joint: u(E)^2 = sum_j c_j^2 / b_j / (P[E] P[Ē]), where
+    c_j = P[E, y_j] - P[E] b_j is the sum over E of the rows of joint - P_X P_Y.
+    P[E] and P[Ē] are each summed over their own states.  Every event ratio of E is the correlation of 1_E
+    with an indicator of Y, so it is at most u(E) (the paper's chain ratio <=
+    rho, one event at a time).  A trivial E gives 0.
+    """
+    px, b = joint.sum(axis=1), joint.sum(axis=0)
+    w = (masks @ px) * ((1 - masks) @ px)
+    c = masks @ (joint - np.outer(px, b))
+    c *= c
+    s = c @ np.divide(1.0, b, out=np.zeros_like(b), where=b > 0)  # a zero-mass column has c_j = 0
+    return np.sqrt(np.divide(s, w, out=np.zeros_like(s), where=w > 0))
+
+
 def event_extremes(pair: FinitePair) -> EventExtremes:
-    """Exhaustive scan of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]).
+    """Exact max of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]), by bound and prune.
 
     The maximum runs over nontrivial events A, B.  The ratio is the same for
     A and Ā, and for B and B̄, so only events without the last state of their
-    side are scanned, a quarter of all pairs.  The witness is the first
-    maximizer in mask order among those (deterministic); neither witness holds
-    the last state.  In exact arithmetic it is also the first maximizer of the
-    full scan, since that of a set closed under complements has both last
-    states clear; E and Ē may round differently in the last bits.  Alphabets
-    are capped at EVENT_SCAN_CAP states per side.
+    side are scanned.  When a side has more than EVENT_SEED of them, each
+    event gets its bound u (_event_bounds); a seed scan of the EVENT_SEED
+    events of largest u per side gives a first maximum, and the final scan
+    visits only the events whose u reaches it, less a first-order rounding
+    bound of u and of the ratio (with a margin), plus the seed scan's own
+    maximizers.  No maximizer is cut, so the witness is the first maximizer in
+    mask order, as for the whole scan.  With at most EVENT_SEED events per
+    side the seed scan is the whole scan.  Nothing is cut where every u is
+    about 0 (an independent table), so the worst case stays the whole scan.
+    Neither witness holds the last state of its side.  In exact arithmetic it
+    is also the first maximizer over all events, since that of a set closed
+    under complements has both last states clear.  Alphabets are capped at
+    EVENT_SCAN_CAP states per side.
     """
     n, m = pair.joint.shape
     _check_event_scan(n, m)
-    best, a, b = _event_ratio_scan(pair.joint / pair.joint.sum(), _half_masks(n), _half_masks(m))
+    joint = pair.joint / pair.joint.sum()
+    A, B = _half_masks(n), _half_masks(m)
+    rows, cols = np.arange(len(A)), np.arange(len(B))
+    if max(len(A), len(B)) > EVENT_SEED:
+        ua, ub = _event_bounds(joint, A), _event_bounds(joint.T, B)
+        seed_a, seed_b = (np.sort(np.argsort(-u, kind="stable")[:EVENT_SEED]) for u in (ua, ub))
+        best, i, j = _event_ratio_scan(joint, A[seed_a], B[seed_b])
+        # to first order, the computed ratio and u each err by at most 8 (n + m) u / sqrt(P[Ā] P[B̄]),
+        # and the complement of a nontrivial event holds a state of positive mass
+        px, py = joint.sum(axis=1), joint.sum(axis=0)
+        cut = best - 16 * (n + m) * 2.0**-53 / math.sqrt(px[px > 0].min() * py[py > 0].min())
+        rows = np.union1d(np.flatnonzero(ua >= cut), seed_a[i])
+        cols = np.union1d(np.flatnonzero(ub >= cut), seed_b[j])
+    best, i, j = _event_ratio_scan(joint, A[rows], B[cols])
     if best < 0:
         return EventExtremes(0.0, (), ())
+    a, b = int(rows[i]), int(cols[j])
     wa = tuple(pair.labels_x[t] for t in range(n) if (a >> t) & 1)
     wb = tuple(pair.labels_y[t] for t in range(m) if (b >> t) & 1)
     return EventExtremes(best, wa, wb)

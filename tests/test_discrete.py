@@ -219,17 +219,21 @@ class TestBatchMaxcorr:
     @given(st.sampled_from(["1xm", "2xm", "nx2"]), st.integers(1, 6), st.integers(1, 5), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_two_state_closed_form_is_the_largest_singular_value(self, shape, size, count, seed):
-        # a stack of tables with a side of at most two states, with zero-mass
-        # tables, rows and columns: the Frobenius norm of Pi must be the SVD's
-        # sigma_1 of each table, maximized over the stack
+        # a stack of unnormalized tables (masses from 1e-150 to 1e150) with a
+        # side of at most two states, with zero-mass tables, rows and columns:
+        # the normalization-free closed form must be the SVD's sigma_1 of each
+        # table, and of the stack its maximum
         rng = np.random.default_rng(seed)
         n, m = {"1xm": (1, size), "2xm": (2, size), "nx2": (size, 2)}[shape]
         tables = rng.dirichlet(np.ones(n * m), size=count).reshape(count, n, m)
         tables *= rng.uniform(size=tables.shape) > 0.3
         tables *= (rng.uniform(size=(count, n)) > 0.2)[:, :, None]
         tables *= (rng.uniform(size=(count, m)) > 0.2)[:, None, :]
-        want = max((discrete.maxcorr_pair(pair(t / t.sum())).rho for t in tables if t.sum() > 0), default=0.0)
-        assert abs(discrete._batch_maxcorr(tables) - want) <= 1e-14
+        tables *= 10.0 ** rng.uniform(-150, 150, size=(count, 1, 1))
+        want = [discrete.maxcorr_pair(pair(t / t.sum())).rho if t.sum() > 0 else 0.0 for t in tables]
+        for t, rho in zip(tables, want):
+            assert abs(discrete._batch_maxcorr(t[None]) - rho) <= 1e-14
+        assert abs(discrete._batch_maxcorr(tables) - max(want)) <= 1e-14
 
 
 class TestSubjective:
@@ -289,6 +293,24 @@ class TestSubjective:
         assert any(sys.joint.min() == 0 for sys, *_ in cases)
         assert any(1 in sys.joint.shape for sys, *_ in cases)
         assert sum(pool is not None for *_, pool in cases) >= 200
+
+    def test_in_place_stack_is_the_concatenation_stack(self):
+        # mixed 2-, 3- and 4-state pools, size-1 pool axes and zero masses: the
+        # stack filled in place equals, bit for bit, the stack that appends each
+        # summed-out axis by concatenation in the same order (last pool axis first)
+        def concatenated(marg):
+            *pool_shape, ni, nj = marg.shape
+            for k in reversed(range(len(pool_shape))):
+                marg = np.concatenate([marg, marg.sum(axis=k, keepdims=True)], axis=k)
+            return marg.reshape(-1, ni, nj)
+
+        rng = np.random.default_rng(47)
+        for sizes in [(2, 3, 4, 2, 3), (4, 3, 2), (3, 1, 4, 2, 2), (2,) * 9, (4, 4, 3, 3), (3, 2)]:
+            marg = rng.dirichlet(np.full(math.prod(sizes), 0.5)).reshape(sizes)
+            marg[rng.uniform(size=sizes) < 0.2] = 0.0
+            got = discrete._metalgebra_stack(marg)
+            assert got.shape == (math.prod(s + 1 for s in sizes[:-2]), *sizes[-2:])
+            assert np.array_equal(got, concatenated(marg))
 
     def test_pool_validation(self):
         sys = self._encoded_common_bit_system()
@@ -418,6 +440,70 @@ class TestEventExtremes:
             assert p.labels_x[-1] not in got.witness_a and p.labels_y[-1] not in got.witness_b
 
 
+    def test_pruned_scan_is_the_full_scans_first_maximizer_on_dyadic_tables(self):
+        # tables with more events per side than the seed scan holds, so the prune
+        # runs: independent tables (every u is 0 and nothing is cut), near-
+        # independent ones, zero-mass states and 1-state sides.  Masses on
+        # multiples of 2^-20 make every ratio exact up to its denominator, which
+        # the candidate pairs share with the full scan
+        def dyadic(joint):
+            q = np.round(joint / joint.sum() * 2.0**20) / 2.0**20
+            q.flat[np.argmax(q)] += 1.0 - q.sum()
+            return pair(q)
+
+        rng = np.random.default_rng(53)
+        product = np.outer(np.round(rng.dirichlet(np.ones(9)) * 2**10), np.round(rng.dirichlet(np.ones(8)) * 2**10))
+        zero_mass = random_joint(rng, 9, 9)
+        zero_mass[2], zero_mass[:, [0, 5]] = 0.0, 0.0
+        cases = [product, product + 1e-3 * random_joint(rng, 9, 8), zero_mass, random_joint(rng, 10, 1),
+                 random_joint(rng, 1, 9), random_joint(rng, 8, 10)]
+        cases += [random_joint(rng, int(rng.integers(8, 10)), int(rng.integers(2, 10))) for _ in range(12)]
+        for joint in cases:
+            p = dyadic(joint)
+            assert discrete.event_extremes(p) == full_scan_event_extremes(p)
+        assert discrete.event_extremes(dyadic(product)).max_ratio == 0.0
+
+    def test_pruned_scan_matches_the_full_scan_on_random_tables(self):
+        # as test_half_scan_matches_the_full_scan_on_random_tables, with sides
+        # of 8 and 9 states, where the prune runs
+        rng = np.random.default_rng(59)
+        for k in range(40):
+            n, m = int(rng.integers(8, 10)), int(rng.integers(1, 10))
+            joint = random_joint(rng, n, m) * (rng.uniform(size=(n, m)) > 0.3)
+            joint[rng.uniform(size=n) < 0.2] = 0.0
+            joint[:, rng.uniform(size=m) < 0.2] = 0.0
+            if k % 4 == 0:  # near-independent
+                joint = np.outer(joint.sum(axis=1), joint.sum(axis=0)) + 10.0 ** -(k % 9) * joint
+            if joint.sum() == 0:
+                joint[0, 0] = 1.0
+            p = pair(joint / joint.sum())
+            got, want = discrete.event_extremes(p), full_scan_event_extremes(p)
+            bound = 2 * max(ratio_rounding_bound(p, got), ratio_rounding_bound(p, want))
+            assert abs(got.max_ratio - want.max_ratio) <= bound, (got, want, bound)
+
+    def test_event_bound_dominates_every_ratio_and_is_tight_on_a_two_state_side(self):
+        # u(A) >= ratio(A, B) for every B; with two states of Y, u(A) is the
+        # ratio of A against the one nontrivial event of Y (ratio <= rho is an
+        # equality for a 2x2 table)
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+            joint = random_joint(rng, n, m) * (rng.uniform(size=(n, m)) > 0.2)
+            joint /= joint.sum()
+            A, B = discrete._half_masks(n), discrete._masks(m)
+            u = discrete._event_bounds(joint, A)
+            for a in range(len(A)):
+                ratio = discrete._event_ratio_scan(joint, A[a:a + 1], B)[0]
+                assert ratio <= u[a] + 1e-14 or ratio == -np.inf
+                if m == 2 and ratio > -np.inf:
+                    assert abs(u[a] - ratio) <= 1e-14
+        # and u(A) is maxcorr(1_A, Y), the SVD of the 2 x m table of A and its complement
+        joint = random_joint(rng, 9, 5)
+        u = discrete._event_bounds(joint, discrete._half_masks(9))
+        want = [discrete.maxcorr_pair(pair(np.array([mask @ joint, (1 - mask) @ joint]))).rho
+                for mask in discrete._half_masks(9)]
+        assert u[0] == 0.0 and np.abs(u - want).max() <= 1e-14
+
     @pytest.mark.parametrize("block", [1, 7, 1 << 10])
     def test_scan_matches_one_block_at_every_block_size(self, block, monkeypatch):
         # ratio and (row, col) must not depend on where the blocks end: ties
@@ -477,7 +563,7 @@ def one_block_event_scan(joint, A, B):
     valid_a = (hit_a > 0) & (hit_a < pos_x.sum())
     valid_b = (hit_b > 0) & (hit_b < pos_y.sum())
     num = np.abs(A @ (joint @ B.T) - np.outer(pa, qb))
-    den = np.sqrt(np.maximum(np.outer(pa * (1 - pa), qb * (1 - qb)), 0.0))
+    den = np.sqrt(np.outer(pa * ((1 - A) @ px), qb * ((1 - B) @ py)))
     valid = np.outer(valid_a, valid_b) & (den > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(valid, num / den, -np.inf)
@@ -487,9 +573,9 @@ def one_block_event_scan(joint, A, B):
 
 def ratio_rounding_bound(p, rep):
     """First-order bound on the rounding error of the scan's ratio at the events of ``rep``:
-    P[A∩B] - P[A]P[B] carries at most 4 (n + m) u, and P[E] (1 - P[E]) a relative error of
-    at most (n + m) u / min(P[E], 1 - P[E]).  The bound is the same for an event and its
-    complement."""
+    P[A∩B] - P[A]P[B] carries at most 4 (n + m) u, and P[E] P[Ē], with both summed over
+    their own states, a relative error of at most (n + m) u.  The bound is the same for an
+    event and its complement."""
     if not rep.max_ratio:
         return 0.0
     u, (n, m) = 2.0**-53, p.joint.shape
@@ -497,8 +583,7 @@ def ratio_rounding_bound(p, rep):
     a, b = list(rep.witness_a), list(rep.witness_b)
     pa, qb = joint.sum(axis=1)[a].sum(), joint.sum(axis=0)[b].sum()
     num = abs(joint[np.ix_(a, b)].sum() - pa * qb)
-    rel = 4 * (n + m) * u / num + (n + m) * u * (1 / min(pa, 1 - pa) + 1 / min(qb, 1 - qb)) / 2 + 8 * u
-    return rep.max_ratio * rel
+    return rep.max_ratio * (4 * (n + m) * u / num + (n + m + 8) * u)
 
 
 def full_scan_event_extremes(p):
@@ -520,7 +605,7 @@ def block_loop_event_extremes(p):
     px, py = joint.sum(axis=1), joint.sum(axis=0)
     vb = discrete._masks(m)[: 1 << (m - 1)]
     qb = vb @ py
-    wb = qb * (1 - qb)
+    wb = qb * ((1 - vb) @ py)
     pos_y = (py > 0).astype(float)
     hit_y = vb @ pos_y
     valid_b = (hit_y > 0) & (hit_y < pos_y.sum())
@@ -529,6 +614,7 @@ def block_loop_event_extremes(p):
     chunk = max(1, (1 << 22) // len(vb))
     ua_all = discrete._masks(n)[: 1 << (n - 1)]
     pa_all = ua_all @ px
+    wa_all = pa_all * ((1 - ua_all) @ px)
     pos_x = (px > 0).astype(float)
     hit_x_all = ua_all @ pos_x
     valid_a_all = (hit_x_all > 0) & (hit_x_all < pos_x.sum())
@@ -537,7 +623,7 @@ def block_loop_event_extremes(p):
         hi = min(lo + chunk, len(ua_all))
         pa = pa_all[lo:hi]
         num = np.abs(ua_all[lo:hi] @ inner - np.outer(pa, qb))
-        den = np.sqrt(np.maximum(np.outer(pa * (1 - pa), wb), 0.0))
+        den = np.sqrt(np.outer(wa_all[lo:hi], wb))
         valid = np.outer(valid_a_all[lo:hi], valid_b) & (den > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(valid, num / den, -np.inf)
