@@ -192,7 +192,7 @@ def _two_state_rho2(t: np.ndarray) -> np.ndarray:
         rho^2 = sum_j C_j^2 / B_j / (A_1 A_2 M),   C_j = A_2 T_1j - A_1 T_2j,
 
     and for a 2x2 table, where C_1 = -C_2 = det T, det(T)^2 / (A_1 A_2 B_1 B_2).  Both are
-    evaluated with the row fractions a_i = A_i / M in place of A_i, one divide per table
+    evaluated with the row fractions f_i = A_i / M in place of A_i, one divide per table
     and none per entry: then c_j = C_j / M scales like the table's mass and not its
     square, so a table of mass 1e-170 does not underflow to 0.  No table is normalized.
     A zero-mass column (c_j = 0) is skipped, and a zero-mass row or table gives 0.
@@ -385,9 +385,9 @@ def _event_bounds(joint: np.ndarray, masks: np.ndarray) -> np.ndarray:
     (1_E, Y) has a two-state side, so u(E) has the closed form of _two_state_rho2,
     here on a normalized joint: u(E)^2 = sum_j c_j^2 / b_j / (P[E] P[Ē]), where
     c_j = P[E, y_j] - P[E] b_j is the sum over E of the rows of joint - P_X P_Y.
-    P[E] and P[Ē] are each summed over their own states.  Every event ratio of E is the correlation of 1_E
-    with an indicator of Y, so it is at most u(E) (the paper's chain ratio <=
-    rho, one event at a time).  A trivial E gives 0.
+    P[E] and P[Ē] are each summed over their own states.  Every event ratio of E
+    is the correlation of 1_E with an indicator of Y, so it is at most u(E) (the
+    paper's chain ratio <= rho, one event at a time).  A trivial E gives 0.
     """
     px, b = joint.sum(axis=1), joint.sum(axis=0)
     w = (masks @ px) * ((1 - masks) @ px)
@@ -402,19 +402,16 @@ def event_extremes(pair: FinitePair) -> EventExtremes:
 
     The maximum runs over nontrivial events A, B.  The ratio is the same for
     A and Ā, and for B and B̄, so only events without the last state of their
-    side are scanned.  When a side has more than EVENT_SEED of them, each
-    event gets its bound u (_event_bounds); a seed scan of the EVENT_SEED
-    events of largest u per side gives a first maximum, and the final scan
-    visits only the events whose u reaches it, less a first-order rounding
-    bound of u and of the ratio (with a margin), plus the seed scan's own
-    maximizers.  No maximizer is cut, so the witness is the first maximizer in
-    mask order, as for the whole scan.  With at most EVENT_SEED events per
-    side the seed scan is the whole scan.  Nothing is cut where every u is
-    about 0 (an independent table), so the worst case stays the whole scan.
-    Neither witness holds the last state of its side.  In exact arithmetic it
-    is also the first maximizer over all events, since that of a set closed
-    under complements has both last states clear.  Alphabets are capped at
-    EVENT_SCAN_CAP states per side.
+    side are scanned.  With more than EVENT_SEED of them on a side, a seed
+    scan of the EVENT_SEED events of largest bound u (_event_bounds) per side
+    gives a first maximum; the final scan visits only the events whose u
+    reaches it, less a first-order rounding bound of u and of the ratio, plus
+    the seed scan's maximizers.  No maximizer is cut, so the witness is the
+    first maximizer in mask order, as for the whole scan, and neither witness
+    holds the last state of its side; in exact arithmetic it is also the
+    first maximizer over all events.  Where every u is about 0 (an
+    independent table) nothing is cut, so the worst case stays the whole
+    scan.  Alphabets are capped at EVENT_SCAN_CAP states per side.
     """
     n, m = pair.joint.shape
     _check_event_scan(n, m)
@@ -425,8 +422,8 @@ def event_extremes(pair: FinitePair) -> EventExtremes:
         ua, ub = _event_bounds(joint, A), _event_bounds(joint.T, B)
         seed_a, seed_b = (np.sort(np.argsort(-u, kind="stable")[:EVENT_SEED]) for u in (ua, ub))
         best, i, j = _event_ratio_scan(joint, A[seed_a], B[seed_b])
-        # to first order, the computed ratio and u each err by at most 8 (n + m) u / sqrt(P[Ā] P[B̄]),
-        # and the complement of a nontrivial event holds a state of positive mass
+        # to first order the computed ratio and u each err by at most 8 (n + m) u / sqrt(P[Ā] P[B̄])
+        # (u = 2^-53), and a nontrivial event's complement holds a state of positive mass
         px, py = joint.sum(axis=1), joint.sum(axis=0)
         cut = best - 16 * (n + m) * 2.0**-53 / math.sqrt(px[px > 0].min() * py[py > 0].min())
         rows = np.union1d(np.flatnonzero(ua >= cut), seed_a[i])

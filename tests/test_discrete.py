@@ -402,35 +402,47 @@ class TestEventExtremes:
         # masses on multiples of 2^-20 make every sum, product and difference
         # in the scan exact up to the denominator, which is the same for E and
         # its complement: the four members of a complement class tie bit for
-        # bit, and the full scan's first maximizer has both last states clear
+        # bit, and the full scan's first maximizer has both last states clear.
+        # Sides of 8 to 10 states run the bound and prune, whose candidate
+        # pairs get the full scan's ratios: an independent table (every u is 0
+        # and nothing is cut), a near-independent one, zero-mass states and
+        # 1-state sides
         def dyadic(joint):
             q = np.round(joint / joint.sum() * 2.0**20) / 2.0**20
             q.flat[np.argmax(q)] += 1.0 - q.sum()  # exact: the total is 1 to the bit
             return pair(q)
+
+        def weights(k):  # k integers summing to 2^10
+            w = np.round(rng.dirichlet(np.ones(k)) * 2**10)
+            w[np.argmax(w)] += 2**10 - w.sum()
+            return w
 
         rng = np.random.default_rng(41)
         zero_mass = random_joint(rng, 5, 6)
         zero_mass[1], zero_mass[:, 3] = 0.0, 0.0
         cases = [np.diag(np.full(4, 0.25)), zero_mass, random_joint(rng, 7, 5)]
         cases += [random_joint(rng, *(int(v) for v in rng.integers(1, 8, size=2))) for _ in range(40)]
+        product = np.outer(weights(9), weights(8))
+        wide_zero_mass = random_joint(rng, 9, 9)
+        wide_zero_mass[2], wide_zero_mass[:, [0, 5]] = 0.0, 0.0
+        cases += [product, product + rng.integers(0, 3, size=product.shape), wide_zero_mass,
+                  random_joint(rng, 10, 1), random_joint(rng, 1, 9), random_joint(rng, 8, 10)]
+        cases += [random_joint(rng, int(rng.integers(8, 10)), int(rng.integers(2, 10))) for _ in range(12)]
         for joint in cases:
             p = dyadic(joint)
             got = discrete.event_extremes(p)
             assert got == full_scan_event_extremes(p)
             assert p.labels_x[-1] not in got.witness_a and p.labels_y[-1] not in got.witness_b
         assert discrete.event_extremes(dyadic(cases[0])) == discrete.EventExtremes(1.0, (0,), (0,))
+        assert discrete.event_extremes(dyadic(product)).max_ratio == 0.0
 
     def test_half_scan_matches_the_full_scan_on_random_tables(self):
         # random pairs with zero-mass states and size-1 alphabets.  E and its
         # complement round differently, by up to about 1e-12 relative where
-        # P[A∩B] - P[A]P[B] cancels or an event has small mass, so each side
-        # may be off by the rounding bound of the class it picked
-        rng = np.random.default_rng(43)
-        for _ in range(300):
-            n, m = (int(v) for v in rng.integers(1, 8, size=2))
-            joint = random_joint(rng, n, m) * (rng.uniform(size=(n, m)) > 0.3)
-            joint[rng.uniform(size=n) < 0.2] = 0.0
-            joint[:, rng.uniform(size=m) < 0.2] = 0.0
+        # P[A∩B] - P[A]P[B] cancels, so each side may be off by the rounding
+        # bound of the class it picked.  40 more pairs with a side of 8 or 9
+        # states run the bound and prune, a quarter of them near-independent
+        def check(joint):
             if joint.sum() == 0:
                 joint[0, 0] = 1.0
             p = pair(joint / joint.sum())
@@ -439,47 +451,21 @@ class TestEventExtremes:
             assert abs(got.max_ratio - want.max_ratio) <= bound, (got, want, bound)
             assert p.labels_x[-1] not in got.witness_a and p.labels_y[-1] not in got.witness_b
 
-
-    def test_pruned_scan_is_the_full_scans_first_maximizer_on_dyadic_tables(self):
-        # tables with more events per side than the seed scan holds, so the prune
-        # runs: independent tables (every u is 0 and nothing is cut), near-
-        # independent ones, zero-mass states and 1-state sides.  Masses on
-        # multiples of 2^-20 make every ratio exact up to its denominator, which
-        # the candidate pairs share with the full scan
-        def dyadic(joint):
-            q = np.round(joint / joint.sum() * 2.0**20) / 2.0**20
-            q.flat[np.argmax(q)] += 1.0 - q.sum()
-            return pair(q)
-
-        rng = np.random.default_rng(53)
-        product = np.outer(np.round(rng.dirichlet(np.ones(9)) * 2**10), np.round(rng.dirichlet(np.ones(8)) * 2**10))
-        zero_mass = random_joint(rng, 9, 9)
-        zero_mass[2], zero_mass[:, [0, 5]] = 0.0, 0.0
-        cases = [product, product + 1e-3 * random_joint(rng, 9, 8), zero_mass, random_joint(rng, 10, 1),
-                 random_joint(rng, 1, 9), random_joint(rng, 8, 10)]
-        cases += [random_joint(rng, int(rng.integers(8, 10)), int(rng.integers(2, 10))) for _ in range(12)]
-        for joint in cases:
-            p = dyadic(joint)
-            assert discrete.event_extremes(p) == full_scan_event_extremes(p)
-        assert discrete.event_extremes(dyadic(product)).max_ratio == 0.0
-
-    def test_pruned_scan_matches_the_full_scan_on_random_tables(self):
-        # as test_half_scan_matches_the_full_scan_on_random_tables, with sides
-        # of 8 and 9 states, where the prune runs
-        rng = np.random.default_rng(59)
-        for k in range(40):
-            n, m = int(rng.integers(8, 10)), int(rng.integers(1, 10))
+        def sparse_joint(rng, n, m):
             joint = random_joint(rng, n, m) * (rng.uniform(size=(n, m)) > 0.3)
             joint[rng.uniform(size=n) < 0.2] = 0.0
             joint[:, rng.uniform(size=m) < 0.2] = 0.0
-            if k % 4 == 0:  # near-independent
+            return joint
+
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            check(sparse_joint(rng, *(int(v) for v in rng.integers(1, 8, size=2))))
+        rng = np.random.default_rng(59)
+        for k in range(40):
+            joint = sparse_joint(rng, int(rng.integers(8, 10)), int(rng.integers(1, 10)))
+            if k % 4 == 0:
                 joint = np.outer(joint.sum(axis=1), joint.sum(axis=0)) + 10.0 ** -(k % 9) * joint
-            if joint.sum() == 0:
-                joint[0, 0] = 1.0
-            p = pair(joint / joint.sum())
-            got, want = discrete.event_extremes(p), full_scan_event_extremes(p)
-            bound = 2 * max(ratio_rounding_bound(p, got), ratio_rounding_bound(p, want))
-            assert abs(got.max_ratio - want.max_ratio) <= bound, (got, want, bound)
+            check(joint)
 
     def test_event_bound_dominates_every_ratio_and_is_tight_on_a_two_state_side(self):
         # u(A) >= ratio(A, B) for every B; with two states of Y, u(A) is the
