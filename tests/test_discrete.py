@@ -464,7 +464,7 @@ class TestEventExtremes:
         for k in range(40):
             joint = sparse_joint(rng, int(rng.integers(8, 10)), int(rng.integers(1, 10)))
             if k % 4 == 0:
-                joint = np.outer(joint.sum(axis=1), joint.sum(axis=0)) + 10.0 ** -(k % 9) * joint
+                joint = np.outer(joint.sum(axis=1), joint.sum(axis=0)) + 10.0 ** -(1 + k % 9) * joint
             check(joint)
 
     def test_event_bound_dominates_every_ratio_and_is_tight_on_a_two_state_side(self):
