@@ -8,6 +8,8 @@ Each command has one handler in ``HANDLERS``: it makes every check of the
 command and returns a ``run`` that computes ``(payload, csv)``, where ``csv``
 is None or a function that builds the CSV text, called only under
 ``--format csv``.  ``main`` alone decides between ``--dry-run`` and ``run``.
+Handlers and file loaders import the library modules they use in their own
+bodies, so a call loads only the modules its command runs.
 """
 from __future__ import annotations
 
@@ -17,13 +19,15 @@ import functools
 import json
 import math
 import sys as _sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import acceptance, discrete, events, gaussian, glauber, lattice, tensor_bounds
 from . import io as rio
-from .convdecay import ToeplitzKernel, _check_neumann, _decay_fit, conv_inverse
 from .errors import CapExceededError, IntegratorError, ValidationError
+
+if TYPE_CHECKING:
+    from . import discrete, tensor_bounds
 
 WINDOW_CAP = 1 << 16  # values (2R+1)^n of a kernel file's window
 
@@ -67,11 +71,15 @@ def _integer(path: str, what: str, v) -> int:
 
 
 def _pair_from_file(path: str) -> discrete.FinitePair:
+    from . import discrete
+
     d = _load_json(path, labels_x=list, labels_y=list, joint=list)
     return discrete.FinitePair(tuple(d["labels_x"]), tuple(d["labels_y"]), rio.parse_matrix(d["joint"]))
 
 
 def _system_from_file(path: str) -> discrete.FiniteSystem:
+    from . import discrete
+
     d = _load_json(path, variables=list, joint_flat=list)
     items, flat = d["variables"], d["joint_flat"]
     if not all(isinstance(v, dict) and {"name", "size"} <= v.keys() for v in items):
@@ -105,6 +113,8 @@ def _window_file(path: str):
 
 
 def _kernel_from_file(path: str) -> tensor_bounds.LatticeKernel:
+    from . import tensor_bounds
+
     d, n, R, entries = _window_file(path)
     tail_d = d.get("tail") or {"type": "none"}
     if not isinstance(tail_d, dict):
@@ -115,6 +125,8 @@ def _kernel_from_file(path: str) -> tensor_bounds.LatticeKernel:
 
 
 def _toeplitz_from_file(path: str):
+    from .convdecay import ToeplitzKernel
+
     d, n, R, entries = _window_file(path)
     return ToeplitzKernel.from_dict(n, R, entries, d.get("decay_class", "none"))
 
@@ -254,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _maxcorr(args):
+    from . import discrete
+
     if args.pair:
         pair = _pair_from_file(args.pair)
     elif args.system and args.x and args.y:
@@ -265,18 +279,24 @@ def _maxcorr(args):
 
 
 def _subjective(args):
+    from . import discrete
+
     sys_ = _system_from_file(args.system)
     i, j, pool = discrete.subjective_pool(sys_, args.i, args.j, args.pool.split(",") if args.pool else None)
     return lambda: ({"value": discrete.subjective_maxcorr(sys_, i, j, pool)}, None)
 
 
 def _mixing(args):
+    from . import discrete
+
     pair = _pair_from_file(args.pair)
     discrete._check_event_scan(pair.joint.shape[0])
     return lambda: (_fields(discrete.mixing_coefficients(pair), "alpha", "beta", "mutual_information"), None)
 
 
 def _tensor_bound(args):
+    from . import tensor_bounds
+
     # every kind is a closed form over a small input: evaluating it is its check
     if args.kind in ("simple", "zz"):
         bound = tensor_bounds.simple_bound if args.kind == "simple" else tensor_bounds.zz_bound
@@ -296,13 +316,17 @@ def _tensor_bound(args):
 
 
 def _event_bound(args):
-    if args.kind == "lambda":
-        value = events.lambda_fn(_required(args, "eps"))  # a closed form: evaluating it checks the input
-        return lambda: ({"value": value}, None)
-    if args.kind == "nu":
+    if args.kind in ("lambda", "nu"):
+        from . import events
+
+        if args.kind == "lambda":
+            value = events.lambda_fn(_required(args, "eps"))  # a closed form: evaluating it checks the input
+            return lambda: ({"value": value}, None)
         model = events.NuModel(_required(args, "eps"), args.x, args.m)
         return lambda: (_fields(events.nu_event_ratio(model, seed=args.seed),
                                 "worst_ratio", "factor", "witness_correlation"), None)
+    from . import discrete
+
     pair = _pair_from_file(_required(args, "pair"))
     if args.kind == "density":
         value = discrete.density_bound(pair)  # a closed form: evaluating it checks the marginals
@@ -312,6 +336,8 @@ def _event_bound(args):
 
 
 def _chogosov(args):
+    from . import events
+
     model = events.ChogosovModel(args.eps)
     if args.kind == "sample":
         events._check_sample_count(args.n)
@@ -345,6 +371,8 @@ def _chogosov(args):
 
 
 def _glauber_gap(args):
+    from . import glauber
+
     if args.kind == "exact":
         sys_ = _system_from_file(_required(args, "system"))
         glauber._check_gap_states(sys_)
@@ -359,6 +387,8 @@ def _glauber_gap(args):
 
 
 def _glauber_sim(args):
+    from . import glauber
+
     sys_ = _system_from_file(args.system)
     glauber._check_horizon(len(sys_.variables), args.horizon)
     site = args.observable_site
@@ -375,6 +405,8 @@ def _glauber_sim(args):
 
 
 def _ising(args):
+    from . import lattice
+
     torus = lattice.IsingTorus(args.n, args.L, args.T)
     if args.method == "exact":
         lattice._check_exact_sites(torus)
@@ -396,6 +428,8 @@ def _ising(args):
 
 
 def _quadratic(args):
+    from . import lattice
+
     gam = _toeplitz_from_file(args.gamma)
     model = lattice.QuadraticModel(gam.n, gam, beta=args.beta)
 
@@ -409,6 +443,8 @@ def _quadratic(args):
 
 
 def _conv_inverse(args):
+    from .convdecay import _check_neumann, _decay_fit, conv_inverse
+
     kern = _toeplitz_from_file(args.kernel)
     _check_neumann(kern)
 
@@ -424,6 +460,8 @@ def _conv_inverse(args):
 
 
 def _clt(args):
+    from . import lattice
+
     if args.model == "ising":
         model = lattice.IsingTorus(1, args.L, args.T)
     elif args.model == "quadratic":
@@ -443,6 +481,8 @@ def _clt(args):
 
 
 def _ou_chain(args):
+    from . import gaussian
+
     if args.params:
         d = _load_json(args.params)
         rates = {k: rio.parse_number(d.get(k, 1.0)) for k in ("m", "omega", "c", "T", "lam", "t")}
@@ -458,6 +498,8 @@ def _ou_chain(args):
 
 
 def _three_lines(args):
+    from . import gaussian
+
     # a closed form: evaluating it checks the three directions
     payload = _fields(gaussian.three_lines(_numbers(args.u1), _numbers(args.u2), _numbers(args.u3)),
                       "geometric", "apparent", "sine_ratios", "order")
@@ -468,6 +510,8 @@ def _verify_all(args):
     only = args.only.split(",") if args.only else None
     # the suite writes one line per check as it goes; its run returns the exit code
     def run():
+        from . import acceptance
+
         with _open_output(args.output) if args.output else contextlib.nullcontext(_sys.stdout) as fh:
             results = acceptance.run_all(only=only, out=lambda line: print(line, file=fh))
         return 0 if all(r.passed for r in results) else 1

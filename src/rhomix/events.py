@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import _event_ratio_scan
 from .errors import CapExceededError, ValidationError
 
 OPNORM_MIN_GRID = 256
@@ -430,6 +429,8 @@ def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     intervals against the second half; each family is one _event_ratio_scan.
     The worst ratio is asserted by the caller to stay below the model factor plus grid slack.
     """
+    from .discrete import _event_ratio_scan
+
     m = model.m
     cells = nu_cell_masses(model)
     marg_err = float(

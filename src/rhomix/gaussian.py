@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, IntegratorError, ValidationError
-from .tensor_bounds import l2_sum_bound
 
 OU_CHAIN_K_CAP = 512  # ou_chain_joint takes the exponential of a 4K x 4K matrix
 
@@ -427,6 +426,8 @@ def vtable(mixing: np.ndarray) -> np.ndarray:
 
 def par411_report() -> dict:
     """The worked 3x3 mixing example: its correlations, l2 sum bound and V table."""
+    from .tensor_bounds import l2_sum_bound
+
     M = np.array([[4.0, 1, 1], [1, 4, 1], [1, 1, 4]])
     sys = GaussianSystem(("X1", "X2", "Y"), M @ M.T)
     x1y = maxcorr_gaussian(sys, ["X1"], ["Y"])

@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .discrete import FiniteSystem
 from .errors import CapExceededError, IntegratorError, ValidationError
-from .lattice import _heat_bath_updater, ising_mcmc_samples
-from .tensor_bounds import LatticeKernel, SublatticeK, sublattice_k
+
+if TYPE_CHECKING:
+    from .tensor_bounds import LatticeKernel, SublatticeK
 
 EXACT_GAP_STATE_CAP = 1 << 12
 SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
@@ -381,6 +383,8 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
     +-1 spin vector to a float (default: magnetization / sqrt(N)) and is evaluated once
     per sample time, every ISING_SAMPLE_DT on [0, horizon].  No events are recorded.
     """
+    from .lattice import _heat_bath_updater, ising_mcmc_samples
+
     nsite = torus.L**torus.n
     _check_horizon(nsite, horizon)
     if observable is None:
@@ -413,6 +417,8 @@ class SublatticeGap:
 
 def _sublattice_classes(kernel: LatticeKernel) -> SublatticeK:
     """sublattice_k of the kernel; raise if its ell^n classes exceed SUBLATTICE_BLOCK_CAP."""
+    from .tensor_bounds import sublattice_k
+
     sub = sublattice_k(kernel)
     if sub.class_sums.size > SUBLATTICE_BLOCK_CAP:
         raise CapExceededError(f"sublattice_gap: spacing {sub.ell} gives a block system of "

@@ -7,6 +7,8 @@ timestamps), which is what makes byte-identical reruns possible.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
 
@@ -17,55 +19,41 @@ INDENT = 2  # spaces per nesting level of dumps
 
 def fmt17(x) -> str:
     x = float(x)
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == int(x) and abs(x) < 1e16:
-        return repr(x)  # keep a trailing ".0" for whole floats
-    return f"{x:.17g}"
+    if math.isfinite(x):
+        # repr keeps a trailing ".0" for whole floats
+        return repr(x) if x.is_integer() and abs(x) < 1e16 else f"{x:.17g}"
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _dump(obj, parts, level):
-    pad = " " * (INDENT * level)
-    pad2 = " " * (INDENT * (level + 1))
+def _dump(obj, level: int) -> str:
+    """The text of ``obj`` at nesting ``level``; a container joins its items' texts once."""
     if isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        keys = list(obj)
-        for n, k in enumerate(keys):
-            parts.append(pad2 + json.dumps(str(k)) + ": ")
-            _dump(obj[k], parts, level + 1)
-            parts.append(",\n" if n < len(keys) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
+            return "{}"
+        items = [_quote(str(k)) + ": " + _dump(v, level + 1) for k, v in obj.items()]
+        return _join("{", items, "}", level)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         if not seq:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for n, v in enumerate(seq):
-            parts.append(pad2)
-            _dump(v, parts, level + 1)
-            parts.append(",\n" if n < len(seq) - 1 else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(fmt17(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    else:
-        parts.append(json.dumps(str(obj)))
+            return "[]"
+        return _join("[", [_dump(v, level + 1) for v in seq], "]", level)
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (float, np.floating)):
+        return fmt17(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    return _quote(str(obj))
+
+
+def _join(opening: str, items: list, closing: str, level: int) -> str:
+    """``items`` one per line, indented one level below ``level``, between the brackets."""
+    inner = "\n" + " " * (INDENT * (level + 1))
+    return opening + inner + ("," + inner).join(items) + "\n" + " " * (INDENT * level) + closing
 
 
 def dumps(obj) -> str:
-    parts: list[str] = []
-    _dump(obj, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    return _dump(obj, 0) + "\n"
 
 
 def parse_number(v) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from . import discrete
 from .convdecay import ToeplitzKernel, _check_neumann, _tail_bound, conv_inverse
 from .discrete import FinitePair, FiniteSystem
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, IntegratorError, ValidationError
 from .tensor_bounds import LatticeKernel, TailModel, distance_bound, sublattice_k
 
 ISING_SITE_CAP = 1 << 16  # sites of any IsingTorus; its site list and MCMC state grow like L^n
@@ -258,7 +258,9 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
     exact path (<= 16 sites): enumerates the Gibbs law; on <= 10 sites the
     values are subjective suprema over clamped contexts, otherwise plain pair
     correlations.  mcmc path: heat-bath samples, thinned, pair tables and the
-    two-state formula; the values are point estimates.
+    two-state formula; the values are point estimates.  A chain that kept an
+    unclamped site at one value in every kept sample is trapped, and its pair
+    tables would read eps = 0: that is an IntegratorError.
     """
     c0, k0 = ising_constants(torus.n, torus.T)
     nsite = torus.L**torus.n
@@ -277,6 +279,14 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
     if method != "mcmc":
         raise ValidationError("ising_epsilon: method must be 'exact' or 'mcmc'")
     samples = ising_mcmc_samples(torus, sweeps=sweeps, thin=thin, seed=seed)
+    stuck = (samples == samples[0]).all(axis=0)
+    for s in torus.clamp_sites:
+        stuck[np.ravel_multi_index(s, (torus.L,) * torus.n)] = False
+    if stuck.any():
+        k = int(np.argmax(stuck))
+        raise IntegratorError(f"ising_epsilon: the heat-bath chain kept site {torus.sites[k]} at "
+                              f"{int(samples[0, k]):+d} in all {len(samples)} kept samples; it is trapped, "
+                              "so its pair tables cannot estimate eps")
     values = {}
     for key, (ia, ib) in _displacement_classes(torus).items():
         sa = samples[:, ia]

@@ -327,11 +327,16 @@ class TestInProcessMain:
         ["ising", "--L", "8", "--T", "1e-3", "--method", "mcmc"],
     ])
     def test_ising_takes_its_zero_temperature_limit(self, argv, capsys):
-        # exp(8n/T) and exp(-2 beta h) overflow: k0 and the heat-bath table take their limits
-        assert cli.main(argv) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["c0"] == 2.0 and out["k0"] == 1.0
-        if out["method"] == "exact":
+        # exp(8n/T) overflows and k0 takes its limit; the heat-bath chain sits in one ground
+        # state, where every pair table has one cell, so the mcmc method refuses with exit 2
+        mcmc = "mcmc" in argv
+        assert cli.main(argv) == (2 if mcmc else 0)
+        out, err = capsys.readouterr()
+        if mcmc:
+            assert out == "" and "in all 500 kept samples; it is trapped" in err
+        else:
+            out = json.loads(out)
+            assert out["c0"] == 2.0 and out["k0"] == 1.0
             assert out["values"] == {"(-2)": 1.0, "(-1)": 1.0, "(1)": 1.0, "(2)": 1.0}
 
 
@@ -569,18 +574,83 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
-def _fresh_interpreter(code: str, cwd) -> str:
-    """stdout of ``python -c code`` run in ``cwd``, with this rhomix first on the path."""
+def _fresh_interpreter(code: str, cwd, *argv: str) -> str:
+    """stdout of ``python -c code argv...`` run in ``cwd``, with this rhomix first on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
                           cwd=cwd, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
+RHOMIX_MODULES = "sorted(m[len('rhomix.'):] for m in sys.modules if m.startswith('rhomix.'))"
+BASE_MODULES = {"cli", "errors", "io"}  # what main needs before it dispatches
+ISING_MODULES = {"convdecay", "discrete", "lattice", "tensor_bounds"}
+# the rhomix modules a call of each command loads besides BASE_MODULES, valid input or not
+COMMAND_MODULES = {
+    "maxcorr": {"discrete"},
+    "subjective": {"discrete"},
+    "mixing": {"discrete"},
+    "tensor-bound": {"tensor_bounds"},
+    "event-bound": {"discrete"},  # extremes and density; lambda loads events, nu both
+    "chogosov": {"events"},
+    "glauber-gap": {"discrete", "glauber"},  # exact; sublattice loads tensor_bounds as well
+    "glauber-sim": {"discrete", "glauber"},
+    "ising": ISING_MODULES,
+    "quadratic": ISING_MODULES,
+    "conv-inverse": {"convdecay"},
+    "clt": ISING_MODULES,
+    "ou-chain": {"gaussian"},
+    "three-lines": {"gaussian"},
+    "verify-all": {"acceptance", "events", "gaussian", "glauber"} | ISING_MODULES,
+}
+
+
 class TestImportPath:
-    """Commands that call no SciPy routine load no SciPy module; each probe is a fresh interpreter."""
+    """Each command loads the rhomix modules it runs and no SciPy module unless it calls a
+    SciPy routine; each probe is a fresh interpreter."""
+
+    def test_import_loads_no_submodule_and_the_cli_only_what_main_needs(self, tmp_path):
+        code = f"import sys; import rhomix; print({RHOMIX_MODULES}); import rhomix.cli; print({RHOMIX_MODULES})"
+        package, cli_loaded = _fresh_interpreter(code, tmp_path).splitlines()
+        assert package == "[]"
+        assert cli_loaded == str(sorted(BASE_MODULES))
+
+    def test_each_call_loads_the_modules_of_its_command(self, tmp_path, monkeypatch):
+        # every call of the benchmark's full table, dry runs and invalid inputs included
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import clicalls
+
+        assert set(COMMAND_MODULES) == set(cli.HANDLERS)
+        calls = clicalls.write_inputs(np.random.default_rng(1), str(tmp_path), full=True)
+        probe = f"""
+import contextlib, io, json, sys
+from rhomix import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, {RHOMIX_MODULES}]))
+"""
+        assert {c.argv[0] for c in calls} == set(COMMAND_MODULES) and len(calls) == 20
+        for call in calls:
+            code, loaded = json.loads(_fresh_interpreter(probe, tmp_path, *call.argv))
+            assert code == call.expect, call.argv
+            assert set(loaded) == BASE_MODULES | COMMAND_MODULES[call.argv[0]], call.argv
+
+    def test_package_names_resolve_in_their_modules(self):
+        import importlib
+
+        import rhomix
+
+        assert len(rhomix.__all__) == len(set(rhomix.__all__)) == 55
+        assert set(rhomix.__all__) <= set(dir(rhomix))
+        for name in rhomix.__all__:
+            home = importlib.import_module(f"rhomix.{rhomix._MODULE_OF[name]}")
+            assert getattr(rhomix, name) is getattr(home, name), name
+            assert name not in vars(rhomix), name  # resolved on each access, never stored
+        with pytest.raises(AttributeError, match="no attribute 'maxcorr'"):
+            rhomix.maxcorr
+        assert not hasattr(rhomix, "_check_event_scan")
 
     def test_import_loads_no_scipy(self, tmp_path):
         out = _fresh_interpreter(f"import sys, rhomix, rhomix.cli; print({SCIPY_MODULES})", tmp_path)

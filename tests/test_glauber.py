@@ -466,25 +466,26 @@ class TestSimulator:
 
     @pytest.mark.parametrize("chunk", [1, 5, glauber._SIM_CHUNK])
     def test_ising_samples_count_the_rings_at_or_before_each_sample_time(self, chunk, monkeypatch):
-        from rhomix.lattice import IsingTorus
+        from rhomix import lattice
 
         dt = glauber.ISING_SAMPLE_DT
         drawn = snap_rings_to_samples(monkeypatch, dt)
         rung = [0]
-        updater = glauber._heat_bath_updater
+        updater = lattice._heat_bath_updater
 
         def counting(torus):
             update = updater(torus)
+            rung[0] = 0  # count for the last updater made: the simulation's, after the burn-in's
 
             def counted(state, sites, uniforms):
                 rung[0] += len(sites)
                 update(state, sites, uniforms)
             return counted
 
-        monkeypatch.setattr(glauber, "_heat_bath_updater", counting)
+        monkeypatch.setattr(lattice, "_heat_bath_updater", counting)
         monkeypatch.setattr(glauber, "_SIM_CHUNK", chunk)
         seen = []
-        glauber.glauber_simulate_ising(IsingTorus(1, 5, 2.0), 60.0, seed=3,
+        glauber.glauber_simulate_ising(lattice.IsingTorus(1, 5, 2.0), 60.0, seed=3,
                                        observable=lambda spins: seen.append(rung[0]) or 0.0)
         times = drawn[0]
         grid = np.arange(int(60.0 / dt) + 1) * dt

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,18 @@ class TestIsingMcmc:
                                     sweeps=4000, thin=2)
         exact = ising_transfer_correlation(T, L, 1)
         assert rep.kernel.value_at((1,)) == pytest.approx(exact, abs=0.03)
+
+    def test_heat_bath_takes_its_zero_temperature_limit(self):
+        # exp(-2 beta h) overflows at T = 1e-3: the table takes its 0/1 limits without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = lattice.ising_mcmc_samples(IsingTorus(1, 8, 1e-3), sweeps=20, thin=1, seed=0)
+        assert samples.shape == (20, 8) and set(np.unique(samples)) <= {-1.0, 1.0}
+
+    def test_a_clamped_site_is_not_a_trapped_chain(self):
+        torus = IsingTorus(1, 6, 2.4, clamp_sites=((0,),), clamp_values=(1,))
+        rep = lattice.ising_epsilon(torus, method="mcmc", seed=1, sweeps=400)
+        assert rep.kernel.value_at((1,)) == 0.0  # every pair table holds the clamped site 0
 
 
 class TestRingSampler:
