@@ -2,7 +2,8 @@
 
 ``_check`` registers each check in ALL_CHECKS, times it and builds its
 CheckResult; ``run_all`` executes a selection and prints one pass/fail line
-per criterion.
+per criterion.  Each check imports the rhomix modules it runs in its own
+body, so a selection loads only the modules of its checks.
 """
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import discrete, events, gaussian, glauber, lattice, tensor_bounds
-from .convdecay import ToeplitzKernel, banded_inverse_constants, conv_inverse, decay_fit
-from .discrete import FinitePair, FiniteSystem
+if TYPE_CHECKING:
+    from .discrete import FinitePair, FiniteSystem
 
 TOL = 1e-9
 
@@ -61,6 +62,8 @@ def _check(name: str, budget_s: float = math.inf):
 
 @_check("01 worked example", budget_s=1.0)
 def check_01_worked_example():
+    from . import gaussian
+
     rep = gaussian.par411_report()
     errs = {
         "x1_y": abs(rep["x1_y"] - 0.5),
@@ -86,6 +89,8 @@ def check_01_worked_example():
 
 
 def _membership_pair(n: int, p: int) -> FinitePair:
+    from .discrete import FinitePair
+
     xs = list(itertools.combinations(range(n), p))
     joint = np.zeros((len(xs), n))
     for a, x in enumerate(xs):
@@ -96,6 +101,8 @@ def _membership_pair(n: int, p: int) -> FinitePair:
 
 def _membership_twostep_pair(n: int, p: int) -> FinitePair:
     """Joint of (Y, Y') for the resampling chain Y -> X -> Y', from counts."""
+    from .discrete import FinitePair
+
     P = np.empty((n, n))
     same = 1.0 / p
     other = (p - 1.0) / (p * (n - 1.0))
@@ -106,6 +113,9 @@ def _membership_twostep_pair(n: int, p: int) -> FinitePair:
 
 @_check("02 closed forms")
 def check_02_closed_forms():
+    from . import discrete
+    from .discrete import FinitePair
+
     worst = 0.0
     details = []
     for n, p in ((5, 2), (10, 3), (50, 7)):
@@ -135,6 +145,8 @@ def check_02_closed_forms():
 
 
 def _measured_eps_matrix(sys: FiniteSystem, xs, ys) -> np.ndarray:
+    from . import discrete
+
     eps = np.zeros((len(xs), len(ys)))
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -144,6 +156,8 @@ def _measured_eps_matrix(sys: FiniteSystem, xs, ys) -> np.ndarray:
 
 def _sweep_system(seed: int) -> tuple:
     """The seed-th random system of criteria 3 and 7, as (sys, xs, ys)."""
+    from . import discrete
+
     rng = np.random.default_rng(1000 + seed)
     nx = int(rng.integers(1, 4))
     ny = int(rng.integers(1, 4))
@@ -152,6 +166,8 @@ def _sweep_system(seed: int) -> tuple:
 
 def _bound_slacks(seed: int) -> tuple:
     """(nm, simple, zz) bound minus the exact block maxcorr; simple needs ny == 1, else inf."""
+    from . import discrete, tensor_bounds
+
     sys, xs, ys = _sweep_system(seed)
     rho = discrete.maxcorr_blocks(sys, xs, ys)
     eps = _measured_eps_matrix(sys, xs, ys)
@@ -167,6 +183,8 @@ def _bound_slacks(seed: int) -> tuple:
 def _event_violation(seed: int) -> float:
     """Worst breach of ratio <= rho <= lambda(ratio) over every scanned pair:
     each single X against single Y, and the full blocks when both sides have <= 10 states."""
+    from . import discrete, events
+
     sys, xs, ys = _sweep_system(seed)
     pairs = [sys.pair([x], [y]) for x in xs for y in ys]
     blocks = sys.pair(xs, ys)
@@ -188,6 +206,8 @@ def check_03_tensor_sweep():
 
 @_check("04 independent tensorization")
 def check_04_independent_tensorization():
+    from . import discrete
+
     def one(seed: int) -> float:
         rng = np.random.default_rng(4000 + seed)
         sys, per_pair = discrete.product_pair_system(rng, int(rng.integers(1, 4)))
@@ -201,6 +221,8 @@ def check_04_independent_tensorization():
 
 @_check("07 event criteria")
 def check_07_event_criteria():
+    from . import events
+
     worst = max(_event_violation(k) for k in range(500))
     m = 512
     nu = events.nu_event_ratio(events.NuModel(0.5, 0.02, m))
@@ -215,6 +237,8 @@ def check_07_event_criteria():
 
 @_check("05 gaussian optimality")
 def check_05_gaussian_optimality():
+    from . import gaussian, tensor_bounds
+
     def one(seed: int) -> float:
         rng = np.random.default_rng(5000 + seed)
         eps = rng.uniform(0.0, 0.95, size=int(rng.integers(1, 6)))
@@ -237,6 +261,8 @@ def check_05_gaussian_optimality():
 
 @_check("06 chogosov suite", budget_s=120.0)
 def check_06_chogosov():
+    from . import events
+
     n = 100_000
     model = events.ChogosovModel(0.5)
     cloud = events.chogosov_sample(model, n, seed=7)
@@ -266,6 +292,9 @@ def check_06_chogosov():
 
 
 def _gap_sweep_one(seed: int) -> tuple:
+    from . import discrete, glauber
+    from .discrete import FiniteSystem
+
     rng = np.random.default_rng(8000 + seed)
     nspin = int(rng.integers(2, 6))
     joint = rng.dirichlet(np.ones(2**nspin)).reshape((2,) * nspin)
@@ -281,6 +310,9 @@ def _gap_sweep_one(seed: int) -> tuple:
 
 @_check("08 glauber", budget_s=600.0)
 def check_08_glauber():
+    from . import glauber
+    from .discrete import FiniteSystem
+
     rows = [_gap_sweep_one(k) for k in range(200)]
     worst_gap = min(r[0] for r in rows)
     worst_nest = min(r[1] for r in rows)
@@ -313,6 +345,9 @@ def check_08_glauber():
 
 @_check("09 quadratic model")
 def check_09_quadratic():
+    from . import lattice
+    from .convdecay import ToeplitzKernel, decay_fit
+
     gam = ToeplitzKernel.from_dict(1, 1, {1: 0.2, -1: 0.2})
     model = lattice.QuadraticModel(1, gam)
     rep = lattice.quadratic_rho_report(model)
@@ -342,6 +377,8 @@ def check_09_quadratic():
 
 @_check("10 convolution inverses")
 def check_10_conv_exact():
+    from .convdecay import ToeplitzKernel, banded_inverse_constants, conv_inverse
+
     a = ToeplitzKernel.from_dict(1, 1, {1: math.exp(-1.0)})
     b = conv_inverse(a)
     worst = 0.0
@@ -379,6 +416,8 @@ def check_10_conv_exact():
 
 @_check("11 ising clt")
 def check_11_clt():
+    from . import lattice
+
     model = lattice.IsingTorus(1, 8, 3.0)
     rep = lattice.clt_experiment(model, (8, 16, 32), replicas=10_000, seed=3)
     decreasing = rep.cf_distances[0] > rep.cf_distances[1] > rep.cf_distances[2]
@@ -415,6 +454,8 @@ def check_12_hypocoercive():
     and 0.1, (1 - rho) / (lam omega^2 t^3 / 12) within 1e-2 of 1, which pins
     rho from both sides; rho(1) < 1 - 1e-3; under 60 s.
     """
+    from . import gaussian
+
     params = gaussian.OUChainParams(K=16, t=0.05)
     co = gaussian.ou_smallt_coefficients(params, 0.05)
     rich_err = max(
@@ -444,6 +485,8 @@ def check_12_hypocoercive():
 
 @_check("13 three lines")
 def check_13_three_lines():
+    from . import gaussian
+
     rng = np.random.default_rng(13)
     sin_g, sin_a = np.empty((0, 3)), np.empty((0, 3))
     while len(sin_g) < 10_000:  # keep draws with every pairwise sine >= 1e-3, in draw order

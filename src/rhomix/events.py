@@ -21,7 +21,8 @@ OPNORM_MIN_GRID = 256
 OPNORM_MAX_GRID = 1 << 22
 SAMPLE_CAP = 1 << 22  # chogosov_sample peaks at about 13 floats per sample
 NU_UNION_SAMPLES = 2000  # seeded random unions scanned by nu_event_ratio
-NU_GRID_CAP = 768  # nu_event_ratio scans (m^2/128)^2 stride-8 interval pairs: time grows like m^4
+# nu_event_ratio scans (m^2/128)^2 stride-8 interval pairs at m/8 multiply-adds each: time grows like m^5
+NU_GRID_CAP = 768
 
 
 def lambda_fn(eps: float) -> float:
@@ -399,14 +400,28 @@ class NuEventReport:
     witness_correlation: float
 
 
-def _nu_event_families(m: int, seed: int) -> dict:
-    """The (A, B) 0/1 indicator pairs of nu_event_ratio's three event families."""
+def _nu_event_families(cells: np.ndarray, seed: int) -> dict:
+    """nu_event_ratio's three event families as {name: (table, A, B)}, A and B 0/1 indicators
+    over the rows and columns of the table.
+
+    The anchored intervals and the random unions index the m x m cells.  Every
+    stride-8 interval is a union of whole 8-cell blocks, so that family
+    indexes the table of 8 x 8 block sums, zero-padded to ceil(m/8) blocks a
+    side: the same events, with masks 8 times narrower and 8 times fewer
+    multiply-adds per pair.
+    """
+    m = len(cells)
     idx = np.arange(m)
     anchored = (idx < np.arange(1, m)[:, None]).astype(float)  # [0, k), k = 1..m-1
-    marks = np.arange(0, m + 1, 8)
+    nb = -(-m // 8)
+    padded = np.zeros((8 * nb, 8 * nb))
+    padded[:m, :m] = cells
+    blocks = padded.reshape(nb, 8, nb, 8).sum(axis=(1, 3))
+    marks = np.arange(m // 8 + 1)  # block boundaries 0, 8, ..., 8 floor(m/8) of the cells
     lo, hi = np.meshgrid(marks, marks, indexing="ij")
     keep = lo < hi
-    stride8 = ((idx >= lo[keep][:, None]) & (idx < hi[keep][:, None])).astype(float)
+    bidx = np.arange(nb)
+    stride8 = ((bidx >= lo[keep][:, None]) & (bidx < hi[keep][:, None])).astype(float)
     rng = np.random.default_rng(seed)
     unions = np.zeros((NU_UNION_SAMPLES, m))
     for row in unions:  # up to 4 intervals each
@@ -416,8 +431,8 @@ def _nu_event_families(m: int, seed: int) -> dict:
     size = unions.sum(axis=1)
     unions = unions[(size > 0) & (size < m)]
     half = len(unions) // 2
-    return {"anchored": (anchored, anchored), "stride8": (stride8, stride8),
-            "unions": (unions[:half], unions[half:])}
+    return {"anchored": (cells, anchored, anchored), "stride8": (blocks, stride8, stride8),
+            "unions": (cells, unions[:half], unions[half:])}
 
 
 def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
@@ -426,7 +441,8 @@ def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     The scan covers every anchored-interval pair (the extremizers), every
     single-interval pair on a stride-8 subgrid, and the first half of the
     nontrivial ones among NU_UNION_SAMPLES seeded random unions of up to 4
-    intervals against the second half; each family is one _event_ratio_scan.
+    intervals against the second half; each family is one _event_ratio_scan,
+    the stride-8 one on the table of 8 x 8 block sums (_nu_event_families).
     The worst ratio is asserted by the caller to stay below the model factor plus grid slack.
     """
     from .discrete import _event_ratio_scan
@@ -438,7 +454,7 @@ def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     )
     if marg_err > 1e-9:
         raise ValidationError("nu_event_ratio: assembled marginals are not uniform")
-    worst = max(_event_ratio_scan(cells, A, B)[0] for A, B in _nu_event_families(m, seed).values())
+    worst = max(_event_ratio_scan(*family)[0] for family in _nu_event_families(cells, seed).values())
 
     # correlation lower-bound witness: truncated 1/sqrt(p) test function
     mid = (np.arange(m) + 0.5) / m

@@ -26,7 +26,10 @@ ISING_SITE_CAP = 1 << 16  # sites of any IsingTorus; its site list and MCMC stat
 ISING_EXACT_SITE_CAP = 16
 ISING_SUBJECTIVE_SITE_CAP = 10
 QUADRATIC_PROFILE_DISTANCES = (0, 1, 2, 4, 8)  # the distances of quadratic_rho_report's profile
-CLT_SAMPLE_CAP = 1 << 24  # clt_experiment's replicas x widest sampled row
+# replicas x sites of the widest sampled ring (ell + 64 on the Ising ring, of which only the ell-site
+# window is drawn) or block: bounds the samples of clt_experiment
+CLT_SAMPLE_CAP = 1 << 24
+CF_BLOCK = 1 << 16  # (lam, value) terms in one block of _cf_distance (1 MiB of complex floats)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +349,24 @@ def ising_mcmc_samples(torus: IsingTorus, sweeps: int, thin: int, seed,
     return np.array(kept, dtype=float)
 
 
-def sample_ising_ring(L: int, T: float, size: int, seed: int = 0) -> np.ndarray:
-    """Exact samples of the 1-d cycle by conditional transfer sampling."""
+def sample_ising_ring(L: int, T: float, size: int, window: int, seed: int = 0) -> np.ndarray:
+    """Exact samples of spins 0 .. window - 1 of the L-site cycle, shape (size, window).
+
+    Conditional transfer sampling draws the spins in ring order, each given
+    the previous spin and the anchor spin 0.  Spin k + 1 depends only on spins
+    0 and k, so drawing stops after the window: the result is, bit for bit,
+    the first ``window`` columns of the full-ring draw (window = L).
+    """
+    if not 1 <= window <= L:
+        raise ValidationError(f"sample_ising_ring: window {window} must lie in [1, {L}]")
     rng = np.random.default_rng(seed)
     th = math.tanh(1.0 / T)
     powers = th ** np.arange(L + 1)
-    spins = np.empty((size, L))
+    spins = np.empty((size, window))
     s0 = rng.choice((-1.0, 1.0), size=size)
     spins[:, 0] = s0
     cur = s0.copy()
-    for i in range(L - 1):
+    for i in range(window - 1):
         k = L - i - 1  # bonds remaining back to the anchor spin
         # P(next = s | cur, s0) ~ (1 + th * cur * s)(1 + th^k * s * s0)
         up = (1 + th * cur) * (1 + powers[k] * s0)
@@ -384,7 +395,20 @@ class CLTReport:
 
 
 def _cf_distance(values: np.ndarray, sigma2: float, lam_grid: np.ndarray) -> float:
-    phi = np.exp(1j * np.outer(lam_grid, values)).mean(axis=1)
+    """max over lam_grid of |empirical cf of values - exp(-sigma2 lam^2 / 2)|.
+
+    The empirical cf is the count-weighted sum of exp(i lam v) over the
+    distinct values v, divided by the number of values: block sums of +-1
+    spins take at most ell + 1 of them.  The distinct values are taken in
+    blocks of at most CF_BLOCK (lam, v) terms, so continuous values need no
+    more work space than that.
+    """
+    distinct, counts = np.unique(values, return_counts=True)
+    step = max(1, CF_BLOCK // len(lam_grid))
+    phi = np.zeros(len(lam_grid), dtype=complex)
+    for lo in range(0, len(distinct), step):
+        phi += np.exp(1j * np.outer(lam_grid, distinct[lo:lo + step])) @ counts[lo:lo + step]
+    phi /= len(values)
     target = np.exp(-sigma2 * lam_grid**2 / 2.0)
     return float(np.abs(phi - target).max())
 
@@ -439,8 +463,8 @@ def clt_experiment(model, ells, replicas: int, seed: int = 0, shape: str = "cube
             if model.n != 1:
                 raise ValidationError("clt_experiment: only 1-d Ising tori are supported")
             Lbig = _ring_length(model, ell)
-            spins = sample_ising_ring(Lbig, model.T, replicas, seed=int(rng.integers(2**63)))
-            block = spins[:, :ell].sum(axis=1) / math.sqrt(ell)
+            spins = sample_ising_ring(Lbig, model.T, replicas, ell, seed=int(rng.integers(2**63)))
+            block = spins.sum(axis=1) / math.sqrt(ell)
         elif isinstance(model, QuadraticModel):
             if model.n != 1:
                 raise ValidationError("clt_experiment: only 1-d quadratic models are supported")

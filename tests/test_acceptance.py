@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rhomix import acceptance
+from rhomix import acceptance, discrete, gaussian
 
 CHECKS = {fn.__name__: fn for fn in acceptance.ALL_CHECKS}
 
@@ -27,7 +27,7 @@ def test_check_12_pins_contraction_law(monkeypatch, law_factor, passes):
         law = params.lam * params.omega**2 * params.t**3 / 12
         return SimpleNamespace(maxcorr=1.0 - law_factor * law)
 
-    monkeypatch.setattr(acceptance.gaussian, "ou_chain_joint", fake_joint)
+    monkeypatch.setattr(gaussian, "ou_chain_joint", fake_joint)
     result = acceptance.check_12_hypocoercive()
     assert result.passed == passes, result.detail
 
@@ -36,8 +36,8 @@ def test_check_12_pins_contraction_law(monkeypatch, law_factor, passes):
 def test_check_03_catches_a_low_maxcorr_kernel(monkeypatch, error, passes):
     # every measured eps scaled by 1 - error: the tightest bounds drop below
     # the exact block maxcorr (passes at error 1e-9, the tolerance)
-    batch_maxcorr = acceptance.discrete._batch_maxcorr
-    monkeypatch.setattr(acceptance.discrete, "_batch_maxcorr", lambda tables: batch_maxcorr(tables) * (1 - error))
+    batch_maxcorr = discrete._batch_maxcorr
+    monkeypatch.setattr(discrete, "_batch_maxcorr", lambda tables: batch_maxcorr(tables) * (1 - error))
     result = acceptance.check_03_tensor_sweep()
     assert result.passed == passes, result.detail
 
@@ -46,13 +46,13 @@ def test_check_03_catches_a_low_maxcorr_kernel(monkeypatch, error, passes):
 def test_check_07_catches_a_high_event_scan(monkeypatch, error, passes):
     # every scanned event ratio scaled by 1 + error: two-state pairs, whose
     # ratio equals rho, breach ratio <= rho (passes at error 1e-9, the tolerance)
-    ratio_scan = acceptance.discrete._event_ratio_scan
+    ratio_scan = discrete._event_ratio_scan
 
     def scaled(*args):
         ratio, row, col = ratio_scan(*args)
         return ratio * (1 + error), row, col
 
-    monkeypatch.setattr(acceptance.discrete, "_event_ratio_scan", scaled)
+    monkeypatch.setattr(discrete, "_event_ratio_scan", scaled)
     result = acceptance.check_07_event_criteria()
     assert result.passed == passes, result.detail
 
@@ -60,13 +60,13 @@ def test_check_07_catches_a_high_event_scan(monkeypatch, error, passes):
 def test_check_13_reports_a_broken_identity(monkeypatch):
     # the middle apparent-sine column off by 1e-9 of its geometric sine moves
     # every sine ratio spread to 1e-9: the check must fail and say so, not raise
-    line_sines = acceptance.gaussian._line_sines
+    line_sines = gaussian._line_sines
 
     def broken(U):
         sin_g, sin_a = line_sines(U)
         return sin_g, sin_a + [0.0, 1e-9, 0.0] * sin_g
 
-    monkeypatch.setattr(acceptance.gaussian, "_line_sines", broken)
+    monkeypatch.setattr(gaussian, "_line_sines", broken)
     result = acceptance.check_13_three_lines()
     assert not result.passed
     assert "worst sine-ratio spread 1.00e-09" in result.detail

@@ -347,15 +347,37 @@ class TestNuMeasure:
         cells = events.nu_cell_masses(NuModel(0.5, 0.02, m))
         ref = prefix_table_family_worst(cells, m)
         for seed in range(3):
-            families = events._nu_event_families(m, seed)
+            families = events._nu_event_families(cells, seed)
             ref["unions"] = prefix_table_union_worst(cells, m, seed)
             assert set(families) == set(ref)
-            for name, (A, B) in families.items():
-                got, i, j = discrete._event_ratio_scan(cells, A, B)
-                assert got == pytest.approx(fsum_ratio(cells, A[i], B[j]), rel=1e-12, abs=0)
+            for name, (table, A, B) in families.items():
+                got, i, j = discrete._event_ratio_scan(table, A, B)
+                assert got == pytest.approx(fsum_ratio(table, A[i], B[j]), rel=1e-12, abs=0)
                 assert got == pytest.approx(ref[name], rel=rel[name], abs=0), (name, seed)
             worst = events.nu_event_ratio(NuModel(0.5, 0.02, m), seed=seed).worst_ratio
             assert worst == pytest.approx(max(ref.values()), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [64, 100, 256, 512, 768])
+    def test_block_table_scan_matches_the_fine_cell_scan(self, m):
+        # the stride-8 family on the 8 x 8 block sums holds the same events as the
+        # stride-8 intervals of the fine cells, and its scan gives the same worst ratio.
+        # The block scan is checked to 1e-12 against correctly rounded sums at its own
+        # maximizer and at the fine scan's; the fine scan's m-term sums drift by up to
+        # 1.1e-12 relative (m = 768, where the block scan is off by 1.1e-14), so the two
+        # scans agree to 2e-12.
+        cells = events.nu_cell_masses(NuModel(0.5, 0.02, m))
+        blocks, A, B = events._nu_event_families(cells, 0)["stride8"]
+        idx, marks = np.arange(m), np.arange(0, m + 1, 8)
+        lo, hi = np.meshgrid(marks, marks, indexing="ij")
+        keep = lo < hi
+        fine = ((idx >= lo[keep][:, None]) & (idx < hi[keep][:, None])).astype(float)
+        assert blocks.shape == (-(-m // 8),) * 2 and blocks.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(np.repeat(A, 8, axis=1)[:, :m], fine) and np.array_equal(A, B)
+        got, i, j = discrete._event_ratio_scan(blocks, A, B)
+        want, fi, fj = discrete._event_ratio_scan(cells, fine, fine)
+        assert got == pytest.approx(fsum_ratio(blocks, A[i], B[j]), rel=1e-12, abs=0)
+        assert got == pytest.approx(fsum_ratio(cells, fine[fi], fine[fj]), rel=1e-12, abs=0)
+        assert got == pytest.approx(want, rel=2e-12, abs=0)
 
     def test_factor_too_large_is_an_error(self):
         with pytest.raises(ValidationError):

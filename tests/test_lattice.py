@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -253,7 +254,38 @@ class TestIsingMcmc:
         assert rep.kernel.value_at((1,)) == 0.0  # every pair table holds the clamped site 0
 
 
+def full_ring_draw(L, T, size, seed):
+    """The conditional transfer sampler drawing all L spins of the ring (the form of
+    sample_ising_ring before it took a window): the reference for every window."""
+    rng = np.random.default_rng(seed)
+    th = math.tanh(1.0 / T)
+    powers = th ** np.arange(L + 1)
+    spins = np.empty((size, L))
+    s0 = rng.choice((-1.0, 1.0), size=size)
+    spins[:, 0] = s0
+    cur = s0.copy()
+    for i in range(L - 1):
+        k = L - i - 1
+        up = (1 + th * cur) * (1 + powers[k] * s0)
+        dn = (1 - th * cur) * (1 - powers[k] * s0)
+        cur = np.where(rng.uniform(size=size) < up / (up + dn), 1.0, -1.0)
+        spins[:, i + 1] = cur
+    return spins
+
+
 class TestRingSampler:
+    @pytest.mark.parametrize("L, ell, T, seed", [(72, 8, 3.0, 3), (96, 32, 3.0, 11), (40, 40, 1.0, 5),
+                                                 (9, 1, 0.5, 0), (200, 136, 2.0, 2**62)])
+    def test_window_is_the_leading_columns_of_the_full_ring(self, L, ell, T, seed):
+        window = lattice.sample_ising_ring(L, T, 300, ell, seed=seed)
+        assert window.shape == (300, ell)
+        assert np.array_equal(window, full_ring_draw(L, T, 300, seed)[:, :ell])
+
+    @pytest.mark.parametrize("window", [0, 9])
+    def test_window_outside_the_ring_is_an_error(self, window):
+        with pytest.raises(ValidationError, match="must lie in"):
+            lattice.sample_ising_ring(8, 2.0, 10, window)
+
     def test_law_is_exact_on_small_ring(self):
         import itertools
 
@@ -308,6 +340,36 @@ class TestCLT:
         assert rep.sigma2_limit == pytest.approx((1 + th) / (1 - th), abs=1e-12)
         assert rep.cf_distances[1] < rep.cf_distances[0]
         assert rep.sigma_hat2 == pytest.approx(rep.sigma2_limit, rel=0.06)
+
+    def test_grouped_cf_matches_the_mean_over_replicas(self):
+        # Ising and independent block sums take at most ell + 1 values, quadratic ones are
+        # all distinct; cf distances lie in [0, 2], and the two sums differ by rounding only
+        lam = np.linspace(-3.0, 3.0, 61)
+        rng = np.random.default_rng(8)
+        ising = lattice.sample_ising_ring(72, 3.0, 10_000, 8, seed=1).sum(axis=1) / math.sqrt(8)
+        independent = rng.choice((-1.0, 1.0), size=(10_000, 32)).sum(axis=1) / math.sqrt(32)
+        quadratic = rng.standard_normal(3 * lattice.CF_BLOCK // len(lam) + 5)  # four blocks
+        for values in (ising, independent, quadratic):
+            s2 = float(values.var())
+            want = np.abs(np.exp(1j * np.outer(lam, values)).mean(axis=1) - np.exp(-s2 * lam**2 / 2)).max()
+            assert abs(lattice._cf_distance(values, s2, lam) - want) <= 1e-14
+        assert len(np.unique(ising)) <= 9 and len(np.unique(quadratic)) == len(quadratic)
+
+    def test_cf_memory_is_bounded_by_the_block(self):
+        # 2^16 distinct values, 61 x 2^16 (lam, value) terms in 61 blocks: the block work stays
+        # within three block-sized complex arrays on top of a few copies of the values (the
+        # one-expression form peaked at 61 x 2^16 x 40 bytes, 160 MB)
+        values = np.random.default_rng(9).standard_normal(1 << 16)
+        lam = np.linspace(-3.0, 3.0, 61)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lattice._cf_distance(values, 1.0, lam)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * lattice.CF_BLOCK + 4 * values.nbytes, peak
 
     def test_sample_cap(self):
         cap = lattice.CLT_SAMPLE_CAP
