@@ -423,11 +423,16 @@ def _nu_event_families(cells: np.ndarray, seed: int) -> dict:
     bidx = np.arange(nb)
     stride8 = ((bidx >= lo[keep][:, None]) & (bidx < hi[keep][:, None])).astype(float)
     rng = np.random.default_rng(seed)
-    unions = np.zeros((NU_UNION_SAMPLES, m))
-    for row in unions:  # up to 4 intervals each
+    ends = np.full((NU_UNION_SAMPLES, 8), m)  # up to 4 intervals a row; the padding pairs into empty ones
+    for row in ends:
         k = int(rng.integers(1, 5))
-        for a, b in np.sort(rng.integers(0, m + 1, size=2 * k)).reshape(k, 2):
-            row[a:b] = 1.0
+        row[:2 * k] = rng.integers(0, m + 1, size=2 * k)
+    ends.sort(axis=1)
+    # +1 at each start, -1 at each end: a cell lies in the union iff its running count is
+    # positive; counted, summed and marked in one array, as exact small floats
+    unions = np.zeros((NU_UNION_SAMPLES, m + 1))
+    np.add.at(unions, (np.arange(NU_UNION_SAMPLES)[:, None], ends), np.tile([1.0, -1.0], 4))
+    unions = np.greater(np.cumsum(unions, axis=1, out=unions), 0, out=unions)[:, :m]
     size = unions.sum(axis=1)
     unions = unions[(size > 0) & (size < m)]
     half = len(unions) // 2

@@ -3,8 +3,9 @@
 For a Gaussian vector split into blocks I and J the maximal correlation is
 the largest singular value of Sigma_II^{-1/2} Sigma_IJ Sigma_JJ^{-1/2}, so
 everything here reduces to dense linear algebra: Schur-complement
-conditioning, whitened cross-covariances, and one matrix exponential for the
-damped-chain noise covariance.
+conditioning and whitened cross-covariances.  The periodic damped chain is
+circulant in its sites, so it splits into one 2 x 2 problem per real Fourier
+mode, each with a closed-form flow.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import CapExceededError, IntegratorError, ValidationError
 
-OU_CHAIN_K_CAP = 512  # ou_chain_joint takes the exponential of a 4K x 4K matrix
+OU_CHAIN_K_CAP = 512  # ou_chain_joint holds the 2K x 2K ceq and four K x K corr blocks, and multiplies 2K x 2K matrices
 
 RANK_RTOL = 1e-10  # relative eigenvalue cutoff for dropping deterministic directions
 
@@ -217,79 +218,112 @@ def _ou_drift(params: OUChainParams) -> np.ndarray:
     return A
 
 
+def _ou_modes(params: OUChainParams) -> tuple:
+    """(ceq, phi, chat) of the real Fourier modes k = 0..K//2 of the chain.
+
+    The drift, the noise and the Gibbs law are circulant in the sites, so the
+    real DFT splits the chain into independent (p_k, q_k) oscillators of
+    frequency om2_k = omega^2 + 4 c^2 sin^2(pi k / K); modes k and K - k
+    coincide.  Each of ceq, phi and chat is a (K//2 + 1, 2, 2) stack: the
+    Gibbs covariance diag(T m, T / (m om2)), the flow e^{t A_k} in closed form
+    (A_k has trace -lam and determinant om2), and the noise covariance
+    chat = ceq - phi ceq phi^T.  That difference cancels at short horizons,
+    where chat_qq ~ (2/3) T lam t^3 / m: it keeps about 16 - log10(ceq_qq /
+    chat_qq) digits.
+    """
+    K, m, lam, t = params.K, params.m, params.lam, params.t
+    half = 0.5 * lam
+    with np.errstate(all="ignore"):  # extreme parameters overflow; checked below
+        # products, not powers: a float power that overflows raises, a product gives inf
+        om2 = params.omega * params.omega + 4.0 * params.c * params.c * np.sin(np.pi * np.arange(K // 2 + 1) / K) ** 2
+        d2 = half * half - om2  # e^{tA} = e^{-half t} (cosh(d t) I + sinh(d t) / d (A + half I)), d^2 = d2
+        nu = np.sqrt(np.abs(d2))
+        over = d2 > 0
+        # overdamped: the envelope decays at the slow rate half - nu = om2 / (half + nu)
+        env = np.exp(-np.where(over, om2 / (half + nu), half) * t)
+        cosh = np.where(over, env * (1.0 + np.exp(-2.0 * nu * t)) / 2.0, env * np.cos(nu * t))
+        sinh = np.where(over, env * -np.expm1(-2.0 * nu * t) / (2.0 * nu), env * np.sin(nu * t) / nu)
+        sinh = np.where(nu > 0, sinh, t * env)
+        cosh, sinh = np.where(env > 0, cosh, 0.0), np.where(env > 0, sinh, 0.0)  # fully mixed
+        phi = np.stack([np.stack([cosh - half * sinh, -m * om2 * sinh], -1),
+                        np.stack([sinh / m, cosh + half * sinh], -1)], -2)
+        ceq = np.zeros_like(phi)
+        ceq[:, 0, 0] = params.T * m
+        ceq[:, 1, 1] = params.T / (m * om2)
+        chat = ceq - phi @ ceq @ phi.transpose(0, 2, 1)
+    if not (np.isfinite(chat).all() and np.isfinite(phi).all() and (ceq.diagonal(axis1=1, axis2=2) > 0).all()):
+        raise IntegratorError("ou_noise_covariance: the per-mode flow, Gibbs law or noise covariance "
+                              "has non-finite or zero values")
+    return ceq, phi, 0.5 * (chat + chat.transpose(0, 2, 1))
+
+
+def _assemble(stack: np.ndarray, K: int) -> np.ndarray:
+    """The 2K x 2K (p, q) block matrix whose blocks are the symmetric circulants with
+    eigenvalue stack[k, a, b] on real Fourier mode k, for a (K//2 + 1, 2, 2) stack."""
+    rows = np.fft.irfft(stack, K, axis=0)  # first row of each block
+    d = np.abs(np.arange(K)[:, None] - np.arange(K))
+    return rows[np.minimum(d, K - d)].transpose(2, 0, 3, 1).reshape(2 * K, 2 * K)  # exactly symmetric blocks
+
+
 def ou_noise_covariance(params: OUChainParams) -> tuple:
     """(Chat, phi): the Lyapunov integral int_0^t e^{sA} B e^{sA^T} ds with
-    B = 2 T lam m I_p, solved in closed form by a block matrix exponential,
-    and the flow phi = e^{tA}."""
-    import scipy.linalg as sla
-
-    K = params.K
-    A = _ou_drift(params)
-    B = np.zeros((2 * K, 2 * K))
-    B[:K, :K] = 2 * params.T * params.lam * params.m * np.eye(K)
-    blk = np.zeros((4 * K, 4 * K))
-    blk[: 2 * K, : 2 * K] = A
-    blk[: 2 * K, 2 * K :] = B
-    blk[2 * K :, 2 * K :] = -A.T
-    E = sla.expm(params.t * blk)
-    phi = E[: 2 * K, : 2 * K]
-    chat = E[: 2 * K, 2 * K :] @ phi.T
-    if not np.all(np.isfinite(chat)):
-        raise IntegratorError("ou_noise_covariance: matrix exponential returned non-finite values")
-    return 0.5 * (chat + chat.T), phi
+    B = 2 T lam m I_p, and the flow phi = e^{tA}, assembled from the per-mode
+    blocks of _ou_modes."""
+    _, phi, chat = _ou_modes(params)
+    return _assemble(chat, params.K), _assemble(phi, params.K)
 
 
 def ou_chain_joint(params: OUChainParams) -> OUChainReport:
-    K = params.K
-    eye = np.eye(K)
-    lap = 2 * eye - np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0)
-    qcheck = np.zeros((2 * K, 2 * K))
-    qcheck[:K, :K] = eye / params.m
-    qcheck[K:, K:] = params.m * (params.omega**2 * eye + params.c**2 * lap)
-    ceq = params.T * np.linalg.inv(qcheck)
-    chat, phi = ou_noise_covariance(params)
-    stat_res = float(np.abs(phi @ ceq @ phi.T + chat - ceq).max())
-    cross = ceq @ phi.T
-    cbar = np.block([[ceq, cross], [cross.T, ceq]])
-    labels = (
-        [f"p{i}" for i in range(K)]
-        + [f"q{i}" for i in range(K)]
-        + [f"p'{i}" for i in range(K)]
-        + [f"q'{i}" for i in range(K)]
-    )
-    sys = GaussianSystem(tuple(labels), cbar)
-    eta = labels[: 2 * K]
-    etap = labels[2 * K :]
-    rho = maxcorr_gaussian(sys, eta, etap)
-    sd = np.sqrt(np.diag(cbar))
-    corr = np.abs(cross) / np.outer(sd[: 2 * K], sd[2 * K :])
-    # joint precision, momentum coordinates rescaled by chi = m*omega
+    """Joint law of eta = (p, q) and eta' = e^{tA} eta + noise under the Gibbs law, one
+    real Fourier mode at a time (_ou_modes).
+
+    maxcorr is the largest canonical correlation over the modes, the top singular
+    value of ceq_k^{-1/2} phi_k ceq_k^{1/2}; qbar_range is the spectral range of
+    the per-mode 4 x 4 joint precisions, momenta rescaled by chi = m omega;
+    ceq and the corr_* blocks are assembled from the modes.
+    stationarity_residual is max |A ceq + ceq A^T + B| on the assembled ceq and
+    the site-space drift A: the Lyapunov equation of the Gibbs law, which no
+    step above uses.
+    """
+    K, T = params.K, params.T
+    ceq_k, phi, chat = _ou_modes(params)
+    phit = phi.transpose(0, 2, 1)
+    sd = np.sqrt(np.diagonal(ceq_k, axis1=1, axis2=2))
+    rho = float(np.linalg.svd(phi * sd[:, None, :] / sd[:, :, None], compute_uv=False)[:, 0].max())
+    ceq = _assemble(ceq_k, K)
+    with np.errstate(all="ignore"):  # checked below
+        lyap = _ou_drift(params) @ ceq
+        lyap = lyap + lyap.T
+        lyap[:K, :K] += 2 * T * params.lam * params.m * np.eye(K)
+    residual = float(np.abs(lyap).max())
+    if not math.isfinite(residual):
+        raise IntegratorError("ou_chain_joint: the Lyapunov residual is not finite at these parameters")
+    sd_sites = np.sqrt(np.diag(ceq))
+    corr = np.abs(_assemble(ceq_k @ phit, K)) / np.outer(sd_sites, sd_sites)  # |Cov(eta, eta')|
+    # joint precision of (eta, eta') per mode, momentum coordinates rescaled by chi = m*omega
     try:
-        qhat = params.T * np.linalg.inv(chat)
+        qhat = T * np.linalg.inv(chat)
     except np.linalg.LinAlgError:
         raise IntegratorError("ou_chain_joint: noise covariance is singular at this horizon") from None
+    qcheck = T * np.linalg.inv(ceq_k)
+    scale = np.array([params.m * params.omega, 1.0] * 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        qbar = np.block(
-            [[qcheck + phi.T @ qhat @ phi, -phi.T @ qhat], [-qhat @ phi, qhat]]
-        )
-    if not np.all(np.isfinite(qbar)):
+        qbar = np.block([[qcheck + phit @ qhat @ phi, -phit @ qhat], [-qhat @ phi, qhat]])
+        qbar_scaled = qbar * np.outer(scale, scale)
+    if not np.all(np.isfinite(qbar_scaled)):
         raise IntegratorError("ou_chain_joint: joint precision is not finite at this horizon")
-    chi = params.m * params.omega
-    scale = np.ones(4 * K)
-    for blk_i in range(4):
-        if blk_i % 2 == 0:
-            scale[blk_i * K : (blk_i + 1) * K] = chi
-    qbar_scaled = qbar * np.outer(scale, scale)
-    wq = np.linalg.eigvalsh(0.5 * (qbar_scaled + qbar_scaled.T))
+    wq = np.linalg.eigvalsh(0.5 * (qbar_scaled + qbar_scaled.transpose(0, 2, 1)))
+    if wq.min() <= 0:  # positive definite in exact arithmetic: rounding has swamped chat
+        raise IntegratorError("ou_chain_joint: joint precision is not positive definite at this horizon")
     return OUChainReport(
-        maxcorr=float(rho),
+        maxcorr=min(max(rho, 0.0), 1.0),
         corr_pp=corr[:K, :K],
         corr_pq=corr[:K, K:],
         corr_qp=corr[K:, :K],
         corr_qq=corr[K:, K:],
         ceq=ceq,
         qbar_range=(float(wq.min()), float(wq.max())),
-        stationarity_residual=stat_res,
+        stationarity_residual=residual,
     )
 
 

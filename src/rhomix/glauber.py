@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .tensor_bounds import LatticeKernel, SublatticeK
 
 EXACT_GAP_STATE_CAP = 1 << 12
+DENSE_GAP_STATES = 128  # exact_gap's eigh up to here, eigsh above: 4 vs 12 ms on 7 spins, a tie on 8 (2 cores)
 SIM_EVENT_CAP = 1 << 22  # expected clock rings N * horizon of one simulator trajectory
 _SIM_CHUNK = 1 << 16  # rings per pass of glauber_simulate's integer loop
 _ACF_BLOCK = (1 << 18) - 8192  # samples per FFT block of _autocorrelation: 2^18-point FFTs at 8000 lags
@@ -109,23 +110,25 @@ def gap_lower_bounds(eps) -> GapBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# exact gap by matrix-free Lanczos
+# exact gap: dense on small systems, matrix-free Lanczos above
 
 
 def _heat_bath(joint: np.ndarray):
     """g -> B g for the heat-bath Dirichlet operator in weighted coordinates g = sqrt(p) f:
     B g = N g - sum_i sqrt(p) S_i(sqrt(p) g) / S_i(p), with S_i the sum over site i
-    (keepdims).  A zero-mass context contributes 0."""
-    sqrtp = np.sqrt(joint)
-    masses = [joint.sum(axis=i, keepdims=True) for i in range(joint.ndim)]
+    (keepdims).  A zero-mass context contributes 0.  g is one flat vector, or a matrix
+    whose columns are flat vectors."""
+    sqrtp = np.sqrt(joint)[..., None]  # a trailing axis over the columns
+    masses = [joint.sum(axis=i, keepdims=True)[..., None] for i in range(joint.ndim)]
     inverses = [np.divide(1.0, m, out=np.zeros_like(m), where=m > 0) for m in masses]
+    shape = joint.shape + (-1,)
 
     def apply(g):
-        g = np.reshape(g, joint.shape)
-        out = joint.ndim * g
+        cols = np.reshape(g, shape)
+        out = joint.ndim * cols
         for i, inv in enumerate(inverses):
-            out -= sqrtp * ((sqrtp * g).sum(axis=i, keepdims=True) * inv)
-        return out.ravel()
+            out -= sqrtp * ((sqrtp * cols).sum(axis=i, keepdims=True) * inv)
+        return out.reshape(np.shape(g))
 
     return apply
 
@@ -137,15 +140,19 @@ def _check_gap_states(sys: FiniteSystem) -> None:
 
 
 def exact_gap(sys: FiniteSystem, return_vector: bool = False):
-    """Smallest nonzero eigenvalue of the heat-bath Dirichlet operator, matrix-free.
+    """Smallest nonzero eigenvalue of the heat-bath Dirichlet operator B, and optionally its mode.
 
     With sqrt(p) 1_C projected out for every communicating class C of the
-    support, implicitly restarted Lanczos (``eigsh`` from a fixed start) finds
-    the top eigenvalue N + 1 - gap of (N + 1) I - B; the shift by N + 1, not N,
-    keeps that operator nonzero for one site.  Zero-mass contexts contribute 0.
+    support, the top eigenvalue of (N + 1) I - B is N + 1 - gap; the shift by
+    N + 1, not N, keeps that operator nonzero for one site.  Zero-mass
+    contexts contribute 0.  On at most DENSE_GAP_STATES states the operator is
+    built as a dense matrix (B and the projection applied to the identity) and
+    solved by ``np.linalg.eigh``.  Above that, implicitly restarted Lanczos
+    (``eigsh`` from a fixed start) finds the top eigenvalue matrix-free.  Its
+    Ritz value theta satisfies theta <= lambda_max, so that branch can only
+    overstate the gap, and its residual bounds the distance from theta to some
+    eigenvalue, not to lambda_max.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     _check_gap_states(sys)
     joint = sys.joint
     total = joint.size
@@ -166,18 +173,28 @@ def exact_gap(sys: FiniteSystem, return_vector: bool = False):
     heat_bath = _heat_bath(joint)
 
     def deflate(g):
-        """Zero off the support and orthogonal to every sqrt(p) 1_C."""
-        return on.ravel() * g - w * (np.bincount(cls, weights=w * g) * inv)[cls]
+        """Zero off the support and orthogonal to every sqrt(p) 1_C, for one flat vector or
+        each row of a matrix: class c of row r sums into bin r * nbins + c."""
+        bins = cls if g.ndim == 1 else (mass.size * np.arange(len(g))[:, None] + cls).ravel()
+        sums = np.bincount(bins, weights=(w * g).ravel()).reshape(g.shape[:-1] + mass.shape)
+        return on.ravel() * g - w * (sums * inv).take(cls, axis=-1)
 
-    # B leaves the deflated space invariant, so deflating its output is enough
-    op = LinearOperator((total, total), dtype=float,
-                        matvec=lambda g: deflate(shift * np.ravel(g) - heat_bath(g)))
-    v0 = deflate(np.random.default_rng(0).standard_normal(total))
-    evals, evecs = eigsh(op, k=1, which="LA", tol=0, v0=v0)
-    gap = float(shift - evals[0])
+    # B leaves the deflated space invariant, so deflating its output is enough; B and the
+    # deflation commute, so deflating the rows of the symmetric shift I - B deflates its columns
+    if total <= DENSE_GAP_STATES:
+        eye = np.eye(total)
+        evals, evecs = np.linalg.eigh(deflate(shift * eye - heat_bath(eye)))
+    else:
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        op = LinearOperator((total, total), dtype=float,
+                            matvec=lambda g: deflate(shift * np.ravel(g) - heat_bath(np.ravel(g))))
+        v0 = deflate(np.random.default_rng(0).standard_normal(total))
+        evals, evecs = eigsh(op, k=1, which="LA", tol=0, v0=v0)
+    gap = float(shift - evals[-1])
     if not return_vector:
         return gap
-    f = np.divide(evecs[:, 0], w, out=np.zeros(total), where=w > 0)  # back to unweighted coordinates
+    f = np.divide(evecs[:, -1], w, out=np.zeros(total), where=w > 0)  # back to unweighted coordinates
     return gap, f.reshape(joint.shape)
 
 

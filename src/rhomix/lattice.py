@@ -13,14 +13,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import discrete
-from .convdecay import ToeplitzKernel, _check_neumann, _tail_bound, conv_inverse
-from .discrete import FinitePair, FiniteSystem
 from .errors import CapExceededError, IntegratorError, ValidationError
-from .tensor_bounds import LatticeKernel, TailModel, distance_bound, sublattice_k
+
+if TYPE_CHECKING:
+    from .convdecay import ToeplitzKernel
+    from .discrete import FiniteSystem
+    from .tensor_bounds import LatticeKernel
 
 ISING_SITE_CAP = 1 << 16  # sites of any IsingTorus; its site list and MCMC state grow like L^n
 ISING_EXACT_SITE_CAP = 16
@@ -45,6 +47,8 @@ class QuadraticModel:
     beta: float = 1.0
 
     def __post_init__(self):
+        from .convdecay import _check_neumann
+
         g = self.gamma
         if g.n != self.n:
             raise ValidationError("QuadraticModel: kernel dimension mismatch")
@@ -66,6 +70,8 @@ class QuadraticModel:
     @property
     def _scaled(self) -> ToeplitzKernel:
         """gamma / (1 + Gamma), whose Neumann series gives the covariance kernel."""
+        from .convdecay import ToeplitzKernel
+
         return ToeplitzKernel(self.n, self.gamma.R, self.gamma.values / (1.0 + self.Gamma))
 
 
@@ -86,6 +92,9 @@ def quadratic_covariance(model: QuadraticModel) -> QuadraticCovariance:
     converges since ||gamma||_1/(1+Gamma) < 1.  Cov(w_i, w_j) =
     a_inv(j-i)/beta and eps(z) = a_inv(z)/a_inv(0).
     """
+    from .convdecay import ToeplitzKernel, _tail_bound, conv_inverse
+    from .tensor_bounds import LatticeKernel, TailModel
+
     G = model.Gamma
     scaled = model._scaled
     series = conv_inverse(scaled)
@@ -114,6 +123,8 @@ class QuadraticRhoReport:
 
 def quadratic_rho_report(model: QuadraticModel) -> QuadraticRhoReport:
     """Mixing report: off-center eps mass vs Gamma, distance and sublattice bounds."""
+    from .tensor_bounds import distance_bound, sublattice_k
+
     cov = quadratic_covariance(model)
     k = cov.eps_kernel
     offs = k.offsets()
@@ -199,6 +210,8 @@ def _check_exact_sites(torus: IsingTorus) -> None:
 
 def ising_exact(torus: IsingTorus) -> FiniteSystem:
     """Exact Gibbs law of a small torus as a FiniteSystem (state 0 is spin -1)."""
+    from .discrete import FiniteSystem
+
     _check_exact_sites(torus)
     sites = torus.sites
     nsite = len(sites)
@@ -265,6 +278,9 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
     unclamped site at one value in every kept sample is trapped, and its pair
     tables would read eps = 0: that is an IntegratorError.
     """
+    from . import discrete
+    from .tensor_bounds import LatticeKernel
+
     c0, k0 = ising_constants(torus.n, torus.T)
     nsite = torus.L**torus.n
     if method == "exact":
@@ -301,7 +317,7 @@ def ising_epsilon(torus: IsingTorus, method: str = "exact", seed: int = 0,
             ]
         )
         cells = cells / cells.sum()
-        values[key] = discrete.maxcorr_pair(FinitePair.from_joint(cells)).rho
+        values[key] = discrete.maxcorr_pair(discrete.FinitePair.from_joint(cells)).rho
     kern = LatticeKernel.from_dict(torus.n, torus.L // 2, values, norm="l1")
     return IsingEpsilonReport(kern, c0, k0, "mcmc", False)
 

@@ -103,7 +103,7 @@ class TestExitCodes:
         (["event-bound", "lambda", "--eps", "nan", "--dry-run"], "finite"),
         (["event-bound", "lambda", "--dry-run"], "--eps is required"),
         (["ou-chain", "--t", "nan", "--K", "4"], "t must be finite"),
-        (["ou-chain", "--t", "1e300", "--K", "4"], "non-finite values"),
+        (["ou-chain", "--t", "1e-103", "--K", "4"], "noise covariance is singular"),
         (["glauber-sim", "--system", "{two_site}", "--horizon", "nan", "--dry-run"], "horizon must be finite"),
         (["glauber-sim", "--system", "{two_site}", "--horizon", "5", "--observable-site", "7"],
          "--observable-site must lie in [0, 2)"),
@@ -116,6 +116,26 @@ class TestExitCodes:
         nan_matrix = write_json(tmp_path, "nan_matrix.json", {"entries": [[0, math.nan], [math.nan, 0]]})
         argv = [a.format(two_site=two_site, nan_matrix=nan_matrix) for a in argv]
         assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("t", ["1e6", "1e300"])
+    def test_fully_mixed_chain_is_exit_0(self, t):
+        # the flow has decayed below the smallest float: the chain has forgotten its start
+        proc = run_cli(["ou-chain", "--K", "4", "--t", t])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout, parse_constant=_reject_constant)["maxcorr"] <= 1e-12
+
+    @pytest.mark.parametrize("params, message", [
+        ({"omega": 1e200}, "Gibbs law"),  # omega^2 overflows
+        ({"c": 1e300, "t": 1e150}, "Gibbs law"),
+        ({"m": 1e200}, "joint precision is not finite"),
+        ({"m": 1e150, "lam": 1e300}, "Lyapunov residual is not finite"),
+        ({"T": 5e-324}, "Gibbs law"),  # T / (m om2) underflows to 0
+    ])
+    def test_extreme_chain_parameters_are_exit_2(self, params, message, tmp_path, capsys):
+        path = write_json(tmp_path, "params.json", {**params, "K": 4})
+        assert cli.main(["ou-chain", "--params", path]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
@@ -587,7 +607,6 @@ def _fresh_interpreter(code: str, cwd, *argv: str) -> str:
 
 RHOMIX_MODULES = "sorted(m[len('rhomix.'):] for m in sys.modules if m.startswith('rhomix.'))"
 BASE_MODULES = {"cli", "errors", "io"}  # what main needs before it dispatches
-ISING_MODULES = {"convdecay", "discrete", "lattice", "tensor_bounds"}
 # the rhomix modules a call of each command loads besides BASE_MODULES, valid input or not
 COMMAND_MODULES = {
     "maxcorr": {"discrete"},
@@ -598,10 +617,10 @@ COMMAND_MODULES = {
     "chogosov": {"events"},
     "glauber-gap": {"discrete", "glauber"},  # exact; sublattice loads tensor_bounds as well
     "glauber-sim": {"discrete", "glauber"},
-    "ising": ISING_MODULES,
-    "quadratic": ISING_MODULES,
+    "ising": {"discrete", "lattice", "tensor_bounds"},
+    "quadratic": {"convdecay", "lattice", "tensor_bounds"},
     "conv-inverse": {"convdecay"},
-    "clt": ISING_MODULES,
+    "clt": {"lattice"},  # --model ising; --model quadratic loads convdecay and tensor_bounds as well
     "ou-chain": {"gaussian"},
     "three-lines": {"gaussian"},
     "verify-all": {"acceptance", "gaussian", "tensor_bounds"},  # --only 01; each check loads its own
@@ -658,8 +677,9 @@ print(json.dumps([code, {RHOMIX_MODULES}]))
         assert out == "[]\n"
 
     def test_calls_load_no_scipy(self, tmp_path):
-        # the two dry runs and three invalid inputs of the benchmark's table, on its input files,
-        # and the calls that reach conv_inverse
+        # every call of the benchmark's full table, a clt that reaches conv_inverse, and an exact
+        # gap on the largest system that exact_gap solves densely
+        assert glauber.DENSE_GAP_STATES == 2**7
         code = f"""
 import contextlib, io, json, sys
 import numpy as np
@@ -667,10 +687,12 @@ sys.path.insert(0, {PERFBENCH!r})
 import clicalls
 from rhomix import cli
 calls = clicalls.write_inputs(np.random.default_rng(1), ".", full=True)
-cases = [(["tensor-bound", "simple", "--eps", "0.5,0.5"], 0), (["verify-all", "--only", "01"], 0)]
-cases += [(c.argv, c.expect) for c in calls if c.kind != "compute"]
-cases += [(c.argv, c.expect) for c in calls if c.name in ("cli.quadratic", "cli.conv-inverse")]
+with open("spins7.json", "w") as fh:
+    json.dump({{"variables": [{{"name": f"s{{k}}", "size": 2}} for k in range(7)],
+               "joint_flat": np.random.default_rng(2).dirichlet(np.ones(2**7)).tolist()}}, fh)
+cases = [(c.argv, c.expect) for c in calls]
 cases += [(["clt", "--model", "quadratic", "--gamma", "gamma.json", "--ells", "4,8", "--replicas", "200"], 0)]
+cases += [(["glauber-gap", "exact", "--system", "spins7.json"], 0)]
 loaded = []
 for argv, expect in cases:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -679,7 +701,7 @@ for argv, expect in cases:
 print(json.dumps(loaded))
 """
         loaded = json.loads(_fresh_interpreter(code, tmp_path))
-        assert len(loaded) == 10
+        assert len(loaded) == 22
         for argv, code, expect, scipy_modules in loaded:
             assert code == expect, argv
             assert scipy_modules == [], argv
@@ -703,11 +725,9 @@ class TestConvInverse:
         assert decay["rate"] == pytest.approx(math.log(3.0), abs=1e-3)  # arccosh(1 / 0.6)
 
     def test_quadratic_computes_the_convolution_inverse_once(self, tmp_path, monkeypatch):
-        from rhomix import lattice
-
         calls = []
-        inverse = lattice.conv_inverse
-        monkeypatch.setattr(lattice, "conv_inverse", lambda kernel: calls.append(kernel) or inverse(kernel))
+        inverse = convdecay.conv_inverse
+        monkeypatch.setattr(convdecay, "conv_inverse", lambda kernel: calls.append(kernel) or inverse(kernel))
         gam = write_json(tmp_path, "g.json", {"n": 1, "R": 1, "values": {"(1)": 0.2, "(-1)": 0.2}})
         assert _exit_and_stdout(["quadratic", "--gamma", gam])[0] == 0
         assert len(calls) == 1

@@ -379,6 +379,25 @@ class TestNuMeasure:
         assert got == pytest.approx(fsum_ratio(cells, fine[fi], fine[fj]), rel=1e-12, abs=0)
         assert got == pytest.approx(want, rel=2e-12, abs=0)
 
+    @pytest.mark.parametrize("m", [64, 100, 512, 768])
+    def test_union_masks_match_the_interval_loop(self, m):
+        # the endpoint scatter marks the same cells as one slice assignment per interval,
+        # on the same RNG stream
+        cells = events.nu_cell_masses(NuModel(0.5, 0.02, m))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            unions = np.zeros((events.NU_UNION_SAMPLES, m))
+            for row in unions:
+                k = int(rng.integers(1, 5))
+                for a, b in np.sort(rng.integers(0, m + 1, size=2 * k)).reshape(k, 2):
+                    row[a:b] = 1.0
+            size = unions.sum(axis=1)
+            unions = unions[(size > 0) & (size < m)]
+            half = len(unions) // 2
+            table, A, B = events._nu_event_families(cells, seed)["unions"]
+            assert table is cells
+            assert np.array_equal(A, unions[:half]) and np.array_equal(B, unions[half:])
+
     def test_factor_too_large_is_an_error(self):
         with pytest.raises(ValidationError):
             events.nu_event_ratio(NuModel(0.9, 0.5, 64))

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rhomix import gaussian, tensor_bounds
-from rhomix.errors import ValidationError
+from rhomix.errors import IntegratorError, ValidationError
 from rhomix.gaussian import GaussianSystem, OUChainParams, ThreeLinesReport
 
 
@@ -13,6 +14,38 @@ def random_psd(rng, n, labels=None):
     A = rng.standard_normal((n, n))
     cov = A @ A.T + 0.1 * np.eye(n)
     return GaussianSystem(tuple(labels or (f"v{k}" for k in range(n))), cov)
+
+
+def van_loan_reference(params):
+    """The damped chain in site space: Chat and phi from one 4K x 4K exponential (Van Loan,
+    IEEE TAC 1978), maxcorr from one 4K-dimensional canonical-correlation problem, and the
+    joint precision's range from one 4K x 4K eigenvalue problem.  Its exponential holds
+    e^{-tA^T}, so it loses accuracy as lam t grows and overflows at large t."""
+    import scipy.linalg as sla
+
+    K, T, lam, m = params.K, params.T, params.lam, params.m
+    A = gaussian._ou_drift(params)
+    B = np.zeros((2 * K, 2 * K))
+    B[:K, :K] = 2 * T * lam * m * np.eye(K)
+    E = sla.expm(params.t * np.block([[A, B], [np.zeros_like(A), -A.T]]))
+    phi = E[:2 * K, :2 * K]
+    chat = E[:2 * K, 2 * K:] @ phi.T
+    chat = 0.5 * (chat + chat.T)
+    eye = np.eye(K)
+    lap = 2 * eye - np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0)
+    qcheck = np.block([[eye / m, 0 * eye], [0 * eye, m * (params.omega**2 * eye + params.c**2 * lap)]])
+    ceq = T * np.linalg.inv(qcheck)
+    cross = ceq @ phi.T
+    labels = tuple(range(4 * K))
+    rho = gaussian.maxcorr_gaussian(GaussianSystem(labels, np.block([[ceq, cross], [cross.T, ceq]])),
+                                    labels[:2 * K], labels[2 * K:])
+    sd = np.sqrt(np.diag(ceq))
+    qhat = T * np.linalg.inv(chat)
+    qbar = np.block([[qcheck + phi.T @ qhat @ phi, -phi.T @ qhat], [-qhat @ phi, qhat]])
+    scale = np.repeat([m * params.omega, 1.0, m * params.omega, 1.0], K)
+    wq = np.linalg.eigvalsh(qbar * np.outer(scale, scale))
+    return {"chat": chat, "phi": phi, "ceq": ceq, "maxcorr": rho, "corr": np.abs(cross) / np.outer(sd, sd),
+            "qbar_range": (wq.min(), wq.max())}
 
 
 def chained(sys, xs, y):
@@ -209,6 +242,56 @@ class TestOUChain:
         r1 = gaussian.ou_chain_joint(OUChainParams(K=6, t=0.7, T=1.0)).maxcorr
         r2 = gaussian.ou_chain_joint(OUChainParams(K=6, t=0.7, T=3.5)).maxcorr
         assert r1 == pytest.approx(r2, abs=1e-10)
+
+    @pytest.mark.parametrize("K", [3, 4, 5, 8, 16, 64])
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 3.0])
+    def test_modes_match_van_loan(self, K, t):
+        # chat_qq ~ (2/3) t^3 keeps about 16 - 6 digits at t = 0.01, where 1 - rho is 8.3e-8 and
+        # agrees to 5.3e-9 relative at worst; every other tolerance leaves 4x room or more
+        params = OUChainParams(K=K, t=t)
+        ref = van_loan_reference(params)
+        rep = gaussian.ou_chain_joint(params)
+        chat, phi = gaussian.ou_noise_covariance(params)
+        scale = np.abs(ref["ceq"]).max()
+        assert np.abs(chat - ref["chat"]).max() <= 2e-13 * scale
+        assert np.abs(phi - ref["phi"]).max() <= 1e-13
+        assert np.abs(rep.ceq - ref["ceq"]).max() <= 1e-14 * scale
+        corr = np.block([[rep.corr_pp, rep.corr_pq], [rep.corr_qp, rep.corr_qq]])
+        assert np.abs(corr - ref["corr"]).max() <= 1e-13
+        assert rep.maxcorr == pytest.approx(ref["maxcorr"], abs=1e-14)
+        assert 1 - rep.maxcorr == pytest.approx(1 - ref["maxcorr"], rel=1e-8)
+        assert rep.qbar_range == pytest.approx(ref["qbar_range"], rel=2e-8)
+        assert rep.stationarity_residual <= 1e-14
+
+    def test_stationarity_residual_sees_a_wrong_gibbs_law(self, monkeypatch):
+        modes = gaussian._ou_modes
+
+        def off(params):
+            ceq, phi, chat = modes(params)
+            ceq[:, 1, 1] *= 1 + 1e-6
+            return ceq, phi, chat
+
+        params = OUChainParams(K=8, t=1.0)
+        assert gaussian.ou_chain_joint(params).stationarity_residual <= 1e-14
+        monkeypatch.setattr(gaussian, "_ou_modes", off)
+        assert gaussian.ou_chain_joint(params).stationarity_residual >= 1e-7
+
+    @pytest.mark.parametrize("t", [1e6, 1e300])
+    def test_fully_mixed_chain(self, t):
+        # the flow underflows to 0: no correlation, and the Gibbs law is the joint precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = gaussian.ou_chain_joint(OUChainParams(K=4, t=t))
+        assert rep.maxcorr <= 1e-12 and rep.corr_pp.max() <= 1e-12
+        assert rep.qbar_range == pytest.approx((1.0, 5.0), rel=1e-12)  # chi^2 / m and m (omega^2 + 4 c^2)
+
+    @pytest.mark.parametrize("t, message", [(1e-103, "noise covariance is singular"),
+                                            (1e-6, "joint precision is not positive definite")])
+    def test_horizon_below_rounding_is_an_error(self, t, message):
+        # chat = ceq - phi ceq phi^T rounds to 0 at t = 1e-103; at t = 1e-6 chat_qq ~ 7e-19 is
+        # below the rounding of ceq_qq, so the joint precision comes out indefinite
+        with pytest.raises(IntegratorError, match=message):
+            gaussian.ou_chain_joint(OUChainParams(K=8, t=t))
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):

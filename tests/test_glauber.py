@@ -31,6 +31,15 @@ def three_state_system():
     return spin_system(joint / joint.sum())
 
 
+def two_class_system():
+    """A 4 x 4 table supported on two 2 x 2 blocks: two communicating classes, and
+    half the states of zero mass."""
+    joint = np.zeros((4, 4))
+    joint[:2, :2] = [[0.1, 0.2], [0.05, 0.15]]
+    joint[2:, 2:] = [[0.2, 0.1], [0.12, 0.08]]
+    return spin_system(joint)
+
+
 def padded_2n(samples, max_lag):
     """Reference autocorrelation: one FFT of the mean-free series padded to 2n or more."""
     n = samples.size
@@ -278,6 +287,33 @@ class TestExactGap:
         assert np.linalg.norm(g) > 0.5
         residual = glauber._heat_bath(sys.joint)(g) - gap * g
         assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: spin_system([[0.1, 0.2], [0.3, 0.4]]),
+        lambda: spin_system(np.random.default_rng(4).dirichlet(np.ones(8)).reshape(2, 2, 2)),
+        three_state_system,  # 27 states, one of zero mass
+        two_class_system,
+        lambda: spin_system(np.random.default_rng(5).dirichlet(np.ones(128)).reshape((2,) * 7)),  # at the cutoff
+        lambda: spin_system(np.random.default_rng(6).dirichlet(np.ones(256)).reshape((2,) * 8)),  # above it
+    ])
+    def test_dense_matches_lanczos(self, make, monkeypatch):
+        sys = make()
+        runs = {}
+        for cutoff in (0, glauber.EXACT_GAP_STATE_CAP):  # eigsh on every system, then eigh
+            monkeypatch.setattr(glauber, "DENSE_GAP_STATES", cutoff)
+            runs[cutoff] = glauber.exact_gap(sys, return_vector=True)
+        (lanczos, f_l), (dense, f_d) = runs.values()
+        assert dense == pytest.approx(lanczos, rel=1e-12, abs=0)
+        w = np.sqrt(sys.joint)
+        g_l, g_d = (w * f_l).ravel(), (w * f_d).ravel()
+        assert np.linalg.norm(g_d) == pytest.approx(1.0, abs=1e-12)
+        assert min(np.abs(g_d - g_l).max(), np.abs(g_d + g_l).max()) <= 1e-9
+        assert np.all(f_d[sys.joint == 0] == 0)
+
+    def test_batched_operator_is_the_operator_column_by_column(self):
+        joint = three_state_system().joint
+        eye = np.eye(joint.size)
+        assert np.array_equal(glauber._heat_bath(joint)(eye), heat_bath_matrix(joint))
 
     def test_state_cap(self):
         with pytest.raises(CapExceededError):
