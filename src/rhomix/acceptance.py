@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     from .discrete import FinitePair, FiniteSystem
 
 TOL = 1e-9
+SWEEP_CHUNK = 25  # random systems whose tables the sweeps of criteria 3, 7 and 8 score together
 
 
 @dataclass
@@ -144,16 +145,6 @@ def check_02_closed_forms():
 # criteria 3, 4, 7: random-system sweeps
 
 
-def _measured_eps_matrix(sys: FiniteSystem, xs, ys) -> np.ndarray:
-    from . import discrete
-
-    eps = np.zeros((len(xs), len(ys)))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            eps[i, j] = discrete.subjective_maxcorr(sys, x, y)
-    return eps
-
-
 def _sweep_system(seed: int) -> tuple:
     """The seed-th random system of criteria 3 and 7, as (sys, xs, ys)."""
     from . import discrete
@@ -164,13 +155,51 @@ def _sweep_system(seed: int) -> tuple:
     return discrete.random_system(rng, nx, ny, max_alpha=3)
 
 
-def _bound_slacks(seed: int) -> tuple:
-    """(nm, simple, zz) bound minus the exact block maxcorr; simple needs ny == 1, else inf."""
+def _scored_sweep(count: int, make_system, stacks_of, score):
+    """Yield (system, maxima) for make_system(0), ..., make_system(count - 1), where maxima[t]
+    is the largest score over the tables of the t-th (k, n, m) stack of stacks_of(system).
+
+    SWEEP_CHUNK systems are built at a time.  Their stacks are grouped by table shape,
+    each group is scored by one call of ``score`` (one value per table), and each stack
+    keeps its maximum (np.maximum.reduceat).
+    """
+    for lo in range(0, count, SWEEP_CHUNK):
+        systems = [make_system(k) for k in range(lo, min(lo + SWEEP_CHUNK, count))]
+        per_system = [stacks_of(system) for system in systems]
+        stacks = [stack for own in per_system for stack in own]
+        maxima = np.empty(len(stacks))
+        groups = {}
+        for s, stack in enumerate(stacks):
+            groups.setdefault(stack.shape[1:], []).append(s)
+        for members in groups.values():
+            starts = np.cumsum([0] + [len(stacks[s]) for s in members[:-1]])
+            maxima[members] = np.maximum.reduceat(score(np.concatenate([stacks[s] for s in members])), starts)
+        yield from zip(systems, np.split(maxima, np.cumsum([len(own) for own in per_system])[:-1]))
+
+
+def _subjective_stacks(sys: FiniteSystem, pairs) -> list:
+    """The _metalgebra_stack of each pair (i, j): subjective_maxcorr(sys, i, j) is the largest
+    maximal correlation of its tables (the sweep systems are far below STATE_CAP)."""
+    from . import discrete
+
+    stacks = []
+    for x, y in pairs:
+        i, j, pool = discrete.subjective_pool(sys, x, y)
+        stacks.append(discrete._metalgebra_stack(sys.marginal(pool + [i, j])))
+    return stacks
+
+
+def _tensor_stacks(system: tuple) -> list:
+    """Criterion 3's stacks of a sweep system: one per (x, y) in xs x ys, in row-major order."""
+    sys, xs, ys = system
+    return _subjective_stacks(sys, itertools.product(xs, ys))
+
+
+def _bound_slacks(sys: FiniteSystem, xs, ys, eps: np.ndarray) -> tuple:
+    """(nm, simple, zz) bound on the measured eps minus the exact block maxcorr; simple needs ny == 1, else inf."""
     from . import discrete, tensor_bounds
 
-    sys, xs, ys = _sweep_system(seed)
     rho = discrete.maxcorr_blocks(sys, xs, ys)
-    eps = _measured_eps_matrix(sys, xs, ys)
     simple = tensor_bounds.simple_bound(eps[:, 0]) - rho if len(ys) == 1 else np.inf
     # symmetrized Z-against-Z profile dominating every measured pair
     zvals = {}
@@ -180,27 +209,43 @@ def _bound_slacks(seed: int) -> tuple:
     return tensor_bounds.nm_bound(eps) - rho, simple, tensor_bounds.zz_bound(list(zvals.values())) - rho
 
 
-def _event_violation(seed: int) -> float:
-    """Worst breach of ratio <= rho <= lambda(ratio) over every scanned pair:
-    each single X against single Y, and the full blocks when both sides have <= 10 states."""
+def _event_tables(system: tuple) -> list:
+    """Criterion 7's tables of a sweep system, each a stack of one: every single X against
+    single Y, and the full blocks when both sides have <= 10 states."""
+    sys, xs, ys = system
+    tables = [sys.marginal([x, y]) for x in xs for y in ys]
+    blocks = sys.marginal(xs + ys)
+    nx = math.prod(blocks.shape[:len(xs)])
+    if max(nx, blocks.size // nx) <= 10:
+        tables.append(blocks.reshape(nx, -1))
+    return [table[None] for table in tables]
+
+
+def _event_maxima(tables: np.ndarray) -> np.ndarray:
+    """event_extremes' max_ratio of each table of a (K, n, m) stack, by the whole scan."""
+    from . import discrete
+
+    _, n, m = tables.shape
+    joint = tables / tables.sum(axis=(1, 2), keepdims=True)
+    return np.fmax(discrete._event_ratio_scan(joint, discrete._half_masks(n), discrete._half_masks(m))[0], 0.0)
+
+
+def _event_violations(tables: np.ndarray) -> np.ndarray:
+    """Breach of ratio <= rho <= lambda(ratio) of each table of a (K, n, m) stack, with ratio
+    its largest event ratio and rho its maximal correlation."""
     from . import discrete, events
 
-    sys, xs, ys = _sweep_system(seed)
-    pairs = [sys.pair([x], [y]) for x in xs for y in ys]
-    blocks = sys.pair(xs, ys)
-    if max(len(blocks.labels_x), len(blocks.labels_y)) <= 10:
-        pairs.append(blocks)
-    worst = -np.inf
-    for pr in pairs:
-        ratio = discrete.event_extremes(pr).max_ratio
-        r = discrete.maxcorr_pair(pr).rho
-        worst = max(worst, ratio - r, r - events.lambda_fn(min(ratio, 1.0)))
-    return worst
+    ratio, rho = _event_maxima(tables), discrete._batch_maxcorr(tables)
+    lam = np.array([events.lambda_fn(min(r, 1.0)) for r in ratio])
+    return np.maximum(ratio - rho, rho - lam)
 
 
 @_check("03 tensorization sweep", budget_s=300.0)
 def check_03_tensor_sweep():
-    worst = min(min(_bound_slacks(k)) for k in range(500))
+    from . import discrete
+
+    sweep = _scored_sweep(500, _sweep_system, _tensor_stacks, discrete._batch_maxcorr)
+    worst = min(min(_bound_slacks(*system, eps.reshape(len(system[1]), -1))) for system, eps in sweep)
     return worst >= -TOL, f"500 systems, worst slack {worst:.2e}"
 
 
@@ -223,7 +268,7 @@ def check_04_independent_tensorization():
 def check_07_event_criteria():
     from . import events
 
-    worst = max(_event_violation(k) for k in range(500))
+    worst = max(v.max() for _, v in _scored_sweep(500, _sweep_system, _event_tables, _event_violations))
     m = 512
     nu = events.nu_event_ratio(events.NuModel(0.5, 0.02, m))
     ok = worst <= TOL and nu.worst_ratio <= nu.factor + 2.0 / m
@@ -291,18 +336,30 @@ def check_06_chogosov():
 # criterion 8: Glauber gaps
 
 
-def _gap_sweep_one(seed: int) -> tuple:
-    from . import discrete, glauber
+def _spin_system(seed: int) -> FiniteSystem:
+    """The seed-th random spin system of criterion 8: 2 to 5 binary spins."""
     from .discrete import FiniteSystem
 
     rng = np.random.default_rng(8000 + seed)
     nspin = int(rng.integers(2, 6))
     joint = rng.dirichlet(np.ones(2**nspin)).reshape((2,) * nspin)
-    sys = FiniteSystem(tuple((f"s{k}", 2) for k in range(nspin)), joint)
+    return FiniteSystem(tuple((f"s{k}", 2) for k in range(nspin)), joint)
+
+
+def _spin_stacks(sys: FiniteSystem) -> list:
+    """Criterion 8's stacks of a spin system: one per spin pair i < j, in row-major order."""
+    return _subjective_stacks(sys, itertools.combinations(range(len(sys.variables)), 2))
+
+
+def _gap_slacks(sys: FiniteSystem, pair_eps: np.ndarray) -> tuple:
+    """(gap - bound_M, bound_M - bound_simple, gap / bound_M), pair_eps the subjective
+    maxcorr of each spin pair i < j in row-major order."""
+    from . import glauber
+
+    nspin = len(sys.variables)
     eps = np.zeros((nspin, nspin))
-    for i in range(nspin):
-        for j in range(i + 1, nspin):
-            eps[i, j] = eps[j, i] = discrete.subjective_maxcorr(sys, i, j)
+    eps[np.triu_indices(nspin, 1)] = pair_eps
+    eps += eps.T
     rep = glauber.gap_lower_bounds(eps)
     gap = glauber.exact_gap(sys)
     return gap - rep.bound_M, rep.bound_M - rep.bound_simple, gap / rep.bound_M
@@ -310,10 +367,10 @@ def _gap_sweep_one(seed: int) -> tuple:
 
 @_check("08 glauber", budget_s=600.0)
 def check_08_glauber():
-    from . import glauber
+    from . import discrete, glauber
     from .discrete import FiniteSystem
 
-    rows = [_gap_sweep_one(k) for k in range(200)]
+    rows = [_gap_slacks(*row) for row in _scored_sweep(200, _spin_system, _spin_stacks, discrete._batch_maxcorr)]
     worst_gap = min(r[0] for r in rows)
     worst_nest = min(r[1] for r in rows)
     tightest = min(r[2] for r in rows)  # recorded, never asserted: bound_M is not known to be tight

@@ -361,6 +361,8 @@ def _chogosov(args):
                          "lambda": events.lambda_fn(args.eps)}, None)
     # cdf, quantile and lstar are closed forms: evaluating them checks --p, --q and --omega
     if args.kind == "cdf":
+        if not (0 < args.p < 1 and 0 < args.q < 1):  # before p * q can overflow
+            raise ValidationError("chogosov cdf: p, q must lie in (0, 1)")
         payload = {"value": float(events.chogosov_cdf(model, args.p, args.q)),
                    "zone": events.chogosov_zone(model, args.p, args.q)}
     elif args.kind == "quantile":

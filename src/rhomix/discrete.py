@@ -83,7 +83,7 @@ class FiniteSystem:
     joint: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(s) for _, s in self.variables)
+        sizes = tuple([int(s) for _, s in self.variables])
         if any(s < 1 for s in sizes):
             raise ValidationError("FiniteSystem: alphabet sizes must be >= 1")
         if int(np.prod(sizes, dtype=np.int64)) > STATE_CAP:
@@ -91,12 +91,14 @@ class FiniteSystem:
         joint = _check_prob_table(self.joint, "FiniteSystem.joint")
         if joint.shape != sizes:
             raise ValidationError("FiniteSystem: joint shape does not match variable sizes")
-        object.__setattr__(self, "variables", tuple((str(n), int(s)) for n, s in self.variables))
+        object.__setattr__(self, "variables", tuple([(str(n), int(s)) for n, s in self.variables]))
         object.__setattr__(self, "joint", joint)
 
     @property
     def names(self) -> tuple:
-        return tuple(n for n, _ in self.variables)
+        # tuple(generator) allocates ten slots and then shrinks the tuple, and every call would
+        # park one more tuple on the interpreter's free list (up to 2000) until a full collection
+        return tuple([n for n, _ in self.variables])
 
     def index(self, var) -> int:
         if isinstance(var, (int, np.integer)):
@@ -112,7 +114,7 @@ class FiniteSystem:
     def marginal(self, vars) -> np.ndarray:
         """Marginal table with axes ordered as in ``vars``."""
         keep = self.indices(vars)
-        drop = tuple(i for i in range(len(self.variables)) if i not in keep)
+        drop = tuple([i for i in range(len(self.variables)) if i not in keep])
         marg = self.joint.sum(axis=drop) if drop else self.joint
         kept_order = [i for i in range(len(self.variables)) if i in keep]
         perm = [kept_order.index(i) for i in keep]
@@ -218,27 +220,29 @@ def _two_state_rho2(t: np.ndarray) -> np.ndarray:
     return np.fmax(rho2, 0.0)
 
 
-def _batch_maxcorr(tables: np.ndarray) -> float:
-    """Max of maximal correlations over a stack of (unnormalized) tables; a state of zero
-    mass gets a zero row or column of Pi, which leaves its singular values unchanged.
+def _batch_maxcorr(tables: np.ndarray) -> np.ndarray:
+    """Maximal correlation of each table of a (K, n, m) stack of unnormalized tables, as a (K,) array.
 
-    A one-state side gives 0, a two-state side the closed form of _two_state_rho2; only
-    tables with both sides of at least three states take the batched SVD of Pi.
+    A state of zero mass gets a zero row or column of Pi, which leaves its singular values
+    unchanged, and a table of zero mass gives 0.  A one-state side gives 0, a two-state
+    side the closed form of _two_state_rho2; only tables with both sides of at least three
+    states take the batched SVD of Pi.  Every sum and the SVD run per table, so a table's
+    value does not depend on the rest of its stack.
     """
-    n, m = tables.shape[1:]
+    k, n, m = tables.shape
     if min(n, m) == 1:
-        return 0.0
+        return np.zeros(k)
     if min(n, m) == 2:
         rho2 = _two_state_rho2(tables if n == 2 else tables.transpose(0, 2, 1))
-        return float(min(math.sqrt(rho2.max(initial=0.0)), 1.0))
+        return np.minimum(np.sqrt(rho2), 1.0)
     mass = tables.sum(axis=(1, 2))
     keep = mass > 0
-    if not keep.any():
-        return 0.0
     t = tables[keep] / mass[keep, None, None]
     outer = t.sum(axis=2)[:, :, None] * t.sum(axis=1)[:, None, :]
     pi = np.divide(t - outer, np.sqrt(outer), out=np.zeros_like(t), where=outer > 0)
-    return float(min(np.linalg.svd(pi, compute_uv=False)[:, 0].max(), 1.0))
+    rho = np.zeros(k)
+    rho[keep] = np.minimum(np.linalg.svd(pi, compute_uv=False)[:, 0], 1.0)
+    return rho
 
 
 def maxcorr_blocks(sys: FiniteSystem, block_x, block_y) -> float:
@@ -277,7 +281,7 @@ def _metalgebra_maxcorr(marg: np.ndarray) -> float:
     *pool_shape, ni, nj = marg.shape
     if pool_shape and math.prod(s + 1 for s in pool_shape) * ni * nj > STATE_CAP:
         return max(_metalgebra_maxcorr(t) for t in [*marg, marg.sum(axis=0)])
-    return _batch_maxcorr(_metalgebra_stack(marg))
+    return float(_batch_maxcorr(_metalgebra_stack(marg)).max())
 
 
 def _metalgebra_stack(marg: np.ndarray) -> np.ndarray:
@@ -290,9 +294,9 @@ def _metalgebra_stack(marg: np.ndarray) -> np.ndarray:
     """
     *pool_shape, ni, nj = marg.shape
     stack = np.empty([s + 1 for s in pool_shape] + [ni, nj])
-    stack[tuple(slice(s) for s in pool_shape)] = marg
+    stack[tuple([slice(s) for s in pool_shape])] = marg
     for k in reversed(range(len(pool_shape))):
-        head = tuple(slice(s) for s in pool_shape[:k])
+        head = tuple([slice(s) for s in pool_shape[:k]])
         slot = stack[(*head, pool_shape[k])]
         slot[...] = stack[(*head, 0)]
         for v in range(1, pool_shape[k]):
@@ -312,7 +316,7 @@ def conditional_maxcorr(sys: FiniteSystem, i, j, conditioning) -> float:
     if i in subset or j in subset:
         raise ValidationError("conditional_maxcorr: i, j must not be conditioned on")
     marg = sys.marginal(subset + [i, j])
-    return _batch_maxcorr(marg.reshape(-1, *marg.shape[-2:]))
+    return float(_batch_maxcorr(marg.reshape(-1, *marg.shape[-2:])).max())
 
 
 # ---------------------------------------------------------------------------
@@ -345,38 +349,50 @@ def _check_event_scan(*alphabets: int) -> None:
 
 
 def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
-    """Max of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]) over rows of A and B.
+    """Max of |P[A∩B] - P[A]P[B]| / sqrt(P[A]P[Ā]P[B]P[B̄]) over rows of A and B, for one
+    (n, m) table or for each table of a (K, n, m) stack.
 
     A and B are 0/1 state indicators of the two sides, one event per row.  An
     event and its complement are each summed over their own states, so both
     round alike.  Only nontrivial events count: both the event and its
     complement must hold a state of positive probability, which is where the
     denominator is positive.  A is scanned in row blocks of at most EVENT_BLOCK
-    ratios.  Returns (ratio, row, col) of the first maximizer in row-major
-    order, with ratio -inf when no pair is valid.
+    ratios across the stack, and of one row at the least.  Returns (ratio, row,
+    col) of the first maximizer in row-major order, with ratio -inf when no pair
+    is valid: a float and two ints for one table, three (K,) arrays for a stack.
+    One table gives the bits of a stack of one.  Within a larger stack a table's
+    rows fall into other blocks, which BLAS may round differently in the last bit.
     """
-    px, py = joint.sum(axis=1), joint.sum(axis=0)
-    pa, qb = A @ px, B @ py
-    wa, wb = pa * ((1 - A) @ px), qb * ((1 - B) @ py)
-    inner = joint @ B.T
-    best, at = -np.inf, (0, 0)
-    step = max(1, EVENT_BLOCK // max(1, len(B)))
+    stack = joint if joint.ndim == 3 else joint[None]
+    px, py = stack.sum(axis=2), stack.sum(axis=1)
+    # A @ px[k] and B @ py[k], one matrix-vector product per table
+    pa, qb = (A @ px[:, :, None])[:, :, 0], (B @ py[:, :, None])[:, :, 0]
+    wa = pa * ((1 - A) @ px[:, :, None])[:, :, 0]
+    wb = qb * ((1 - B) @ py[:, :, None])[:, :, 0]
+    inner = stack @ B.T
+    count, nb = len(stack), len(B)
+    best, row, col = np.full(count, -np.inf), np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    step = max(1, EVENT_BLOCK // (count * nb))
     for lo in range(0, len(A), step):
         rows = slice(lo, lo + step)
         # at most two block-sized float arrays and two bool masks are live at once
         ratio = A[rows] @ inner
-        ratio -= np.outer(pa[rows], qb)
+        ratio -= pa[:, rows, None] * qb[:, None, :]
         np.abs(ratio, out=ratio)
-        den = np.outer(wa[rows], wb)
+        den = wa[:, rows, None] * wb[:, None, :]
         np.sqrt(den, out=den)
         valid = den > 0
         np.divide(ratio, den, out=ratio, where=valid)
         np.copyto(ratio, -np.inf, where=~valid)
-        k = int(np.argmax(ratio))
-        if ratio.flat[k] > best:
-            best, at = float(ratio.flat[k]), (lo + k // len(B), k % len(B))
+        ratio = ratio.reshape(count, -1)
+        at = ratio.argmax(axis=1)
+        top = ratio[np.arange(count), at]
+        gain = top > best
+        best[gain], row[gain], col[gain] = top[gain], lo + at[gain] // nb, at[gain] % nb
         del ratio, den, valid  # before the next block is built
-    return (best, *at)
+    if joint.ndim == 3:
+        return best, row, col
+    return float(best[0]), int(row[0]), int(col[0])
 
 
 def _event_bounds(joint: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -512,5 +528,5 @@ def product_pair_system(rng, n_pairs: int, max_alpha: int = 3) -> tuple:
         (f"Y{i}", sizes[i][1]) for i in range(n_pairs)
     ]
     sys = FiniteSystem(tuple(names), joint)
-    per_pair = [_batch_maxcorr(t[None]) for t in tables]
+    per_pair = [float(_batch_maxcorr(t[None])[0]) for t in tables]
     return sys, per_pair

@@ -331,6 +331,18 @@ def lambda_integral_identity(model: ChogosovModel, p: float) -> LambdaIntegral:
 
 @dataclass(frozen=True)
 class NuModel:
+    """The near-optimal measure nu on an m x m grid, for 0 < x <= eps < 1 and factor < 1.
+
+    The range is read off nu_cell_masses' construction and factor.  The corner
+    measure and the mixed density 1 - (eps/2) sqrt(x/p) >= 1/2 are nonnegative for
+    any eps and x, and the uniform weight 1 - (2 - eps) x on (x, 1)^2 is nonnegative
+    for x <= 1 / (2 - eps), so nu is a probability measure there.  factor's second
+    term x (eps - x) / (eps (1 - x)^2) is nonnegative for x <= eps, and it goes
+    negative beyond: (0.5, 0.65) has factor -0.163 and scans a worst ratio of 0.650
+    at m = 512.  eps (2 - eps) <= 1 for every eps, so x <= eps gives both.  factor < 1
+    keeps the bound below the trivial one.
+    """
+
     eps: float
     x: float
     m: int = 512
@@ -342,6 +354,9 @@ class NuModel:
             raise ValidationError("NuModel: grid resolution must be >= 8")
         if self.m > NU_GRID_CAP:
             raise CapExceededError(f"NuModel: grid resolution above cap {NU_GRID_CAP}")
+        if self.x > self.eps:
+            raise ValidationError(f"NuModel: x must lie in (0, eps] = (0, {self.eps!r}]; beyond it nu can have "
+                                  f"negative cells and factor does not bound its event ratio; got x = {self.x!r}")
         if self.factor >= 1.0:
             raise ValidationError("NuModel: factor >= 1, choose a smaller x")
 

@@ -377,10 +377,13 @@ def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,) or not np.isfinite(v).all():
         raise ValidationError("three_lines: each direction must be a finite 3-vector")
-    n = np.linalg.norm(v)
-    if n == 0:
+    scale = np.abs(v).max()
+    if scale == 0:
         raise ValidationError("three_lines: zero vector does not define a line")
-    return v / n
+    # largest entry scaled into [0.5, 1) by a power of two, which rounds nothing: the norm
+    # neither overflows nor underflows, and a vector it did not do so for keeps its bits
+    v = np.ldexp(v, -np.frexp(scale)[1])
+    return v / np.linalg.norm(v)
 
 
 def _line_sines(U: np.ndarray) -> tuple:

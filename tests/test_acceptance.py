@@ -3,8 +3,10 @@
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete, or `rhomix verify-all` for the same checks from the CLI.
 """
+import itertools
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from rhomix import acceptance, discrete, gaussian
@@ -55,6 +57,42 @@ def test_check_07_catches_a_high_event_scan(monkeypatch, error, passes):
     monkeypatch.setattr(discrete, "_event_ratio_scan", scaled)
     result = acceptance.check_07_event_criteria()
     assert result.passed == passes, result.detail
+
+
+def test_sweep_eps_are_subjective_maxcorr_bit_for_bit():
+    # criteria 3 and 8 score every pair's metalgebra stack within shape groups of
+    # SWEEP_CHUNK systems: each eps must be the per-pair oracle's, bit for bit
+    sweep = acceptance._scored_sweep(500, acceptance._sweep_system, acceptance._tensor_stacks, discrete._batch_maxcorr)
+    for (sys, xs, ys), eps in sweep:
+        assert eps.tolist() == [discrete.subjective_maxcorr(sys, x, y) for x, y in itertools.product(xs, ys)]
+    sweep = acceptance._scored_sweep(200, acceptance._spin_system, acceptance._spin_stacks, discrete._batch_maxcorr)
+    for sys, eps in sweep:
+        pairs = itertools.combinations(range(len(sys.variables)), 2)
+        assert eps.tolist() == [discrete.subjective_maxcorr(sys, i, j) for i, j in pairs]
+
+
+def test_event_sweep_matches_the_per_pair_oracles():
+    # criterion 7 reads its tables as marginals and scans each shape group whole: on
+    # single-variable pairs the event maxima must be event_extremes' bits; on blocks, where
+    # event_extremes prunes and its row blocks round otherwise, within 1e-14 relative.  The
+    # maximal correlations are the SVD's within 1e-14
+    def sweep(score):
+        return acceptance._scored_sweep(500, acceptance._sweep_system, acceptance._event_tables, score)
+
+    blocks = 0
+    for ((sys, xs, ys), ratio), (_, rho) in zip(sweep(acceptance._event_maxima), sweep(discrete._batch_maxcorr)):
+        pairs = [sys.pair([x], [y]) for x, y in itertools.product(xs, ys)]
+        block = sys.pair(xs, ys)
+        if max(len(block.labels_x), len(block.labels_y)) <= 10:
+            pairs.append(block)
+        assert len(ratio) == len(pairs)
+        want = np.array([discrete.event_extremes(p).max_ratio for p in pairs])
+        single = len(xs) * len(ys)
+        assert ratio[:single].tolist() == want[:single].tolist()
+        assert np.all(np.abs(ratio[single:] - want[single:]) <= 1e-14 * want[single:])
+        assert np.abs(rho - [discrete.maxcorr_pair(p).rho for p in pairs]).max() <= 1e-14
+        blocks += len(pairs) - single
+    assert blocks > 200
 
 
 def test_check_13_reports_a_broken_identity(monkeypatch):

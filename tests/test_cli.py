@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,8 @@ class TestHandlerTable:
         (["glauber-gap", "sublattice", "--kernel", "{heavy_4d}"], "spacing 33 has 33^4 congruence classes"),
         (["glauber-gap", "sublattice", "--kernel", "{wide_2d}"],
          "sublattice_gap: spacing 33 gives a block system of 1089 classes, above cap 1024"),
+        (["event-bound", "nu", "--eps", "0.5", "--x", "0.65"], "x must lie in (0, eps] = (0, 0.5]"),
+        (["event-bound", "nu", "--eps", "1e-308", "--x", "0.75", "--m", "16"], "x must lie in (0, eps]"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):
@@ -482,6 +485,20 @@ class TestHandlerTable:
         assert code == 2
         assert captured.err.startswith("invariant violated: ") and message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, want", [
+        # p * q overflowed in chogosov_cdf before chogosov_zone checked the range
+        (["chogosov", "cdf", "--eps", "0.5", "--p", "1e200"], 2),
+        (["chogosov", "cdf", "--eps", "0.5", "--q", "-1e200"], 2),
+        # the norm overflowed and the lines read as collinear; now it is the answer of 1,1,0
+        (["three-lines", "--u1", "1e300,1e300,0", "--u2", "0,1,0", "--u3", "0,0,1"],
+         ["three-lines", "--u1", "1,1,0", "--u2", "0,1,0", "--u3", "0,0,1"]),
+    ])
+    def test_extreme_flag_values_raise_no_warning(self, argv, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _exit_and_stdout(argv)
+            assert got == (_exit_and_stdout(want) if isinstance(want, list) else (want, ""))
 
     @pytest.mark.parametrize("argv", [
         ["tensor-bound", "zn", "--kernel", "{inf_C}"],
@@ -893,6 +910,8 @@ class TestFuzz:
     @example(argv=["chogosov", "cdf", "--eps=0.5", "--p=0.9999999999999999", "--q=5e-324"])
     @example(argv=["ou-chain", "--t=1e-110", "--K=8"])
     @example(argv=["ou-chain", "--t=1e-103", "--K=8"])
+    # once accepted with x > eps: factor overflowed to -inf, and the payload was not strict JSON
+    @example(argv=["event-bound", "nu", "--eps=1e-308", "--x=0.75", "--m=16"])
     def test_number_flags(self, argv):
         _check_outcome(argv)
 

@@ -189,7 +189,7 @@ def _subset_loop(sys, i, j, pool):
     best = 0.0
     for r in range(len(pool) + 1):
         for subset in itertools.combinations(pool, r):
-            best = max(best, discrete._batch_maxcorr(sys.marginal(list(subset) + [i, j]).reshape(-1, ni, nj)))
+            best = max(best, discrete._batch_maxcorr(sys.marginal(list(subset) + [i, j]).reshape(-1, ni, nj)).max())
             if best >= 1.0 - 1e-15:
                 return min(best, 1.0)
     return best
@@ -222,7 +222,7 @@ class TestBatchMaxcorr:
         # a stack of unnormalized tables (masses from 1e-150 to 1e150) with a
         # side of at most two states, with zero-mass tables, rows and columns:
         # the normalization-free closed form must be the SVD's sigma_1 of each
-        # table, and of the stack its maximum
+        # table, alone and within the stack
         rng = np.random.default_rng(seed)
         n, m = {"1xm": (1, size), "2xm": (2, size), "nx2": (size, 2)}[shape]
         tables = rng.dirichlet(np.ones(n * m), size=count).reshape(count, n, m)
@@ -232,8 +232,8 @@ class TestBatchMaxcorr:
         tables *= 10.0 ** rng.uniform(-150, 150, size=(count, 1, 1))
         want = [discrete.maxcorr_pair(pair(t / t.sum())).rho if t.sum() > 0 else 0.0 for t in tables]
         for t, rho in zip(tables, want):
-            assert abs(discrete._batch_maxcorr(t[None]) - rho) <= 1e-14
-        assert abs(discrete._batch_maxcorr(tables) - max(want)) <= 1e-14
+            assert abs(discrete._batch_maxcorr(t[None])[0] - rho) <= 1e-14
+        assert np.abs(discrete._batch_maxcorr(tables) - want).max(initial=0.0) <= 1e-14
 
 
 class TestSubjective:
@@ -515,15 +515,43 @@ class TestEventExtremes:
         for case, want in zip(cases, expected):
             assert discrete._event_ratio_scan(*case) == want
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 10, discrete.EVENT_BLOCK])
+    def test_stacked_scan_matches_one_table_at_a_time(self, block, monkeypatch):
+        # value, row and col of each table of a stack must be those of the table alone,
+        # whatever the block: ties, a zero-mass row and column, and a table with no valid
+        # pair.  The blocks of a stack end at other rows than those of one table, so the
+        # masses are dyadic (see above); 3x3 tables, whose 4 x 8 ratios fit one block in
+        # either call, must match with any masses
+        def dyadic(joint):
+            return np.round(joint / joint.sum() * 2.0**40) / 2.0**40
+
+        rng = np.random.default_rng(14)
+        cases = []
+        for n, m, count in ((3, 3, 30), (5, 6, 9), (7, 4, 4)):
+            tables = np.stack([dyadic(random_joint(rng, n, m)) for _ in range(count)])
+            tables[1, 0], tables[2, :, 1] = 0.0, 0.0
+            tables[[0, 3]] = 0.0
+            tables[0, :3, :3], tables[3, 0, 0] = np.diag(np.full(3, 1.0 / 3.0)), 1.0
+            cases.append((tables, discrete._half_masks(n), discrete._masks(m)))
+        cases.append((rng.dirichlet(np.ones(9), size=40).reshape(40, 3, 3), discrete._half_masks(3), discrete._masks(3)))
+        expected = [[discrete._event_ratio_scan(t, A, B) for t in tables] for tables, A, B in cases]
+        assert expected[0][0][0] == 1.0 and expected[0][3][0] == -np.inf
+        monkeypatch.setattr(discrete, "EVENT_BLOCK", block)
+        for (tables, A, B), want in zip(cases[:3] if block < 1 << 10 else cases, expected):
+            ratio, row, col = discrete._event_ratio_scan(tables, A, B)
+            assert list(zip(ratio.tolist(), row.tolist(), col.tolist())) == want
+
     def test_scan_memory_is_bounded_by_the_block(self):
-        # 2^23 ratios in 64 blocks: the block work stays within two and a half
-        # block-sized float arrays on top of the inputs (measured: 2.0 at 2^17,
-        # 3.0 when a block's arrays outlive it; the one-expression block of
-        # 2^22 ratios took 5.1)
-        joint = random_joint(np.random.default_rng(3), 12, 11)
-        A, B = discrete._masks(12), discrete._masks(11)
-        peak = traced_peak(lambda: discrete._event_ratio_scan(joint, A, B))
-        assert peak <= 2.5 * 8 * discrete.EVENT_BLOCK + joint.nbytes + A.nbytes + B.nbytes
+        # 2^23 ratios in 64 blocks, and a stack of four tables with 2^21 ratios in 16
+        # blocks: the block work stays within two and a half block-sized float arrays on
+        # top of the inputs (measured: 2.0 at 2^17, 3.0 when a block's arrays outlive it;
+        # the one-expression block of 2^22 ratios took 5.1)
+        one = random_joint(np.random.default_rng(3), 12, 11)
+        stack = np.stack([random_joint(np.random.default_rng(4 + k), 10, 9) for k in range(4)])
+        for joint in (one, stack):
+            A, B = discrete._masks(joint.shape[-2]), discrete._masks(joint.shape[-1])
+            peak = traced_peak(lambda: discrete._event_ratio_scan(joint, A, B))
+            assert peak <= 2.5 * 8 * discrete.EVENT_BLOCK + joint.nbytes + A.nbytes + B.nbytes
 
 
 def traced_peak(fn) -> int:

@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -397,6 +399,35 @@ class TestNuMeasure:
             table, A, B = events._nu_event_families(cells, seed)["unions"]
             assert table is cells
             assert np.array_equal(A, unions[:half]) and np.array_equal(B, unions[half:])
+
+    def test_every_accepted_model_is_a_measure_within_its_factor(self):
+        # on a grid of eps and x, NuModel refuses x > eps and names the range; every model
+        # it accepts has nonnegative cells and a worst scanned ratio within factor + 2/m.
+        # Beyond the range both fail, as the unchecked models show: (0.8, 0.88) has a
+        # negative cell, and (0.5, 0.65) a negative factor below its worst ratio
+        m, accepted = 64, 0
+        for eps, x in itertools.product(np.linspace(0.02, 0.98, 9).tolist(), np.linspace(0.01, 0.95, 9).tolist()):
+            if x > eps:
+                with pytest.raises(ValidationError, match=r"x must lie in \(0, eps\]"):
+                    NuModel(eps, x, m)
+                continue
+            try:
+                model = NuModel(eps, x, m)
+            except ValidationError as exc:
+                assert "factor >= 1" in str(exc)
+                continue
+            accepted += 1
+            assert events.nu_cell_masses(model).min() >= 0.0, (eps, x)
+            rep = events.nu_event_ratio(model)
+            assert rep.worst_ratio <= rep.factor + 2.0 / m, (eps, x, rep)
+        assert accepted >= 15
+
+        def unchecked(eps, x):
+            return SimpleNamespace(eps=eps, x=x, m=m, factor=NuModel.factor.fget(SimpleNamespace(eps=eps, x=x)))
+
+        assert events.nu_cell_masses(unchecked(0.8, 0.88)).min() < 0.0
+        rep = events.nu_event_ratio(unchecked(0.5, 0.65))
+        assert rep.worst_ratio > rep.factor + 2.0 / m, rep
 
     def test_factor_too_large_is_an_error(self):
         with pytest.raises(ValidationError):
