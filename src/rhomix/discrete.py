@@ -21,8 +21,8 @@ from .errors import CapExceededError, ValidationError
 PROB_TOL = 1e-12
 STATE_CAP = 1 << 20
 EVENT_SCAN_CAP = 20
-EVENT_BLOCK = 1 << 17  # ratios in one row block of _event_ratio_scan (1 MiB of floats)
-EVENT_SEED = 64  # events per side in event_extremes' seed scan
+EVENT_BLOCK = 1 << 17  # entries in one row block of _event_ratio_scan and _event_bounds (1 MiB of floats)
+EVENT_SEED = 64  # events per side in _event_max's seed scan
 POOL_CAP = 12
 
 
@@ -398,19 +398,92 @@ def _event_ratio_scan(joint: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
 def _event_bounds(joint: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """u(E) = maxcorr(1_E, Y) for each row E of ``masks``, a 0/1 indicator over the rows of ``joint``.
 
-    (1_E, Y) has a two-state side, so u(E) has the closed form of _two_state_rho2,
-    here on a normalized joint: u(E)^2 = sum_j c_j^2 / b_j / (P[E] P[Ē]), where
-    c_j = P[E, y_j] - P[E] b_j is the sum over E of the rows of joint - P_X P_Y.
-    P[E] and P[Ē] are each summed over their own states.  Every event ratio of E
-    is the correlation of 1_E with an indicator of Y, so it is at most u(E) (the
-    paper's chain ratio <= rho, one event at a time).  A trivial E gives 0.
+    (1_E, Y) has a two-state side, so u(E) has the closed form of _two_state_rho2:
+    on a table of total M, u(E)^2 = M sum_j c_j^2 / b_j / (P[E] P[Ē]), where c_j =
+    P[E, y_j] - P[E] b_j / M is the sum over E of the rows of joint - P_X P_Y / M,
+    and nothing is normalized.  P[E] and P[Ē] are each summed over their own
+    states.  Every event ratio of E is the correlation of 1_E with an indicator of
+    Y, so it is at most u(E) (the paper's chain ratio <= rho, one event at a time).
+    A trivial E gives 0.  ``masks`` is read in row blocks whose complement and c
+    together hold at most EVENT_BLOCK entries, so nothing mask-sized is allocated
+    beyond u itself.
     """
     px, b = joint.sum(axis=1), joint.sum(axis=0)
-    w = (masks @ px) * ((1 - masks) @ px)
-    c = masks @ (joint - np.outer(px, b))
-    c *= c
-    s = c @ np.divide(1.0, b, out=np.zeros_like(b), where=b > 0)  # a zero-mass column has c_j = 0
-    return np.sqrt(np.divide(s, w, out=np.zeros_like(s), where=w > 0))
+    total = px.sum()
+    dev = joint - np.outer(px, b / total)
+    inv_b = np.divide(total, b, out=np.zeros_like(b), where=b > 0)  # a zero-mass column has c_j = 0
+    u = np.empty(len(masks))
+    step = max(1, EVENT_BLOCK // sum(joint.shape))
+    for lo in range(0, len(masks), step):
+        block = masks[lo:lo + step]
+        w = (block @ px) * ((1 - block) @ px)
+        c = block @ dev
+        c *= c
+        s = c @ inv_b
+        u[lo:lo + step] = np.sqrt(np.divide(s, w, out=np.zeros_like(s), where=w > 0))
+    return u
+
+
+def _largest(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The EVENT_SEED indices of ``keep`` (ascending) of largest u, lower index first among ties:
+    the set of a stable argsort of -u[keep], by one partition."""
+    v = u[keep]
+    if len(v) <= EVENT_SEED:
+        return keep
+    cut = np.partition(v, len(v) - EVENT_SEED)[len(v) - EVENT_SEED]
+    top = v > cut
+    top[np.flatnonzero(v == cut)[:EVENT_SEED - np.count_nonzero(top)]] = True
+    return keep[top]
+
+
+def _event_max(joint: np.ndarray, A: np.ndarray, B: np.ndarray, floor: float = -math.inf) -> tuple:
+    """(ratio, row, col) of _event_ratio_scan(joint, A, B), by bound and prune, or (-inf, 0, 0)
+    when no pair's ratio reaches ``floor``.
+
+    With more than EVENT_SEED events on a side, each side's events are bounded by
+    u (_event_bounds); an event whose u falls below the floor less a margin is
+    cut, and when no row survives the column bound is not computed.  A seed scan
+    of the EVENT_SEED surviving events of largest u per side then gives a first
+    maximum, and the final scan visits only the events whose u reaches the larger
+    of it and the floor, less the margin, plus the seed scan's maximizers.  No maximizer is cut, so (row, col) is the first
+    maximizer in mask order, as for the whole scan.  Where every u is about 0
+    (an independent table) nothing is cut, so the worst case stays the whole scan.
+
+    The margin is (16 (n + m) u + 2 |M - 1|) / sqrt(p_min q_min), u = 2^-53, with
+    M the table's total and p_min, q_min the smallest positive row and column
+    masses of the normalized table; a nontrivial event's complement holds a state
+    of positive mass, so sqrt(P[Ā] P[B̄]) >= sqrt(p_min q_min).  To first order
+    the computed ratio and u each err by at most 8 (n + m) u / sqrt(P[Ā] P[B̄]).
+    The table is scanned as given, not renormalized: on masses t of total M the
+    normalized ratio is |M t_AB - t_A t_B| / sqrt(t_A t_Ā t_B t_B̄), and the scan's
+    |t_AB - t_A t_B| differs from that numerator by at most |M - 1| t_AB <=
+    |M - 1| sqrt(t_A t_B), so the scanned ratio is within |M - 1| / sqrt(t_Ā t_B̄)
+    of the ratio that u bounds; t = M p, and 2 |M - 1| covers the factor 1 / M.
+    """
+    rows, cols = np.arange(len(A)), np.arange(len(B))
+    if max(len(A), len(B)) > EVENT_SEED:
+        px, py = joint.sum(axis=1), joint.sum(axis=0)
+        total = px.sum()
+        margin = (16 * sum(joint.shape) * 2.0**-53 + 2 * abs(total - 1)) * total / math.sqrt(
+            px[px > 0].min() * py[py > 0].min())
+        ua = _event_bounds(joint, A)
+        rows = np.flatnonzero(ua >= floor - margin)
+        if not len(rows):
+            return -math.inf, 0, 0
+        ub = _event_bounds(joint.T, B)
+        cols = np.flatnonzero(ub >= floor - margin)
+        if not len(cols):
+            return -math.inf, 0, 0
+        if max(len(rows), len(cols)) > EVENT_SEED:
+            seed_a, seed_b = _largest(ua, rows), _largest(ub, cols)
+            best, i, j = _event_ratio_scan(joint, A[seed_a], B[seed_b])
+            cut = max(best, floor) - margin
+            rows = np.union1d(np.flatnonzero(ua >= cut), seed_a[i])
+            cols = np.union1d(np.flatnonzero(ub >= cut), seed_b[j])
+    best, i, j = _event_ratio_scan(joint, A[rows], B[cols])
+    if best < floor:
+        return -math.inf, 0, 0
+    return best, int(rows[i]), int(cols[j])
 
 
 def event_extremes(pair: FinitePair) -> EventExtremes:
@@ -418,36 +491,16 @@ def event_extremes(pair: FinitePair) -> EventExtremes:
 
     The maximum runs over nontrivial events A, B.  The ratio is the same for
     A and Ā, and for B and B̄, so only events without the last state of their
-    side are scanned.  With more than EVENT_SEED of them on a side, a seed
-    scan of the EVENT_SEED events of largest bound u (_event_bounds) per side
-    gives a first maximum; the final scan visits only the events whose u
-    reaches it, less a first-order rounding bound of u and of the ratio, plus
-    the seed scan's maximizers.  No maximizer is cut, so the witness is the
-    first maximizer in mask order, as for the whole scan, and neither witness
-    holds the last state of its side; in exact arithmetic it is also the
-    first maximizer over all events.  Where every u is about 0 (an
-    independent table) nothing is cut, so the worst case stays the whole
-    scan.  Alphabets are capped at EVENT_SCAN_CAP states per side.
+    side are scanned, by _event_max: the witness is the first maximizer in mask
+    order, as for the whole scan, and neither witness holds the last state of
+    its side; in exact arithmetic it is also the first maximizer over all
+    events.  Alphabets are capped at EVENT_SCAN_CAP states per side.
     """
     n, m = pair.joint.shape
     _check_event_scan(n, m)
-    joint = pair.joint / pair.joint.sum()
-    A, B = _half_masks(n), _half_masks(m)
-    rows, cols = np.arange(len(A)), np.arange(len(B))
-    if max(len(A), len(B)) > EVENT_SEED:
-        ua, ub = _event_bounds(joint, A), _event_bounds(joint.T, B)
-        seed_a, seed_b = (np.sort(np.argsort(-u, kind="stable")[:EVENT_SEED]) for u in (ua, ub))
-        best, i, j = _event_ratio_scan(joint, A[seed_a], B[seed_b])
-        # to first order the computed ratio and u each err by at most 8 (n + m) u / sqrt(P[Ā] P[B̄])
-        # (u = 2^-53), and a nontrivial event's complement holds a state of positive mass
-        px, py = joint.sum(axis=1), joint.sum(axis=0)
-        cut = best - 16 * (n + m) * 2.0**-53 / math.sqrt(px[px > 0].min() * py[py > 0].min())
-        rows = np.union1d(np.flatnonzero(ua >= cut), seed_a[i])
-        cols = np.union1d(np.flatnonzero(ub >= cut), seed_b[j])
-    best, i, j = _event_ratio_scan(joint, A[rows], B[cols])
+    best, a, b = _event_max(pair.joint / pair.joint.sum(), _half_masks(n), _half_masks(m))
     if best < 0:
         return EventExtremes(0.0, (), ())
-    a, b = int(rows[i]), int(cols[j])
     wa = tuple(pair.labels_x[t] for t in range(n) if (a >> t) & 1)
     wb = tuple(pair.labels_y[t] for t in range(m) if (b >> t) & 1)
     return EventExtremes(best, wa, wb)

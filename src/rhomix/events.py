@@ -21,7 +21,8 @@ OPNORM_MIN_GRID = 256
 OPNORM_MAX_GRID = 1 << 22
 SAMPLE_CAP = 1 << 22  # chogosov_sample peaks at about 13 floats per sample
 NU_UNION_SAMPLES = 2000  # seeded random unions scanned by nu_event_ratio
-# nu_event_ratio scans (m^2/128)^2 stride-8 interval pairs at m/8 multiply-adds each: time grows like m^5
+# where the floor cuts no stride-8 event, nu_event_ratio scans (m^2/128)^2 of its interval pairs at m/8
+# multiply-adds each: time grows like m^5
 NU_GRID_CAP = 768
 
 
@@ -461,11 +462,15 @@ def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     The scan covers every anchored-interval pair (the extremizers), every
     single-interval pair on a stride-8 subgrid, and the first half of the
     nontrivial ones among NU_UNION_SAMPLES seeded random unions of up to 4
-    intervals against the second half; each family is one _event_ratio_scan,
-    the stride-8 one on the table of 8 x 8 block sums (_nu_event_families).
+    intervals against the second half; the stride-8 family is scanned on the
+    table of 8 x 8 block sums (_nu_event_families).  Each family is one
+    _event_max, in the order anchored, stride-8, unions, with the running
+    maximum as its floor: an event whose bound u falls below it is not scanned,
+    so a family that cannot beat the anchored maximum costs its bound alone.
+    The cells are scanned as assembled, not renormalized.
     The worst ratio is asserted by the caller to stay below the model factor plus grid slack.
     """
-    from .discrete import _event_ratio_scan
+    from .discrete import _event_max
 
     m = model.m
     cells = nu_cell_masses(model)
@@ -474,7 +479,9 @@ def nu_event_ratio(model: NuModel, seed: int = 0) -> NuEventReport:
     )
     if marg_err > 1e-9:
         raise ValidationError("nu_event_ratio: assembled marginals are not uniform")
-    worst = max(_event_ratio_scan(*family)[0] for family in _nu_event_families(cells, seed).values())
+    worst = -math.inf
+    for table, A, B in _nu_event_families(cells, seed).values():
+        worst = max(worst, _event_max(table, A, B, worst)[0])
 
     # correlation lower-bound witness: truncated 1/sqrt(p) test function
     mid = (np.arange(m) + 0.5) / m

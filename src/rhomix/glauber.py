@@ -397,15 +397,20 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
     """Continuous-time heat-bath trajectory of an Ising torus of any size, uniformized
     like ``glauber_simulate``; clamped spins keep their value.  The initial state is
     burned in by ``ising_mcmc_samples`` on the same generator.  ``observable`` maps the
-    +-1 spin vector to a float (default: magnetization / sqrt(N)) and is evaluated once
-    per sample time, every ISING_SAMPLE_DT on [0, horizon].  No events are recorded.
+    +-1 spin vector, a float ndarray, to a float and is evaluated once per sample
+    time, every ISING_SAMPLE_DT on [0, horizon].  The default, magnetization /
+    sqrt(N), sums the int state list: a sum of +-1 is exact, so it gives the bits of
+    ``lambda s: float(s.sum()) / math.sqrt(N)`` without an array per sample.  No
+    events are recorded.
     """
     from .lattice import _heat_bath_updater, ising_mcmc_samples
 
     nsite = torus.L**torus.n
     _check_horizon(nsite, horizon)
     if observable is None:
-        observable = lambda spins: float(spins.sum()) / math.sqrt(nsite)
+        read = lambda state: sum(state) / math.sqrt(nsite)
+    else:
+        read = lambda state: observable(np.array(state, dtype=float))
     rng = np.random.default_rng(seed)
     burned = ising_mcmc_samples(torus, sweeps=1, thin=1, seed=rng, burn=ISING_BURN_SWEEPS)
     state = burned[-1].astype(int).tolist()
@@ -415,7 +420,7 @@ def glauber_simulate_ising(torus, horizon: float, seed: int = 0, observable=None
     for lo, _, counts in _sample_counts(times, ISING_SAMPLE_DT, int(horizon / ISING_SAMPLE_DT) + 1):
         for upto in (lo + counts).tolist():
             update(state, sites[done:upto].tolist(), uniforms[done:upto].tolist())
-            samples.append(observable(np.array(state, dtype=float)))
+            samples.append(read(state))
             done = upto
     return _result(np.array(samples), ISING_SAMPLE_DT, *_NO_EVENTS)
 

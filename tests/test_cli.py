@@ -785,12 +785,23 @@ def _reject_constant(name):
     raise ValueError(f"output holds {name}")
 
 
+# what an exit-0 payload must satisfy beyond strict JSON, by (command, kind), given the parsed flags
+PAYLOAD_RULES = {
+    ("event-bound", "nu"): lambda r, args: (0 <= r["worst_ratio"] <= 1 and r["worst_ratio"] <= r["factor"] + 2 / args.m
+                                            and abs(r["witness_correlation"]) <= 1),
+    ("event-bound", "extremes"): lambda r, args: 0 <= r["max_ratio"] <= 1,
+}
+
+
 def _check_outcome(argv):
     code, out = _exit_and_stdout(argv)
     command = next((a for a in argv if not a.startswith("-")), None)  # as cli.main finds it
     assert code in ((0, 2) if command in cli.HANDLERS else (64,)), (argv, code)
     if code == 0:
-        json.loads(out, parse_constant=_reject_constant)  # strict JSON: no NaN or Infinity
+        payload = json.loads(out, parse_constant=_reject_constant)  # strict JSON: no NaN or Infinity
+        args = cli.build_parser().parse_args(argv)
+        rule = PAYLOAD_RULES.get((args.command, getattr(args, "kind", None)))
+        assert rule is None or rule(payload, args), (argv, payload)
 
 
 # a number flag as typed: the edge values, any float, a float in [0, 1], or junk text
@@ -912,6 +923,8 @@ class TestFuzz:
     @example(argv=["ou-chain", "--t=1e-103", "--K=8"])
     # once accepted with x > eps: factor overflowed to -inf, and the payload was not strict JSON
     @example(argv=["event-bound", "nu", "--eps=1e-308", "--x=0.75", "--m=16"])
+    # an exit-0 nu payload with witness correlation 0.54, for PAYLOAD_RULES
+    @example(argv=["event-bound", "nu", "--eps=0.7", "--x=0.05", "--m=16"])
     def test_number_flags(self, argv):
         _check_outcome(argv)
 

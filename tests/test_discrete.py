@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rhomix import discrete, events
 from rhomix.discrete import FinitePair, FiniteSystem
@@ -552,6 +552,65 @@ class TestEventExtremes:
             A, B = discrete._masks(joint.shape[-2]), discrete._masks(joint.shape[-1])
             peak = traced_peak(lambda: discrete._event_ratio_scan(joint, A, B))
             assert peak <= 2.5 * 8 * discrete.EVENT_BLOCK + joint.nbytes + A.nbytes + B.nbytes
+
+    def test_seed_is_the_stable_argsorts_top(self):
+        # the seed scan's events: the EVENT_SEED largest u of the kept events, lower index
+        # first among ties, as a stable argsort of -u picks them, on values with many ties
+        rng = np.random.default_rng(9)
+        for size in (1, 64, 65, 300):
+            u = rng.integers(0, 5, size=size) / 4.0
+            for keep in (np.arange(size), np.flatnonzero(rng.uniform(size=size) < 0.7)):
+                want = np.sort(keep[np.argsort(-u[keep], kind="stable")[:discrete.EVENT_SEED]])
+                assert np.array_equal(discrete._largest(u, keep), want)
+
+    def test_bound_memory_is_bounded_by_the_block(self):
+        # 2^15 half masks of 16 states, bounded against both sides of a 16 x 16 table: u is
+        # built in row blocks whose complement and c together hold EVENT_BLOCK entries, so
+        # beyond u itself the bound stays within two block-sized float arrays (measured:
+        # 1.13; the whole-mask form took 4.75, a complement and a c of 4 MiB each)
+        joint = random_joint(np.random.default_rng(5), 16, 16)
+        masks = discrete._half_masks(16)
+        for table in (joint, joint.T):
+            peak = traced_peak(lambda: discrete._event_bounds(table, masks))
+            assert peak <= 2 * 8 * discrete.EVENT_BLOCK + 8 * len(masks) + 8 * joint.size
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), m=st.integers(1, 9),
+           rows=st.integers(1, 200), cols=st.integers(1, 200),
+           mass=st.sampled_from([1.0, 1.0 + 2.0**-48, 1.0 - 2.0**-48]),
+           floor=st.one_of(st.just(-math.inf), st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12]), st.floats(0, 1.2)),
+           relative=st.booleans())
+    @example(seed=0, n=6, m=2, rows=150, cols=3, mass=1.0, floor=1 - 1e-12, relative=True)
+    @example(seed=1, n=2, m=7, rows=3, cols=150, mass=1.0 + 2.0**-48, floor=1 - 1e-12, relative=True)
+    def test_pruned_scan_is_the_whole_scan_above_its_floor(self, seed, n, m, rows, cols, mass, floor, relative):
+        # _event_max against the whole _event_ratio_scan it replaces: random tables with
+        # zero-mass states and a total off 1 by a few ulps, random mask families (sides of
+        # more than EVENT_SEED events run the bound and prune) and random floors, some of
+        # them a multiple of the whole scan's maximum (a side of two states makes u tight,
+        # so a floor just below the maximum cuts all but its row).  It must give that
+        # maximum within 1e-13 relative, at a pair that attains it, when the maximum reaches
+        # the floor, and -inf when it does not; within 1e-13 of the floor either is right
+        rng = np.random.default_rng(seed)
+        joint = random_joint(rng, n, m) * (rng.uniform(size=(n, m)) > 0.3)
+        joint[rng.uniform(size=n) < 0.2] = 0.0
+        joint[:, rng.uniform(size=m) < 0.2] = 0.0
+        if joint.sum() == 0:
+            joint[0, 0] = 1.0
+        joint *= mass / joint.sum()
+        A = (rng.uniform(size=(rows, n)) < rng.uniform()).astype(float)
+        B = (rng.uniform(size=(cols, m)) < rng.uniform()).astype(float)
+        want = discrete._event_ratio_scan(joint, A, B)[0]
+        if relative and want > 0:
+            floor *= want
+        got, i, j = discrete._event_max(joint, A, B, floor)
+        if want >= floor + 1e-13 * abs(floor) or floor == -math.inf:
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (got, want, floor)
+            if got > -math.inf:
+                assert discrete._event_ratio_scan(joint, A[i:i + 1], B[j:j + 1])[0] == pytest.approx(want, rel=1e-13)
+        elif want < floor - 1e-13 * abs(floor):
+            assert got == -math.inf, (got, want, floor)
+        else:
+            assert got == -math.inf or got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def traced_peak(fn) -> int:

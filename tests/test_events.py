@@ -359,6 +359,44 @@ class TestNuMeasure:
             worst = events.nu_event_ratio(NuModel(0.5, 0.02, m), seed=seed).worst_ratio
             assert worst == pytest.approx(max(ref.values()), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("m", [64, 512, 768])
+    def test_pruned_families_give_the_whole_scans_maximum(self, m):
+        # nu_event_ratio bounds each family and scans only what can beat the running
+        # maximum; the reference scans the three families whole.  The anchored and stride-8
+        # families do not depend on the seed, so their whole scans are taken once a model
+        for eps, x in ((0.2, 0.02), (0.2, 0.2), (0.5, 0.02), (0.5, 0.1), (0.8, 0.02), (0.8, 0.1)):
+            model = NuModel(eps, x, m)
+            cells = events.nu_cell_masses(model)
+            fixed = None
+            for seed in range(3):
+                families = events._nu_event_families(cells, seed)
+                if fixed is None:
+                    fixed = max(discrete._event_ratio_scan(*families[name])[0] for name in ("anchored", "stride8"))
+                want = max(fixed, discrete._event_ratio_scan(*families["unions"])[0])
+                got = events.nu_event_ratio(model, seed=seed).worst_ratio
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (eps, x, seed)
+
+    def test_families_below_the_anchored_maximum_are_not_scanned(self, monkeypatch):
+        # at (0.5, 0.02, 512) no stride-8 event and no union has a bound u that reaches the
+        # anchored maximum, so neither family reaches _event_ratio_scan with a single pair,
+        # and the anchored family scans a small part of its 511 x 511 pairs
+        event_max, ratio_scan = discrete._event_max, discrete._event_ratio_scan
+        scanned = []
+
+        def tagged(*args):
+            scanned.append(0)
+            return event_max(*args)
+
+        def counted(joint, A, B):
+            scanned[-1] += len(A) * len(B)
+            return ratio_scan(joint, A, B)
+
+        monkeypatch.setattr(discrete, "_event_max", tagged)
+        monkeypatch.setattr(discrete, "_event_ratio_scan", counted)
+        events.nu_event_ratio(NuModel(0.5, 0.02, 512))
+        anchored, stride8, unions = scanned
+        assert stride8 == unions == 0 and 0 < anchored < 511**2 // 20, scanned
+
     @pytest.mark.parametrize("m", [64, 100, 256, 512, 768])
     def test_block_table_scan_matches_the_fine_cell_scan(self, m):
         # the stride-8 family on the 8 x 8 block sums holds the same events as the

@@ -528,6 +528,19 @@ class TestSimulator:
         assert np.isin(times, grid).sum() >= times.size // 2
         assert np.array_equal(seen, np.searchsorted(times, grid, side="right"))
 
+    def test_ising_default_observable_is_the_scaled_magnetization(self):
+        # the default sums the int state list; the explicit observable sums a float array per
+        # sample time.  Both sums of +-1 are exact, so every output keeps its bits
+        from rhomix.lattice import IsingTorus
+
+        torus = IsingTorus(1, 8, 2.0)
+        default = glauber.glauber_simulate_ising(torus, 500.0, seed=5)
+        explicit = glauber.glauber_simulate_ising(torus, 500.0, seed=5,
+                                                  observable=lambda s: float(s.sum()) / math.sqrt(8))
+        assert default.rate_estimate == explicit.rate_estimate
+        assert default.relaxation_time == explicit.relaxation_time
+        assert np.array_equal(default.autocorr, explicit.autocorr)
+
     def test_ising_simulator_keeps_clamped_spins(self):
         from rhomix.lattice import IsingTorus
 
