@@ -262,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("verify-all", help="run the acceptance suite"))
     sp.add_argument("--only", default=None, help="comma-separated substrings of check names")
+    sp.set_defaults(format=None)  # it writes text lines; a --format given is refused
     return p
 
 
@@ -410,6 +411,9 @@ def _ising(args):
     from . import lattice
 
     torus = lattice.IsingTorus(args.n, args.L, args.T)
+    if args.snapshot and args.n >= 3:
+        raise ValidationError(f"ising: --snapshot writes one 2-d PGM plane, so it needs a torus of "
+                              f"dimension n <= 2, got n = {args.n}")
     if args.method == "exact":
         lattice._check_exact_sites(torus)
 
@@ -509,6 +513,9 @@ def _three_lines(args):
 
 
 def _verify_all(args):
+    if args.format is not None:
+        raise ValidationError(f"verify-all: --format {args.format} is not supported; verify-all "
+                              f"writes text lines only")
     only = args.only.split(",") if args.only else None
     # the suite writes one line per check as it goes; its run returns the exit code
     def run():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rhomix import acceptance, discrete, gaussian
+from rhomix import acceptance, discrete, gaussian, glauber
 
 CHECKS = {fn.__name__: fn for fn in acceptance.ALL_CHECKS}
 
@@ -56,6 +56,34 @@ def test_check_07_catches_a_high_event_scan(monkeypatch, error, passes):
 
     monkeypatch.setattr(discrete, "_event_ratio_scan", scaled)
     result = acceptance.check_07_event_criteria()
+    assert result.passed == passes, result.detail
+
+
+_RINGS, _ROW = glauber._expected_rings, glauber._conditional_row
+
+
+def _cdf_shifted(joint, site, state):  # cum[1:] / cum[-1] in place of cum[:-1] / cum[-1]
+    cdf, nxt = _ROW(joint, site, state)
+    return np.append(cdf[1:], 1.0), nxt
+
+
+def _next_sites_cdf(joint, site, state):  # the site takes the next site's conditional law
+    return _ROW(joint, (site + 1) % joint.ndim, state)[0], _ROW(joint, site, state)[1]
+
+
+@pytest.mark.parametrize("name, fault, passes", [
+    ("_expected_rings", lambda nsites, t: 1.1 * _RINGS(nsites, t), False),
+    ("_conditional_row", _cdf_shifted, False),
+    ("_conditional_row", _next_sites_cdf, False),
+    ("_conditional_row", _ROW, True),
+], ids=["clocks-10%-fast", "cdf-shifted", "wrong-site", "honest"])
+def test_check_08_catches_a_wrong_simulator(monkeypatch, name, fault, passes):
+    # the replicas' ring rate or conditional tables broken: the correlations at 0.5, 1 and 2
+    # relaxation times leave exp(-gap t) by more than SIM_Z standard errors (max |z| 11.4,
+    # 303 and 162 at the check's seed; honest 1.77).  exact_gap builds no table here, so
+    # only the simulated side moves
+    monkeypatch.setattr(glauber, name, fault)
+    result = acceptance.check_08_glauber()
     assert result.passed == passes, result.detail
 
 

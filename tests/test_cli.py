@@ -478,6 +478,10 @@ class TestHandlerTable:
          "sublattice_gap: spacing 33 gives a block system of 1089 classes, above cap 1024"),
         (["event-bound", "nu", "--eps", "0.5", "--x", "0.65"], "x must lie in (0, eps] = (0, 0.5]"),
         (["event-bound", "nu", "--eps", "1e-308", "--x", "0.75", "--m", "16"], "x must lie in (0, eps]"),
+        (["ising", "--n", "3", "--L", "2", "--T", "2", "--snapshot", "{system}.pgm"],
+         "--snapshot writes one 2-d PGM plane, so it needs a torus of dimension n <= 2, got n = 3"),
+        (["verify-all", "--format", "json"], "--format json is not supported; verify-all writes text lines only"),
+        (["verify-all", "--only", "01", "--format", "csv"], "verify-all writes text lines only"),
     ])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_bad_input_is_exit_2_with_and_without_dry_run(self, argv, message, dry_run, input_files, capsys):
@@ -826,7 +830,8 @@ def _numbers(element, min_size=0, max_size=4):
 
 # a 3-vector flag: three numbers, or a list of any length
 VECTOR = _numbers(NUMBER, 3, 3) | _numbers(NUMBER)
-# a valid value of each number flag, and what may replace it
+# a valid value of each number flag, and what may replace it; a flag whose valid value is
+# None is left out unless a replacement is drawn
 NUMBER_FLAGS = {
     ("tensor-bound", "simple"): {"eps": ("0.5,0.3", _numbers(NUMBER))},
     ("event-bound", "lambda"): {"eps": ("0.5", NUMBER)},
@@ -835,7 +840,8 @@ NUMBER_FLAGS = {
     ("chogosov", "cdf"): {"eps": ("0.5", NUMBER), "p": ("0.3", NUMBER), "q": ("0.6", NUMBER)},
     ("three-lines",): {"u1": ("1,0,0", VECTOR), "u2": ("0,1,0", VECTOR), "u3": ("1,1,1", VECTOR)},
     ("ou-chain",): {"t": ("1.0", NUMBER), "K": ("8", INTEGER)},
-    ("ising",): {"L": ("4", INTEGER), "T": ("2.0", NUMBER), "n": ("1", INTEGER)},
+    ("ising",): {"L": ("4", INTEGER), "T": ("2.0", NUMBER), "n": ("1", INTEGER),
+                 "snapshot": (None, st.sampled_from([os.devnull, "/no-such-dir/s.pgm"]))},
     ("clt",): {"T": ("3.0", NUMBER), "L": ("8", INTEGER), "ells": ("4,8", _numbers(INTEGER)),
                "replicas": ("200", INTEGER)},
 }
@@ -847,7 +853,9 @@ def number_argv(draw):
     command = draw(st.sampled_from(sorted(NUMBER_FLAGS)))
     argv = list(command)
     for flag, (valid, fuzzed) in NUMBER_FLAGS[command].items():
-        argv.append(f"--{flag}={draw(fuzzed) if draw(st.booleans()) else valid}")
+        value = draw(fuzzed) if draw(st.booleans()) else valid
+        if value is not None:
+            argv.append(f"--{flag}={value}")
     return argv
 
 
@@ -923,6 +931,8 @@ class TestFuzz:
     @example(argv=["ou-chain", "--t=1e-103", "--K=8"])
     # once accepted with x > eps: factor overflowed to -inf, and the payload was not strict JSON
     @example(argv=["event-bound", "nu", "--eps=1e-308", "--x=0.75", "--m=16"])
+    # once a ValueError traceback: a snapshot of a 3-d torus
+    @example(argv=["ising", "--L=2", "--T=2.0", "--n=3", f"--snapshot={os.devnull}"])
     # an exit-0 nu payload with witness correlation 0.54, for PAYLOAD_RULES
     @example(argv=["event-bound", "nu", "--eps=0.7", "--x=0.05", "--m=16"])
     def test_number_flags(self, argv):

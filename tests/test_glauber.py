@@ -80,13 +80,10 @@ def heat_bath_matrix(joint):
     return np.column_stack([apply(e) for e in np.eye(np.size(joint))])
 
 
-def brute_force_gap(joint):
-    """Smallest nonzero eigenvalue of the heat bath, built from its definition.
-
-    Between support states x != y that differ in exactly one site i the rate
-    is p(y) / p(context of x at site i); the generator L is symmetrized with
-    sqrt(p) and diagonalized densely.  Returns None if no mode is nonzero.
-    """
+def support_generator(joint):
+    """(support states as digit rows, their masses, the heat-bath generator L on them), from
+    its definition: between support states x != y that differ in exactly one site i the
+    rate is p(y) / p(context of x at site i)."""
     digits = np.argwhere(joint > 0)
     p = joint[tuple(digits.T)]
     diff = digits[:, None, :] != digits[None, :, :]
@@ -95,6 +92,15 @@ def brute_force_gap(joint):
     rates = p[None, :] / np.take_along_axis(ctx, diff.argmax(axis=2), axis=1)
     L = np.where(diff.sum(axis=2) == 1, rates, 0.0)
     L -= np.diag(L.sum(axis=1))
+    return digits, p, L
+
+
+def brute_force_gap(joint):
+    """Smallest nonzero eigenvalue of the heat bath, built from its definition: the generator
+    L is symmetrized with sqrt(p) and diagonalized densely.  Returns None if no mode is
+    nonzero.
+    """
+    _, p, L = support_generator(joint)
     sq = np.sqrt(p)
     evals = np.linalg.eigvalsh(-(sq[:, None] * L / sq[None, :]))
     nonzero = evals[evals > 1e-9]
@@ -424,6 +430,38 @@ class TestSimulator:
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
         assert (got.rate_estimate, got.relaxation_time) == (ref.rate_estimate, ref.relaxation_time)
         assert len(ref.times) > 1000 or not keep_events
+
+    def test_replica_correlation_matches_the_generator(self):
+        # three values per site and zero-mass values: padded CDF rows and unfilled rows of
+        # zero-mass states.  Against sum_x p(x) f(x) (e^{tL} f)(x) from the generator's
+        # definition, every lag within 5.10 standard errors (criterion 8's SIM_Z)
+        from scipy.linalg import expm
+
+        sys = three_state_system()
+        digits, p, L = support_generator(sys.joint)
+        f = np.random.default_rng(4).standard_normal(sys.joint.shape)
+        times = np.array([0.1, 0.7, 2.0])
+        exact = [p @ (f[tuple(digits.T)] * (expm(t * L) @ f[tuple(digits.T)])) for t in times]
+        c, se = glauber._replica_correlation(sys, f, times, 20_000, seed=2)
+        assert np.all(se > 0) and np.all(se < 0.02)
+        assert np.all(np.abs(c - exact) <= 5.10 * se), ((c - exact) / se)
+
+    def test_replica_tables_are_the_simulators_rows(self, monkeypatch):
+        # _replica_correlation reads every row of a positive-mass state through _conditional_row,
+        # the helper glauber_simulate's lazy tables call
+        sys = three_state_system()
+        rows, row = set(), glauber._conditional_row
+
+        def recording(joint, site, state):
+            rows.add((site, state))
+            return row(joint, site, state)
+
+        monkeypatch.setattr(glauber, "_conditional_row", recording)
+        glauber._replica_correlation(sys, np.ones(sys.joint.shape), [1.0], 10, seed=0)
+        assert rows == {(i, y) for i in range(3) for y in np.flatnonzero(sys.joint.ravel() > 0).tolist()}
+        rows.clear()
+        glauber.glauber_simulate(sys, horizon=50.0, seed=0)
+        assert len(rows) > 40
 
     def test_memory_per_ring_is_bounded(self):
         # 3 sites, 10^5 expected rings, 4 samples per ring, no events: at most

@@ -4,13 +4,16 @@
 code and stdout.  Each call runs through ``cli.main`` in process, in a folder
 holding those input files.  Exit codes and the text around the numbers (keys,
 structure, labels) must match exactly, and every number to GOLDEN_RTOL
-relative.  Under the numpy version that wrote the file, stdout must match byte
-for byte.  A change that moves an output on purpose regenerates the file, and
-the diff of the file is the list of outputs that moved:
+relative.  Under the numpy version and the OpenBLAS config string that wrote
+the file, stdout must also match byte for byte: the config string names the
+kernel OpenBLAS picked for the CPU at run time, and the last digits of several
+outputs depend on it.  A change that moves an output on purpose regenerates
+the file, and the diff of the file is the list of outputs that moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
+import ctypes
 import io
 import json
 import math
@@ -29,6 +32,24 @@ GOLDEN_RTOL = 1e-12
 GOLDEN_ATOL = 1e-15  # for values that are zero in exact arithmetic
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 TIMING = re.compile(r"\b\d+\.\d+s\b")  # verify-all prints each check's own run time
+
+
+def blas_config() -> str | None:
+    """The config string of the OpenBLAS that numpy loaded, as "OpenBLAS 0.3.31 ... SkylakeX
+    MAX_THREADS=64", read through ctypes; None where numpy bundles no OpenBLAS."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+                if config:
+                    config.argtypes, config.restype = [], ctypes.c_char_p
+                    return config().decode()
+    return None
+
+
+BLAS_CONFIG = blas_config()
 
 
 def make_table(seed: int = 2026) -> tuple:
@@ -130,13 +151,14 @@ def test_golden_call(entry, golden_folder, monkeypatch):
     monkeypatch.chdir(golden_folder)
     code, out = run_call(entry["argv"])
     assert code == entry["exit"]
-    if _golden()["numpy"] == np.__version__:
-        assert out == entry["stdout"]
     skeleton, got = split_numbers(out)
     want_skeleton, want = split_numbers(entry["stdout"])
     assert skeleton == want_skeleton
     moved = [(g, w) for g, w in zip(got, want) if not math.isclose(g, w, rel_tol=GOLDEN_RTOL, abs_tol=GOLDEN_ATOL)]
     assert not moved, moved[:5]
+    golden = _golden()
+    if (golden["numpy"], golden.get("openblas")) == (np.__version__, BLAS_CONFIG):
+        assert out == entry["stdout"]
 
 
 def test_table_covers_every_command():
@@ -146,7 +168,8 @@ def test_table_covers_every_command():
 
 
 def regenerate(path: Path = GOLDEN) -> None:
-    """Run the table on the installed code and write it, with the numpy version, to ``path``."""
+    """Run the table on the installed code and write it, with the numpy version and the
+    OpenBLAS config string, to ``path``."""
     inputs, argvs = make_table()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as folder:
@@ -157,7 +180,8 @@ def regenerate(path: Path = GOLDEN) -> None:
         finally:
             os.chdir(cwd)
     path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps({"numpy": np.__version__, "inputs": inputs, "calls": calls}, indent=1) + "\n")
+    path.write_text(json.dumps({"numpy": np.__version__, "openblas": BLAS_CONFIG, "inputs": inputs, "calls": calls},
+                               indent=1) + "\n")
 
 
 if __name__ == "__main__":
